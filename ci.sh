@@ -115,17 +115,23 @@ cargo test -q
 echo "== workspace tests"
 cargo test --workspace -q
 
-echo "== trace determinism gate (tests/trace_determinism.rs)"
-cargo test --features trace --test trace_determinism -q
+# Every feature lane also re-checks the golden per-point digests
+# (tests/golden/digests.txt; the trace lane adds the Chrome-trace hashes),
+# so each build runs the end-of-run request-slot assert on all of them.
+echo "== trace determinism gate (tests/trace_determinism.rs) + golden digests"
+cargo test --features trace --test trace_determinism --test golden_digests -q
 
-echo "== telemetry determinism gate (tests/telemetry_determinism.rs)"
-cargo test --features telemetry --test telemetry_determinism -q
+echo "== telemetry determinism gate (tests/telemetry_determinism.rs) + golden digests"
+cargo test --features telemetry --test telemetry_determinism --test golden_digests -q
 
-echo "== sharded equivalence gate (tests/equivalence.rs, per feature set)"
-cargo test --release --test equivalence -q
-cargo test --release --features audit --test equivalence -q
-cargo test --release --features trace --test equivalence -q
-cargo test --release --features telemetry --test equivalence -q
+echo "== selfprof golden digests"
+cargo test --features selfprof --test golden_digests -q
+
+echo "== sharded equivalence gate (tests/equivalence.rs, per feature set) + golden digests"
+cargo test --release --test equivalence --test golden_digests -q
+cargo test --release --features audit --test equivalence --test golden_digests -q
+cargo test --release --features trace --test equivalence --test golden_digests -q
+cargo test --release --features telemetry --test equivalence --test golden_digests -q
 
 echo "== trace on/off run parity (hdpat-sim run output byte-identical)"
 mkdir -p target/ci

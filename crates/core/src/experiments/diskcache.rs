@@ -43,10 +43,11 @@ use crate::metrics::{Metrics, METRICS_CONTRACT_VERSION};
 /// Magic first line of every cache entry file.
 const ENTRY_MAGIC: &str = "hdpat-diskcache v1";
 
-/// 128-bit FNV-1a of `data` — the content address of a fingerprint. FNV is
-/// not cryptographic; collisions are handled by storing and re-checking the
-/// full fingerprint inside the entry.
-fn fnv128_hex(data: &str) -> String {
+/// 128-bit FNV-1a of `data` in hex — the content address of a fingerprint,
+/// and the per-point hash of `tests/golden/digests.txt`. FNV is not
+/// cryptographic; the cache handles collisions by storing and re-checking
+/// the full fingerprint inside the entry.
+pub fn fnv128_hex(data: &str) -> String {
     const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
     const PRIME: u128 = 0x0000000001000000000000000000013b;
     let mut h = OFFSET;

@@ -8,7 +8,7 @@
 mod diskcache;
 mod fingerprint;
 
-pub use diskcache::{DiskCache, DiskCacheStats};
+pub use diskcache::{fnv128_hex, DiskCache, DiskCacheStats};
 pub use fingerprint::FINGERPRINT_VERSION;
 
 use wsg_gpu::SystemConfig;

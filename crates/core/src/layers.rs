@@ -10,6 +10,36 @@ use wsg_xlat::Vpn;
 /// inner layer.
 pub const CLUSTERS: u64 = 4;
 
+/// Most caching layers a [`ConcentricMap`] holds — the capacity of
+/// [`AuxGpms`]. The paper's wafers use 2–3.
+pub const MAX_CACHING_LAYERS: usize = 16;
+
+/// The designated auxiliary GPM of every caching layer for one VPN,
+/// innermost first: a fixed-capacity list, so looking it up on every remote
+/// request never allocates. Dereferences to a `&[u32]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AuxGpms {
+    len: u8,
+    gpms: [u32; MAX_CACHING_LAYERS],
+}
+
+impl std::ops::Deref for AuxGpms {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.gpms[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for AuxGpms {
+    type Item = u32;
+    type IntoIter = std::iter::Take<std::array::IntoIter<u32, MAX_CACHING_LAYERS>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.gpms.into_iter().take(usize::from(self.len))
+    }
+}
+
 /// Precomputed concentric-layer structure for one wafer (§IV-C/D/E).
 ///
 /// Layers are indexed 1 (innermost GPM ring around the CPU) through `C` (the
@@ -43,14 +73,19 @@ impl ConcentricMap {
     ///
     /// # Panics
     ///
-    /// Panics if `c` is zero or exceeds the wafer's outermost ring (the
+    /// Panics if `c` is zero, exceeds the wafer's outermost ring (the
     /// paper requires leaving at least the border ring as pure requesters
-    /// only when `c < max_layer`; equal is allowed for small wafers).
+    /// only when `c < max_layer`; equal is allowed for small wafers), or
+    /// exceeds [`MAX_CACHING_LAYERS`].
     pub fn new(layout: &WaferLayout, c: u32, rotation: bool) -> Self {
         assert!(c >= 1, "need at least one caching layer");
         assert!(
             c <= layout.max_layer(),
             "cannot have more caching layers than rings"
+        );
+        assert!(
+            c as usize <= MAX_CACHING_LAYERS,
+            "at most {MAX_CACHING_LAYERS} caching layers"
         );
         let rings = (1..=c)
             .map(|l| {
@@ -104,10 +139,15 @@ impl ConcentricMap {
     }
 
     /// The designated auxiliary GPM in every caching layer, innermost first.
-    pub fn aux_gpms(&self, vpn: Vpn) -> Vec<u32> {
-        (1..=self.caching_layers())
-            .map(|l| self.aux_gpm(vpn, l))
-            .collect()
+    pub fn aux_gpms(&self, vpn: Vpn) -> AuxGpms {
+        let mut out = AuxGpms {
+            len: self.rings.len() as u8,
+            gpms: [0; MAX_CACHING_LAYERS],
+        };
+        for (l, slot) in (1..=self.caching_layers()).zip(&mut out.gpms) {
+            *slot = self.aux_gpm(vpn, l);
+        }
+        out
     }
 }
 
@@ -216,6 +256,17 @@ mod tests {
                 let aux = m.aux_gpm(Vpn(vpn), layer);
                 assert_eq!(layout.layer_of(aux), layer);
             }
+        }
+    }
+
+    #[test]
+    fn aux_gpms_lists_every_layer_innermost_first() {
+        let (_, m) = map(3, true);
+        for vpn in 0..100u64 {
+            let aux = m.aux_gpms(Vpn(vpn));
+            let expect: Vec<u32> = (1..=3).map(|l| m.aux_gpm(Vpn(vpn), l)).collect();
+            assert_eq!(&aux[..], &expect[..]);
+            assert_eq!(aux.into_iter().collect::<Vec<_>>(), expect);
         }
     }
 

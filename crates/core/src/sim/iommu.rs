@@ -7,7 +7,7 @@ use wsg_xlat::{SubmitResult, Vpn};
 
 use crate::metrics::Resolution;
 
-use super::{Event, ReqId, Simulation};
+use super::{Event, ReqId, Simulation, NEVER};
 
 /// IOMMU-TLB lookup latency (Fig 19 variant).
 const IOMMU_TLB_LATENCY: Cycle = 8;
@@ -17,19 +17,20 @@ const REDIR_LATENCY: Cycle = 4;
 impl Simulation {
     /// A translation request arrives at the IOMMU (step ① of Fig 12).
     pub(crate) fn on_iommu_arrive(&mut self, t: Cycle, req: ReqId) {
-        if self.reqs[req as usize].resolved {
+        if self.reqs[req].resolved {
             // A concurrent layer probe already answered; drop the forwarded
             // copy instead of walking redundantly. If the request held a
             // place in the TLB stall queue, pass its admission along so the
             // queue keeps draining.
             if let Some(w) = self.iommu.tlb_stalled.pop_front() {
                 self.schedule(t, Event::IommuArrive { req: w });
+                self.reqs.unpin(w);
             }
             return;
         }
-        let vpn = self.reqs[req as usize].vpn;
-        if self.reqs[req as usize].iommu_arrived.is_none() {
-            self.reqs[req as usize].iommu_arrived = Some(t);
+        let vpn = self.reqs[req].vpn;
+        if self.reqs[req].iommu_arrived == NEVER {
+            self.reqs[req].iommu_arrived = t;
             // Observation traces (Figs 6-8) are collected at the IOMMU.
             self.metrics.iommu_reuse.touch(vpn.0);
             if let Some(prev) = self.last_iommu_vpn {
@@ -44,13 +45,13 @@ impl Simulation {
             // A request that already stalled on full MSHRs holds its place
             // in the stall order and may not re-probe the TLB (it is blocked
             // outside the structure, per the paper).
-            let hit = if self.reqs[req as usize].redirect_failed {
+            let hit = if self.reqs[req].redirect_failed {
                 None
             } else {
                 self.iommu.tlb.as_mut().expect("checked").lookup_meta(vpn)
             };
             if let Some((pfn, prefetched)) = hit {
-                let to = self.gpm_coord(self.reqs[req as usize].gpm);
+                let to = self.gpm_coord(self.reqs[req].gpm);
                 let cpu = self.cpu();
                 let bytes = self.cfg.xlat_resp_bytes;
                 let source = if prefetched {
@@ -77,14 +78,20 @@ impl Simulation {
                 .expect("TLB variant has MSHRs")
                 .register(vpn.0, req)
             {
-                MshrOutcome::Primary => { /* proceed to the walk */ }
-                MshrOutcome::Secondary => return, // woken when the walk fills the TLB
+                // Both keep the request in the MSHR's waiter list.
+                MshrOutcome::Primary => self.reqs.pin(req), // proceed to the walk
+                MshrOutcome::Secondary => {
+                    // Woken when the walk fills the TLB.
+                    self.reqs.pin(req);
+                    return;
+                }
                 MshrOutcome::Full => {
                     // Blocked outside the TLB until an MSHR frees; no
                     // polling — a walk completion admits the queue head.
                     self.metrics.iommu_tlb_stalls += 1;
-                    self.reqs[req as usize].redirect_failed = true;
+                    self.reqs[req].redirect_failed = true;
                     self.iommu.tlb_stalled.push_back(req);
+                    self.reqs.pin(req);
                     return;
                 }
             }
@@ -94,11 +101,10 @@ impl Simulation {
             // 16 active walkers, not the whole queue).
             if let Some(waiters) = self.iommu.inflight.get_mut(vpn.0) {
                 waiters.push(req);
+                self.reqs.pin(req);
                 return;
             }
-        } else if self.hdpat().is_some_and(|h| h.redirection)
-            && !self.reqs[req as usize].redirect_failed
-        {
+        } else if self.hdpat().is_some_and(|h| h.redirection) && !self.reqs[req].redirect_failed {
             // Redirection table check (step ② of Fig 12).
             if let Some(holder) = self.iommu.redirection.lookup(vpn) {
                 let cpu = self.cpu();
@@ -118,21 +124,23 @@ impl Simulation {
     }
 
     /// Places a request into the PW-queue (step ③), or the pre-queue buffer
-    /// when the PW-queue is full.
+    /// when the PW-queue is full; either queue holds a pin.
     fn enqueue_walk(&mut self, t: Cycle, req: ReqId) {
         let walk_latency = self.cfg.iommu.walk_latency;
         match self.iommu.walkers.submit(req) {
             SubmitResult::Started => {
-                self.reqs[req as usize].pw_entered = Some(t);
-                self.reqs[req as usize].walk_started = Some(t);
+                self.reqs[req].pw_entered = t;
+                self.reqs[req].walk_started = t;
                 self.note_walk_started(req);
                 self.schedule(t + walk_latency, Event::IommuWalkDone { req });
             }
             SubmitResult::Queued => {
-                self.reqs[req as usize].pw_entered = Some(t);
+                self.reqs[req].pw_entered = t;
+                self.reqs.pin(req);
             }
             SubmitResult::Rejected => {
                 self.iommu.pre_queue.push_back(req);
+                self.reqs.pin(req);
             }
         }
         self.sample_iommu_buffer(t);
@@ -141,7 +149,7 @@ impl Simulation {
     /// Registers a just-started walk in Trans-FW's in-flight table.
     fn note_walk_started(&mut self, req: ReqId) {
         if matches!(self.policy, crate::policy::PolicyKind::TransFw) {
-            let vpn = self.reqs[req as usize].vpn;
+            let vpn = self.reqs[req].vpn;
             self.iommu.inflight.get_or_insert_with(vpn.0, Vec::new);
         }
     }
@@ -156,7 +164,7 @@ impl Simulation {
     /// was evicted meanwhile.
     pub(crate) fn on_redirect_arrive(&mut self, t: Cycle, req: ReqId, holder: u32) {
         let (vpn, requester) = {
-            let r = &self.reqs[req as usize];
+            let r = &self.reqs[req];
             (r.vpn, r.gpm)
         };
         let lat = self.cfg.gpm.gmmu_cache.latency;
@@ -183,7 +191,7 @@ impl Simulation {
                 // Stale redirection: drop the entry and walk after all.
                 self.metrics.redirect_misses += 1;
                 self.iommu.redirection.remove(vpn);
-                self.reqs[req as usize].redirect_failed = true;
+                self.reqs[req].redirect_failed = true;
                 let cpu = self.cpu();
                 let bytes = self.cfg.xlat_req_bytes;
                 self.send(from, cpu, bytes, t + lat, Event::IommuArrive { req });
@@ -196,20 +204,23 @@ impl Simulation {
         let walk_latency = self.cfg.iommu.walk_latency;
         // Free the walker; the promoted PW-queue head starts walking.
         if let Some(next) = self.iommu.walkers.finish() {
-            self.reqs[next as usize].walk_started = Some(t);
+            self.reqs[next].walk_started = t;
             self.note_walk_started(next);
             self.schedule(t + walk_latency, Event::IommuWalkDone { req: next });
+            self.reqs.unpin(next);
         }
         // Refill the PW-queue from the pre-queue buffer.
         while !self.iommu.pre_queue.is_empty() && !self.iommu.walkers.is_saturated() {
             let r = self.iommu.pre_queue.pop_front().expect("non-empty");
-            self.reqs[r as usize].pw_entered = Some(t);
+            self.reqs[r].pw_entered = t;
             match self.iommu.walkers.submit(r) {
                 SubmitResult::Started => {
-                    self.reqs[r as usize].walk_started = Some(t);
+                    self.reqs[r].walk_started = t;
                     self.note_walk_started(r);
                     self.schedule(t + walk_latency, Event::IommuWalkDone { req: r });
+                    self.reqs.unpin(r);
                 }
+                // The pre-queue's pin moves to the PW-queue.
                 SubmitResult::Queued => {}
                 SubmitResult::Rejected => unreachable!("checked saturation"),
             }
@@ -218,7 +229,7 @@ impl Simulation {
 
         self.metrics.iommu_walks += 1;
         self.metrics.iommu_served.record(t, 1);
-        let vpn = self.reqs[req as usize].vpn;
+        let vpn = self.reqs[req].vpn;
         let pte = self
             .iommu
             .page_table
@@ -232,6 +243,7 @@ impl Simulation {
             for w in self.iommu.inflight.remove(vpn.0).unwrap_or_default() {
                 self.metrics.iommu_coalesced += 1;
                 self.respond_from_iommu(t, w, pte.pfn, Resolution::Iommu);
+                self.reqs.unpin(w);
             }
         }
 
@@ -245,12 +257,13 @@ impl Simulation {
                 let reqs = &self.reqs;
                 self.iommu
                     .walkers
-                    .drain_matching_into(|r| reqs[*r as usize].vpn == vpn, &mut same);
+                    .drain_matching_into(|r| reqs[*r].vpn == vpn, &mut same);
             }
             for &r in &same {
                 self.metrics.iommu_coalesced += 1;
                 self.record_iommu_latency(t, r, false);
                 self.respond_from_iommu(t, r, pte.pfn, Resolution::Iommu);
+                self.reqs.unpin(r);
             }
             same.clear();
             self.walk_scratch = same;
@@ -311,11 +324,13 @@ impl Simulation {
                     self.record_iommu_latency(t, w, false);
                     self.respond_from_iommu(t, w, pte.pfn, Resolution::Iommu);
                 }
+                self.reqs.unpin(w);
             }
             // The freed MSHR entry admits the stall-queue head (FIFO); it
             // proceeds straight to MSHR registration.
             if let Some(w) = self.iommu.tlb_stalled.pop_front() {
                 self.schedule(t, Event::IommuArrive { req: w });
+                self.reqs.unpin(w);
             }
         }
 
@@ -333,12 +348,12 @@ impl Simulation {
             .aux_gpms(vpn);
         let cpu = self.cpu();
         let bytes = self.cfg.xlat_resp_bytes;
-        let mut sent = Vec::new();
-        for target in targets {
-            if sent.contains(&target) {
+        for (i, &target) in targets.iter().enumerate() {
+            // Layers can collapse onto one GPM near the wafer edge: one copy
+            // per distinct GPM.
+            if targets[..i].contains(&target) {
                 continue;
             }
-            sent.push(target);
             self.metrics.ptes_pushed += 1;
             let to = self.gpm_coord(target);
             self.send(
@@ -357,7 +372,7 @@ impl Simulation {
     }
 
     fn respond_from_iommu(&mut self, t: Cycle, req: ReqId, pfn: wsg_xlat::Pfn, source: Resolution) {
-        let to = self.gpm_coord(self.reqs[req as usize].gpm);
+        let to = self.gpm_coord(self.reqs[req].gpm);
         let cpu = self.cpu();
         let bytes = self.cfg.xlat_resp_bytes;
         self.send(cpu, to, bytes, t, Event::XlatResponse { req, pfn, source });
@@ -367,12 +382,13 @@ impl Simulation {
     /// requests that performed their own walk (coalesced requests get a
     /// zero-walk share).
     fn record_iommu_latency(&mut self, t: Cycle, req: ReqId, walked: bool) {
-        let r = &self.reqs[req as usize];
-        let (Some(arrived), Some(entered)) = (r.iommu_arrived, r.pw_entered) else {
+        let r = &self.reqs[req];
+        let (arrived, entered) = (r.iommu_arrived, r.pw_entered);
+        if arrived == NEVER || entered == NEVER {
             return;
-        };
-        let started = if walked {
-            r.walk_started.unwrap_or(t)
+        }
+        let started = if walked && r.walk_started != NEVER {
+            r.walk_started
         } else {
             t
         };
@@ -389,14 +405,15 @@ impl Simulation {
         // site, so a trace shows the same decomposition as Fig 3.
         #[cfg(feature = "trace")]
         if let Some(tr) = &self.tracer {
-            let site = self.gpms.len() as u64 * (8 + 64);
+            let site = self.iommu_site_base();
+            let serial = u64::from(r.serial);
             let pre = entered.saturating_sub(arrived);
             let queue = started.saturating_sub(entered);
             let walk = t.saturating_sub(started);
             tr.with(|s| {
-                s.complete("iommu.pre_queue", arrived, pre, site, req as u64);
-                s.complete("iommu.ptw_queue", entered, queue, site, req as u64);
-                s.complete("iommu.walk", started, walk, site, req as u64);
+                s.complete("iommu.pre_queue", arrived, pre, site, serial);
+                s.complete("iommu.ptw_queue", entered, queue, site, serial);
+                s.complete("iommu.walk", started, walk, site, serial);
             });
         }
     }

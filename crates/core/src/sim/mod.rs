@@ -11,18 +11,21 @@
 //!   proactive delivery and selective push.
 //! * `data` — the post-translation data access (caches, HBM, remote
 //!   cacheline fetches).
+//! * `reqs` — the in-flight request table: recycled slots, freed by pin
+//!   count (DESIGN.md §16.5).
 //! * `shard` — the tile-group sharded drive with conservative lookahead
 //!   ([`Simulation::run_with_shards`], DESIGN.md §15); byte-identical to
 //!   the serial drive by construction.
 
 mod data;
 mod iommu;
+mod reqs;
 mod shard;
 mod translate;
 
 use std::collections::VecDeque;
 
-use wsg_gpu::{AddressSpace, CuPipeline, MemoryOp, SystemConfig, WorkgroupTrace};
+use wsg_gpu::{AddressSpace, CuPipeline, SystemConfig, WorkgroupTrace};
 use wsg_mem::{Hbm, Mshr, SetAssocCache};
 use wsg_noc::{Coord, Mesh};
 use wsg_sim::{Cycle, EventQueue, HashIndex};
@@ -48,8 +51,7 @@ pub(crate) const TIME_WINDOW: Cycle = 10_000;
 /// the sharded drive in debug builds.
 pub(crate) const EVENT_CAP: u64 = 2_000_000_000;
 
-/// Index into the in-flight request table.
-pub(crate) type ReqId = u32;
+pub(crate) use reqs::{ReqId, ReqTable, NEVER};
 
 /// One compute unit: issue pipeline plus its private L1 TLB and L1 cache.
 #[derive(Debug)]
@@ -102,31 +104,6 @@ pub(crate) struct IommuState {
     /// walk is already queued or running piggyback on it instead of
     /// enqueueing their own (remote forwarding of in-flight results).
     pub inflight: HashIndex<Vec<ReqId>>,
-}
-
-/// One in-flight memory operation with its translation bookkeeping.
-#[derive(Debug, Clone)]
-pub(crate) struct Request {
-    pub gpm: u32,
-    pub cu: u32,
-    pub op: MemoryOp,
-    pub vpn: Vpn,
-    /// Issue cycle, kept for the whole-translation trace span.
-    #[cfg(feature = "trace")]
-    pub issued: Cycle,
-    pub remote_started: Option<Cycle>,
-    pub iommu_arrived: Option<Cycle>,
-    pub pw_entered: Option<Cycle>,
-    pub walk_started: Option<Cycle>,
-    /// GPMs probed so far (filled with the PTE on response — the
-    /// opportunistic caching of the route/concentric baselines).
-    pub probed: Vec<u32>,
-    /// Set when a redirection attempt failed, so the IOMMU does not redirect
-    /// the same request twice.
-    pub redirect_failed: bool,
-    /// Set once a translation response has been accepted (duplicate probe
-    /// replies are ignored).
-    pub resolved: bool,
 }
 
 /// Simulator events.
@@ -185,7 +162,7 @@ pub struct Simulation {
     pub(crate) mesh: Mesh,               // shard: wafer-global
     pub(crate) gpms: Vec<GpmState>,      // shard: gpm-local
     pub(crate) iommu: IommuState,        // shard: wafer-global
-    pub(crate) reqs: Vec<Request>,       // shard: wafer-global
+    pub(crate) reqs: ReqTable,           // shard: wafer-global
     pub(crate) metrics: Metrics,         // shard: wafer-global
     pub(crate) concentric: Option<ConcentricMap>, // shard: wafer-global, frozen
     /// Per-GPM serial probe chains, precomputed per policy.
@@ -200,9 +177,10 @@ pub struct Simulation {
     /// around each [`wsg_xlat::WalkerPool::drain_matching_into`] call so the
     /// hot dispatch path never allocates for coalesced walks.
     pub(crate) walk_scratch: Vec<ReqId>, // shard: wafer-global, drive infrastructure
-    /// `WSG_TRACE_REQ` debug hook, resolved once at construction so the
-    /// dispatch loop never touches the process environment per event.
-    pub(crate) trace_req: Option<ReqId>, // shard: wafer-global, frozen
+    /// `WSG_TRACE_REQ` debug hook (a request's issue serial), resolved once
+    /// at construction so the dispatch loop never touches the process
+    /// environment per event.
+    pub(crate) trace_req: Option<u32>, // shard: wafer-global, frozen
     /// Optional page-migration extension (see [`crate::migration`]).
     pub(crate) migration: Option<MigrationConfig>, // shard: wafer-global, frozen
     /// Dynamic home overrides for migrated pages (checked before the static
@@ -370,7 +348,7 @@ impl Simulation {
             mesh,
             gpms,
             iommu,
-            reqs: Vec::new(),
+            reqs: ReqTable::default(),
             metrics,
             concentric,
             chains,
@@ -431,7 +409,7 @@ impl Simulation {
                         .set_auditor(handle.clone(), g_total * 8 + g * cu_stride + c as u64);
                 }
             }
-            let iommu_base = g_total * 8 + g_total * cu_stride;
+            let iommu_base = sim.iommu_site_base();
             sim.iommu.walkers.set_auditor(handle.clone(), iommu_base);
             sim.iommu
                 .redirection
@@ -484,6 +462,14 @@ impl Simulation {
             .max(64)
     }
 
+    /// First site id of the IOMMU structures in the audit/trace/telemetry
+    /// numbering, `G*8 + G*S`: past every GPM-local slot and L1-TLB range.
+    #[cfg(any(feature = "audit", feature = "trace", feature = "telemetry"))]
+    pub(crate) fn iommu_site_base(&self) -> u64 {
+        let g = self.gpms.len() as u64;
+        g * 8 + g * self.cu_site_stride()
+    }
+
     /// Attaches a request-lifecycle trace sink to the engine and every model
     /// structure, using the same site-id numbering as the audit feature:
     /// GPM-local structures at `gpm*8 + slot` (L2 TLB 0, GMMU cache 1,
@@ -521,7 +507,7 @@ impl Simulation {
                     .set_tracer(handle.clone(), g_total * 8 + g * cu_stride + c as u64);
             }
         }
-        let iommu_base = g_total * 8 + g_total * cu_stride;
+        let iommu_base = self.iommu_site_base();
         self.iommu.walkers.set_tracer(handle.clone(), iommu_base);
         self.iommu
             .redirection
@@ -559,7 +545,6 @@ impl Simulation {
         let handle = TelemetryHandle::of(sink);
         self.mesh.set_telemetry(&handle);
         let g_total = self.gpms.len() as u64;
-        let cu_stride = self.cu_site_stride();
         let tiles: Vec<(u16, u16)> = (0..g_total as u32)
             .map(|id| {
                 let c = self.cfg.layout.coord_of(id);
@@ -577,7 +562,7 @@ impl Simulation {
         }
         let cpu = self.cfg.layout.cpu();
         let cpu_tile = Some((cpu.x, cpu.y));
-        let iommu_base = g_total * 8 + g_total * cu_stride;
+        let iommu_base = self.iommu_site_base();
         self.iommu
             .walkers
             .set_telemetry(&handle, iommu_base, cpu_tile);
@@ -639,10 +624,14 @@ impl Simulation {
     /// The current home GPM of `vpn`: a migrated override if present,
     /// otherwise the static block placement.
     pub(crate) fn home_of(&self, vpn: Vpn) -> Option<u32> {
-        self.home_override
-            .get(vpn.0)
-            .copied()
-            .or_else(|| self.space.home_gpm(vpn))
+        // Only migration fills the override table; skip the hash probe on
+        // the (common) runs where it is empty.
+        if !self.home_override.is_empty() {
+            if let Some(&home) = self.home_override.get(vpn.0) {
+                return Some(home);
+            }
+        }
+        self.space.home_gpm(vpn)
     }
 
     /// The HDPAT configuration, if the active policy is in the HDPAT family.
@@ -718,20 +707,19 @@ impl Simulation {
         for (g, gpm) in self.gpms.iter().enumerate() {
             for (c, cu) in gpm.cus.iter().enumerate() {
                 if !cu.pipeline.is_drained() {
+                    let stamp = |c: Cycle| (c != NEVER).then_some(c);
                     let stuck: Vec<String> = self
                         .reqs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| {
-                            r.gpm == g as u32 && !r.resolved && r.remote_started.is_some()
-                        })
-                        .map(|(i, r)| {
+                        .live()
+                        .filter(|r| r.gpm == g as u32 && !r.resolved && r.remote_started != NEVER)
+                        .map(|r| {
                             format!(
-                                "req{i} vpn={} arr={:?} pw={:?} walk={:?} rdf={}",
+                                "req{} vpn={} arr={:?} pw={:?} walk={:?} rdf={}",
+                                r.serial,
                                 r.vpn,
-                                r.iommu_arrived,
-                                r.pw_entered,
-                                r.walk_started,
+                                stamp(r.iommu_arrived),
+                                stamp(r.pw_entered),
+                                stamp(r.walk_started),
                                 r.redirect_failed
                             )
                         })
@@ -749,8 +737,10 @@ impl Simulation {
                 }
             }
         }
-        // Conservation: every scheduled event was consumed.
+        // Conservation: every scheduled event was consumed, and every
+        // request slot was released by its last holder.
         self.queue.drain_check();
+        self.reqs.assert_all_free();
         // Runtime invariants: the auditor saw a clean run.
         #[cfg(feature = "audit")]
         {
@@ -809,9 +799,12 @@ impl Simulation {
         }
     }
 
+    /// Runs the handler of `ev`, then releases the request pin the event
+    /// took in [`Simulation::schedule`].
     fn dispatch(&mut self, t: Cycle, ev: Event) {
+        let req = Self::event_req(&ev);
         if let Some(target) = self.trace_req {
-            if Self::event_req(&ev) == Some(target) {
+            if req.map(|r| self.reqs[r].serial) == Some(target) {
                 eprintln!("TRACE t={t} {ev:?}");
             }
         }
@@ -833,8 +826,8 @@ impl Simulation {
         // emit instants without the engine threading either value through.
         #[cfg(feature = "trace")]
         if let Some(tr) = &self.tracer {
-            let rid = Self::event_req(&ev)
-                .map(u64::from)
+            let rid = req
+                .map(|r| u64::from(self.reqs[r].serial))
                 .unwrap_or(wsg_sim::trace::NO_REQ);
             tr.with(|s| s.set_context(t, rid));
         }
@@ -862,6 +855,9 @@ impl Simulation {
             Event::DataReturn { req, home } => self.on_data_return(t, req, home),
             Event::DataDone { req } => self.on_data_done(t, req),
         }
+        if let Some(r) = req {
+            self.reqs.unpin(r);
+        }
     }
 
     /// Schedules `ev` to fire at absolute cycle `time` — into the engine
@@ -872,8 +868,12 @@ impl Simulation {
     /// order assigns the same delivery order as the serial queue's
     /// `(time, seq)` order: stamps only break ties *within* a timestamp,
     /// and same-time pushes of one handler arrive in push order either way.
+    /// A queued event pins its request until it has been dispatched.
     #[inline]
     pub(crate) fn schedule(&mut self, time: Cycle, ev: Event) {
+        if let Some(r) = Self::event_req(&ev) {
+            self.reqs.pin(r);
+        }
         match &mut self.shard_route {
             None => self.queue.push(time, ev),
             Some(r) => {
@@ -905,45 +905,33 @@ impl Simulation {
         let Some((issue_at, _)) = slot.pipeline.next_issue(t) else {
             return;
         };
-        let op = slot.pipeline.issue(issue_at);
-        let vpn = self.cfg.page_size.vpn_of(op.vaddr);
-        let req = self.reqs.len() as ReqId;
+        let vaddr = slot.pipeline.issue(issue_at).vaddr;
+        let vpn = self.cfg.page_size.vpn_of(vaddr);
+        let req = self.reqs.issue(gpm, cu, vaddr, vpn, issue_at);
         #[cfg(feature = "trace")]
         if let Some(tr) = &self.tracer {
+            let serial = u64::from(self.reqs[req].serial);
             tr.with(|s| {
-                s.set_context(issue_at, req as u64);
+                s.set_context(issue_at, serial);
                 s.instant("issue", gpm as u64, vpn.0);
             });
         }
-        self.reqs.push(Request {
-            gpm,
-            cu,
-            op,
-            vpn,
-            #[cfg(feature = "trace")]
-            issued: issue_at,
-            remote_started: None,
-            iommu_arrived: None,
-            pw_entered: None,
-            walk_started: None,
-            probed: Vec::new(),
-            redirect_failed: false,
-            resolved: false,
-        });
         self.start_translation(issue_at, req);
         // Chain the next issue: gaps accumulate from this issue time.
         self.schedule(issue_at, Event::CuIssue { gpm, cu });
     }
 
     fn on_data_done(&mut self, t: Cycle, req: ReqId) {
-        let r = &self.reqs[req as usize];
-        let (g, c) = (r.gpm, r.cu);
+        let r = &self.reqs[req];
+        let (g, c) = (r.gpm, u32::from(r.cu));
         self.gpms[g as usize].cus[c as usize]
             .pipeline
             .complete_at(t);
         self.metrics.ops_completed += 1;
         let f = &mut self.metrics.gpm_finish[g as usize];
         *f = (*f).max(t);
+        // Release the request's own pin; stale copies may still hold it.
+        self.reqs.unpin(req);
         self.schedule(t, Event::CuIssue { gpm: g, cu: c });
     }
 }

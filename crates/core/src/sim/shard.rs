@@ -24,7 +24,7 @@
 
 use wsg_sim::shard::ShardSet;
 
-use super::{Event, Request, Simulation, EVENT_CAP};
+use super::{Event, ReqTable, Simulation, EVENT_CAP};
 
 /// The sharded drive's routing state, installed into
 /// [`Simulation::shard_route`] for the duration of a sharded run so
@@ -81,21 +81,17 @@ impl ShardMap {
     /// addressed events route via fields that are frozen by the time the
     /// event is scheduled (`Request::gpm` is set at issue, `chains` is the
     /// engine's frozen per-GPM probe-chain slab).
-    pub(crate) fn shard_of(&self, reqs: &[Request], chains: &[Vec<u32>], ev: &Event) -> usize {
+    pub(crate) fn shard_of(&self, reqs: &ReqTable, chains: &[Vec<u32>], ev: &Event) -> usize {
         match *ev {
             Event::CuIssue { gpm, .. }
             | Event::GmmuWalkDone { gpm, .. }
             | Event::GmmuRetry { gpm, .. }
             | Event::PushArrive { gpm, .. } => self.gpm(gpm),
-            Event::ChainProbe { req, idx } => {
-                self.gpm(chains[reqs[req as usize].gpm as usize][idx])
-            }
+            Event::ChainProbe { req, idx } => self.gpm(chains[reqs[req].gpm as usize][idx]),
             Event::ParallelProbe { target, .. } => self.gpm(target),
             Event::IommuArrive { .. } | Event::IommuWalkDone { .. } => self.iommu_shard,
             Event::RedirectArrive { holder, .. } => self.gpm(holder),
-            Event::XlatResponse { req, .. } | Event::DataDone { req } => {
-                self.gpm(reqs[req as usize].gpm)
-            }
+            Event::XlatResponse { req, .. } | Event::DataDone { req } => self.gpm(reqs[req].gpm),
             Event::DataAtHome { home, .. } | Event::DataReturn { home, .. } => self.gpm(home),
         }
     }

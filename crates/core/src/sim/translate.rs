@@ -6,7 +6,7 @@ use wsg_xlat::{Pfn, SubmitResult, Vpn};
 use crate::metrics::Resolution;
 use crate::policy::PolicyKind;
 
-use super::{Event, ReqId, Simulation, CUCKOO_LATENCY, PROBE_OVERHEAD, RETRY_BACKOFF};
+use super::{Event, ReqId, Simulation, CUCKOO_LATENCY, NEVER, PROBE_OVERHEAD, RETRY_BACKOFF};
 
 impl Simulation {
     /// Walks a just-issued request down the local translation hierarchy
@@ -14,7 +14,7 @@ impl Simulation {
     /// walkers, falling over to the remote path when the page is not local.
     pub(crate) fn start_translation(&mut self, t: Cycle, req: ReqId) {
         let (gpm_id, cu, vpn) = {
-            let r = &self.reqs[req as usize];
+            let r = &self.reqs[req];
             (r.gpm, r.cu, r.vpn)
         };
         let gc = self.cfg.gpm;
@@ -62,8 +62,9 @@ impl Simulation {
         }
     }
 
-    /// Submits a GMMU page-table walk, queueing or backing off when the
-    /// walker pool is saturated.
+    /// Submits a GMMU page-table walk, queueing (a pin until the walk is
+    /// promoted or drained) or backing off when the walker pool is
+    /// saturated.
     pub(crate) fn submit_gmmu_walk(&mut self, t: Cycle, gpm_id: u32, req: ReqId) {
         let walk_latency = self.cfg.gpm.walk_latency;
         let gpm = &mut self.gpms[gpm_id as usize];
@@ -71,7 +72,7 @@ impl Simulation {
             SubmitResult::Started => {
                 self.schedule(t + walk_latency, Event::GmmuWalkDone { gpm: gpm_id, req });
             }
-            SubmitResult::Queued => {}
+            SubmitResult::Queued => self.reqs.pin(req),
             SubmitResult::Rejected => {
                 self.schedule(t + RETRY_BACKOFF, Event::GmmuRetry { gpm: gpm_id, req });
             }
@@ -92,10 +93,10 @@ impl Simulation {
                     req: next,
                 },
             );
+            self.reqs.unpin(next);
         }
         self.metrics.local_walks += 1;
-        let vpn = self.reqs[req as usize].vpn;
-        let requester = self.reqs[req as usize].gpm;
+        let vpn = self.reqs[req].vpn;
         let pte = self.gpms[gpm_id as usize].page_table.translate(vpn);
         // A finishing walk satisfies identical queued walks too (the GMMU's
         // MSHRs merge same-VPN walks).
@@ -104,14 +105,14 @@ impl Simulation {
             let reqs = &self.reqs;
             self.gpms[gpm_id as usize]
                 .walkers
-                .drain_matching_into(|r| reqs[*r as usize].vpn == vpn, &mut dups);
+                .drain_matching_into(|r| reqs[*r].vpn == vpn, &mut dups);
         }
         for &dup in &dups {
             self.finish_gmmu_walk(t, gpm_id, dup, vpn, pte);
+            self.reqs.unpin(dup);
         }
         dups.clear();
         self.walk_scratch = dups;
-        let _ = requester;
         self.finish_gmmu_walk(t, gpm_id, req, vpn, pte);
     }
 
@@ -125,7 +126,7 @@ impl Simulation {
         vpn: Vpn,
         pte: Option<wsg_xlat::Pte>,
     ) {
-        let requester = self.reqs[req as usize].gpm;
+        let requester = self.reqs[req].gpm;
         match pte {
             Some(pte) => {
                 self.fill_gmmu_cache(gpm_id, vpn, pte.pfn, false);
@@ -175,7 +176,7 @@ impl Simulation {
     /// after back-pressure.
     pub(crate) fn start_remote(&mut self, t: Cycle, req: ReqId, is_retry: bool) {
         let (gpm_id, vpn) = {
-            let r = &self.reqs[req as usize];
+            let r = &self.reqs[req];
             (r.gpm, r.vpn)
         };
         let mshr_cap = self.cfg.gpm.l2_tlb.mshrs.max(1);
@@ -185,6 +186,7 @@ impl Simulation {
                 // An identical request is in flight: coalesce (secondary
                 // miss in the L2 TLB MSHR).
                 waiters.push(req);
+                self.reqs.pin(req);
                 self.metrics.remote_coalesced += 1;
                 return;
             }
@@ -193,14 +195,15 @@ impl Simulation {
                 // entry frees (no polling).
                 self.metrics.remote_retries += 1;
                 gpm.mshr_stalled.push_back(req);
+                self.reqs.pin(req);
                 return;
             }
             gpm.remote_mshr.insert(vpn.0, Vec::new());
         }
-        if !is_retry || self.reqs[req as usize].remote_started.is_none() {
+        if !is_retry || self.reqs[req].remote_started == NEVER {
             self.metrics.remote_requests += 1;
         }
-        self.reqs[req as usize].remote_started = Some(t);
+        self.reqs[req].remote_started = t;
 
         let from = self.gpm_coord(gpm_id);
         let cpu = self.cpu();
@@ -288,7 +291,7 @@ impl Simulation {
     /// Trans-FW) arrives at `chain[idx]`.
     pub(crate) fn on_chain_probe(&mut self, t: Cycle, req: ReqId, idx: usize) {
         let (vpn, requester) = {
-            let r = &self.reqs[req as usize];
+            let r = &self.reqs[req];
             (r.vpn, r.gpm)
         };
         let target = self.chains[requester as usize][idx];
@@ -319,7 +322,9 @@ impl Simulation {
             self.submit_gmmu_walk(t + lat, target, req);
             return;
         }
-        self.reqs[req as usize].probed.push(target);
+        // The probed GPMs stay a prefix of the chain: probes walk it in
+        // order and each miss extends the prefix by one.
+        self.reqs[req].probed += 1;
         let next = idx + 1;
         let from = self.gpm_coord(target);
         if let Some(next_gpm) = self.chains[requester as usize].get(next).copied() {
@@ -342,7 +347,7 @@ impl Simulation {
     /// outer layer → drop (the innermost copy of the probe carries on).
     pub(crate) fn on_parallel_probe(&mut self, t: Cycle, req: ReqId, target: u32, innermost: bool) {
         let (vpn, requester) = {
-            let r = &self.reqs[req as usize];
+            let r = &self.reqs[req];
             (r.vpn, r.gpm)
         };
         let (hit, lat) = self.probe_gpm(target, vpn);
@@ -381,21 +386,22 @@ impl Simulation {
     /// record the resolution, fill the TLBs, release the MSHR waiters, and
     /// start every coalesced request's data access.
     pub(crate) fn on_xlat_response(&mut self, t: Cycle, req: ReqId, pfn: Pfn, source: Resolution) {
-        if self.reqs[req as usize].resolved {
+        if self.reqs[req].resolved {
             return; // a faster concurrent probe already answered
         }
         self.metrics.record_resolution(source);
         if source == Resolution::Proactive {
             self.metrics.prefetches_used += 1;
         }
-        if let Some(start) = self.reqs[req as usize].remote_started {
+        let start = self.reqs[req].remote_started;
+        if start != NEVER {
             let rtt = (t - start) as f64;
             self.metrics.remote_rtt.record(rtt);
             // The "remote" span covers exactly this interval, so a trace's
             // per-stage sum reconciles with the remote_rtt summary.
             #[cfg(feature = "trace")]
             if let Some(tr) = &self.tracer {
-                let r = &self.reqs[req as usize];
+                let r = &self.reqs[req];
                 tr.with(|s| s.complete("remote", start, t - start, r.gpm as u64, r.vpn.0));
             }
             match source {
@@ -420,16 +426,16 @@ impl Simulation {
         pfn: Pfn,
         source: Option<Resolution>,
     ) {
-        self.reqs[req as usize].resolved = true;
+        self.reqs[req].resolved = true;
         let (gpm_id, cu, vpn) = {
-            let r = &self.reqs[req as usize];
+            let r = &self.reqs[req];
             (r.gpm, r.cu, r.vpn)
         };
         let _ = source;
         // Whole-translation span: issue to PFN delivery at the requester.
         #[cfg(feature = "trace")]
         if let Some(tr) = &self.tracer {
-            let issued = self.reqs[req as usize].issued;
+            let issued = self.reqs[req].issued;
             tr.with(|s| s.complete("xlat", issued, t - issued, gpm_id as u64, vpn.0));
         }
 
@@ -440,8 +446,9 @@ impl Simulation {
             PolicyKind::RouteCache { .. } | PolicyKind::Concentric { .. } | PolicyKind::Distributed
         );
         if fill_probed {
-            let probed = std::mem::take(&mut self.reqs[req as usize].probed);
-            for target in probed {
+            let probed = std::mem::take(&mut self.reqs[req].probed);
+            for i in 0..usize::from(probed) {
+                let target = self.chains[gpm_id as usize][i];
                 self.fill_gmmu_cache(target, vpn, pfn, false);
             }
         }
@@ -457,12 +464,13 @@ impl Simulation {
             .remove(vpn.0)
             .unwrap_or_default();
         for w in waiters {
-            self.reqs[w as usize].resolved = true;
-            let wcu = self.reqs[w as usize].cu;
+            self.reqs[w].resolved = true;
+            let wcu = self.reqs[w].cu;
             self.gpms[gpm_id as usize].cus[wcu as usize]
                 .l1_tlb
                 .fill(vpn, pfn, false);
             self.start_data(t, w, pfn);
+            self.reqs.unpin(w);
         }
         // The freed MSHR entry admits parked requests (each pop either
         // allocates the freed entry or coalesces into a live one).
@@ -472,6 +480,7 @@ impl Simulation {
                 break;
             };
             self.start_remote(t, w, true);
+            self.reqs.unpin(w);
         }
     }
 

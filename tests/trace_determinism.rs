@@ -84,3 +84,34 @@ fn stage_latency_is_folded_into_metrics() {
     assert!(plain.stage_latency.is_empty());
     assert!(!plain.to_deterministic_string().contains("stage"));
 }
+
+#[test]
+fn iommu_stage_spans_share_the_iommu_walker_site_on_wide_presets() {
+    // MI300 GPMs have 76 CUs, so the per-GPM L1-TLB site range is wider than
+    // 64 and the IOMMU sites start at G*8 + G*76. The Fig 3 stage spans must
+    // land there too, not on a GPM's L1-TLB site.
+    let sys = SystemConfig::with_preset(GpuPreset::Mi300);
+    let (gpms, cus) = (sys.gpm_count() as u64, u64::from(sys.gpm.cus));
+    assert!(cus > 64, "MI300 must exercise the widened L1-TLB stride");
+    let cfg = RunConfig::new(BenchmarkId::Spmv, Scale::Unit, PolicyKind::Naive).with_system(sys);
+    let (_, sink) = run_traced(&cfg);
+    let iommu_site = gpms * 8 + gpms * cus;
+    let stage_sites: Vec<u64> = sink
+        .events()
+        .iter()
+        .filter(|e| e.stage.starts_with("iommu."))
+        .map(|e| e.site)
+        .collect();
+    assert!(!stage_sites.is_empty(), "no IOMMU stage spans recorded");
+    assert!(
+        stage_sites.iter().all(|&s| s == iommu_site),
+        "IOMMU stage spans off the walker site {iommu_site}: {:?}",
+        stage_sites.iter().find(|&&s| s != iommu_site)
+    );
+    assert!(
+        sink.events()
+            .iter()
+            .any(|e| e.stage.starts_with("walk.") && e.site == iommu_site),
+        "the IOMMU walkers do not trace at site {iommu_site}"
+    );
+}
