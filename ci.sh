@@ -14,8 +14,8 @@
 # the ops lane (a daemon with --ops-log/--metrics-out must produce a
 # byte-identical replay digest, a reconciling metrics snapshot, and a
 # complete request-lifecycle log), and the perf-trajectory gate (DESIGN.md §11/§16): fig14 must stay
-# byte-identical to the pre-PR-4 golden run, and its measured serial events/s
-# must stay within 10% of the committed BENCH_PR9.json trajectory point.
+# byte-identical to the pre-PR-4 golden run, and the median serial events/s
+# of three runs must stay within 10% of the committed BENCH_PR9.json point.
 # `./ci.sh pgo` runs the opt-in profile-guided-optimization lane instead
 # (see below).
 set -euo pipefail
@@ -246,19 +246,25 @@ printf '{"op":"metrics"}\n' | ./target/release/hdpat-sim serve --stdio --jobs 1 
     --cache-dir target/ci/servecache 2> /dev/null > target/ci/metrics_op.json
 grep -q '"type":"metrics"' target/ci/metrics_op.json
 
-echo "== perf-trajectory gate (fig14 vs pre-PR-4 golden, -10% events/s floor)"
-./target/release/hdpat-sim figure fig14 --scale bench --no-cache \
-    --perf-out target/ci/BENCH_PR9_serial.json > target/ci/fig14.txt
-cmp tests/golden/fig14_bench.txt target/ci/fig14.txt
-grep -q '"schema": 2' target/ci/BENCH_PR9_serial.json
-cat target/ci/BENCH_PR9_serial.json
-# Regression gate: the fresh serial events/s must stay within 10% of the
-# committed trajectory point (BENCH_PR9.json `serial` block). Machine noise
-# on the bench sweep is ~±5%, so a 10% floor only trips on real regressions.
-fresh="$(sed -n 's/.*"events_per_sec": \([0-9]*\).*/\1/p' target/ci/BENCH_PR9_serial.json)"
+echo "== perf-trajectory gate (fig14 vs pre-PR-4 golden, median of 3, -10% events/s floor)"
+for i in 1 2 3; do
+  ./target/release/hdpat-sim figure fig14 --scale bench --no-cache \
+      --perf-out "target/ci/BENCH_PR9_serial_${i}.json" > "target/ci/fig14_${i}.txt"
+  cmp tests/golden/fig14_bench.txt "target/ci/fig14_${i}.txt"
+  grep -q '"schema": 2' "target/ci/BENCH_PR9_serial_${i}.json"
+done
+cat target/ci/BENCH_PR9_serial_2.json
+# Regression gate: the median serial events/s of three fresh runs must stay
+# within 10% of the committed trajectory point (BENCH_PR9.json `serial`
+# block). One sample is not evidence — two back-to-back runs on one host
+# have differed by 17% — so the gate compares the median, which a single
+# slow run cannot drag under the floor.
+fresh="$(for i in 1 2 3; do
+  sed -n 's/.*"events_per_sec": \([0-9]*\).*/\1/p' "target/ci/BENCH_PR9_serial_${i}.json"
+done | sort -n | sed -n 2p)"
 base="$(sed -n '/"serial"/,/}/s/.*"events_per_sec": \([0-9]*\).*/\1/p' BENCH_PR9.json)"
 floor=$((base * 9 / 10))
-echo "fig14 serial: ${fresh} events/s (committed ${base}, floor ${floor})"
+echo "fig14 serial: median ${fresh} events/s of 3 (committed ${base}, floor ${floor})"
 test "$fresh" -ge "$floor"
 
 echo "== sharded-drive gate (fig14 --shards 4 byte-identical per feature set, DESIGN.md §15)"

@@ -203,6 +203,62 @@ fn bench_event_queue_batch(c: &mut Criterion) {
     });
 }
 
+/// Push delays of the engine, in cycles: `(lo, hi, weight)` log2 bins,
+/// weights in basis points, measured over the xlat-local and xlat-remote
+/// benchmarks at bench scale (DESIGN.md §11.1). A fifth of all pushes land
+/// at the current cycle; 99.3% stay under 512 cycles.
+const MEASURED_DELAY_MIX: [(u64, u64, u64); 12] = [
+    (0, 1, 2038),
+    (4, 8, 1),
+    (8, 16, 1508),
+    (16, 32, 805),
+    (32, 64, 1214),
+    (64, 128, 569),
+    (128, 256, 2537),
+    (256, 512, 1259),
+    (512, 1024, 38),
+    (1024, 2048, 18),
+    (2048, 4096, 12),
+    (4096, 8192, 1),
+];
+
+fn measured_delay(rng: &mut SimRng) -> u64 {
+    let mut pick = rng.gen_range(0..10_000);
+    for (lo, hi, weight) in MEASURED_DELAY_MIX {
+        if pick < weight {
+            return lo + rng.gen_range(0..hi - lo);
+        }
+        pick -= weight;
+    }
+    unreachable!("weights sum to 10,000")
+}
+
+/// The engine loop's queue traffic as measured, not as guessed: a
+/// standing population seeded by the 1,536-event t=0 kick, drained a whole
+/// bucket at a time into an emptied batch (the buffer-swap path), every
+/// event re-armed with a delay drawn from [`MEASURED_DELAY_MIX`].
+fn bench_event_queue_measured_mix(c: &mut Criterion) {
+    c.bench_function("event_queue_measured_mix", |b| {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut rng = SimRng::seeded(42);
+        for cu in 0..1_536u64 {
+            q.push(0, cu);
+        }
+        let mut batch = Vec::new();
+        b.iter(|| {
+            assert!(
+                q.drain_bucket(&mut batch) > 0,
+                "standing population never drains"
+            );
+            let t = q.now();
+            for p in batch.drain(..) {
+                q.push(t + measured_delay(&mut rng), p);
+            }
+            black_box(t);
+        });
+    });
+}
+
 /// Index-based vs handle-based component dispatch: the same counter bump
 /// routed through a plain pre-sized slab (`Vec<Comp>` + usize index, the
 /// engine's layout after the PR-9 rework) and through per-component
@@ -311,6 +367,7 @@ criterion_group!(
     bench_event_queue,
     bench_tlb_soa_probe,
     bench_event_queue_batch,
+    bench_event_queue_measured_mix,
     bench_dispatch_indexing,
     bench_page_table,
     bench_workload_gen

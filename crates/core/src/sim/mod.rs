@@ -48,8 +48,19 @@ pub(crate) const PROBE_OVERHEAD: Cycle = 30;
 pub(crate) const TIME_WINDOW: Cycle = 10_000;
 /// Safety cap on the event count: blowing past it indicates a scheduling
 /// bug (an event storm), not a big workload. Checked by both the serial and
-/// the sharded drive in debug builds.
+/// the sharded drive in every build, once per delivered batch.
 pub(crate) const EVENT_CAP: u64 = 2_000_000_000;
+
+/// Panics once `delivered` reaches [`EVENT_CAP`]. A release `assert!`, so
+/// a runaway run stops instead of spinning forever; one compare per batch
+/// is noise next to the batch's handlers.
+#[inline]
+pub(crate) fn check_event_cap(delivered: u64) {
+    assert!(
+        delivered < EVENT_CAP,
+        "event explosion: {delivered} events delivered (cap {EVENT_CAP})"
+    );
+}
 
 pub(crate) use reqs::{ReqId, ReqTable, NEVER};
 
@@ -646,8 +657,9 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the event count explodes past a safety cap (indicating a
-    /// scheduling bug rather than a big workload).
+    /// Panics, in every build profile, if the event count explodes past a
+    /// safety cap of 2·10⁹ events (indicating a scheduling bug rather than a
+    /// big workload); the check runs once per delivered batch.
     pub fn run(mut self) -> Metrics {
         // lint:allow(wallclock): events-per-second accounting only; the
         // reading lands in `Metrics::host_wall_nanos`, which is excluded
@@ -686,7 +698,7 @@ impl Simulation {
             {
                 prof_handler += h0.elapsed().as_nanos() as u64;
             }
-            debug_assert!(self.queue.total_popped() < EVENT_CAP, "event explosion");
+            check_event_cap(self.queue.total_popped());
         }
         // The serial drive has no barrier-merge phase and one logical shard:
         // handler time lands in bucket 0, merge stays zero.
@@ -933,5 +945,22 @@ impl Simulation {
         // Release the request's own pin; stale copies may still hold it.
         self.reqs.unpin(req);
         self.schedule(t, Event::CuIssue { gpm: g, cu: c });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{check_event_cap, EVENT_CAP};
+
+    #[test]
+    fn event_cap_admits_counts_below_it() {
+        check_event_cap(EVENT_CAP - 1);
+    }
+
+    // Not gated on `debug_assertions`: the cap must stop a release run too.
+    #[test]
+    #[should_panic(expected = "event explosion")]
+    fn event_cap_panics_in_every_profile() {
+        check_event_cap(EVENT_CAP);
     }
 }

@@ -6,20 +6,27 @@
 //! the common case by far in the simulator's hot loop — while delivery order
 //! stays exactly the `(time, insertion sequence)` order of the original
 //! `BinaryHeap` implementation (`tests/equivalence.rs` proves the two
-//! pop-for-pop identical under arbitrary interleavings).
+//! pop-for-pop identical under arbitrary interleavings). Bucket buffers
+//! circulate through a LIFO pool and a drained bucket is handed to the
+//! caller by swapping buffers, so the hot loop neither copies events out of
+//! the ring nor pushes into a buffer that has gone cold.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::Cycle;
 
 /// Width of the calendar ring: how far ahead of the window base an event may
 /// land and still get an O(1) bucket. Must be a power of two (the bucket
 /// index is `time % HORIZON`) and a multiple of 64 (the occupancy bitmap is
-/// scanned a `u64` word at a time).
-const HORIZON: usize = 4096;
+/// scanned a `u64` word at a time), at most 4096 (the one-`u64` summary's
+/// cyclic rotation needs `WORDS` to divide 64). 99.7% of the engine's push
+/// delays are under 1024 cycles (DESIGN.md §11.1), so 1024 keeps nearly
+/// every push on the ring while the bucket headers fit in L1.
+const HORIZON: usize = 1024;
 /// Occupancy bitmap words — one bit per bucket.
 const WORDS: usize = HORIZON / 64;
+const _: () = assert!(HORIZON.is_power_of_two() && HORIZON.is_multiple_of(64) && 64 % WORDS == 0);
 
 /// A deterministic discrete-event queue.
 ///
@@ -41,7 +48,14 @@ const WORDS: usize = HORIZON / 64;
 ///   occupied bucket holds the events of exactly one timestamp in insertion
 ///   order, so FIFO order *is* sequence order. A two-level occupancy bitmap
 ///   (a bit per bucket, a summary bit per word) finds the next occupied
-///   bucket in a handful of `trailing_zeros` operations.
+///   bucket in a handful of `trailing_zeros` operations. An empty bucket
+///   owns no buffer: the first push takes the most recently released one
+///   from a LIFO pool, and draining the bucket swaps its buffer into the
+///   caller's batch `Vec`, whose old buffer goes back to the pool.
+///   [`EventQueue::pop`] instead moves the head bucket, reversed, into a
+///   front `Vec` and pops its tail, so draining a bucket one event at a
+///   time stays O(1) per event; the front holds the head timestamp and is
+///   delivered before the ring.
 /// * **Overflow** — a `(time, seq)`-sorted heap for events at or beyond
 ///   `base + HORIZON`. Whenever `base` advances, entries that came inside
 ///   the window migrate into their ring buckets in heap order; an overflow
@@ -65,8 +79,16 @@ const WORDS: usize = HORIZON / 64;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Per-cycle FIFO buckets; index `time % HORIZON`.
-    buckets: Vec<VecDeque<E>>,
+    /// Per-cycle FIFO buckets; index `time % HORIZON`. Unoccupied buckets
+    /// hold no buffer.
+    buckets: Vec<Vec<E>>,
+    /// Empty bucket buffers, most recently released last.
+    pool: Vec<Vec<E>>,
+    /// The rest of a bucket that [`EventQueue::pop`] has started on, in
+    /// reverse delivery order; every entry is at `front_time`, which equals
+    /// `base` while it is non-empty.
+    front: Vec<E>,
+    front_time: Cycle,
     /// Occupancy bit per bucket.
     words: [u64; WORDS],
     /// Occupancy bit per `words` entry.
@@ -131,13 +153,16 @@ impl<E> EventQueue<E> {
     }
 
     /// Creates an empty queue at time 0 with `far` slots reserved in the
-    /// far-future overflow tier (the ring is a fixed allocation; its buckets
-    /// allocate lazily on first use).
+    /// far-future overflow tier (the ring is a fixed allocation; bucket
+    /// buffers allocate lazily, only when the pool has none to reuse).
     pub fn with_capacity(far: usize) -> Self {
         let mut buckets = Vec::with_capacity(HORIZON);
-        buckets.resize_with(HORIZON, VecDeque::new);
+        buckets.resize_with(HORIZON, Vec::new);
         Self {
             buckets,
+            pool: Vec::new(),
+            front: Vec::new(),
+            front_time: 0,
             words: [0; WORDS],
             summary: 0,
             base: 0,
@@ -162,6 +187,10 @@ impl<E> EventQueue<E> {
     fn set_bit(&mut self, idx: usize) {
         self.words[idx / 64] |= 1u64 << (idx % 64);
         self.summary |= 1u64 << (idx / 64);
+    }
+
+    fn occupied(&self, idx: usize) -> bool {
+        self.words[idx / 64] & (1u64 << (idx % 64)) != 0
     }
 
     fn clear_bit(&mut self, idx: usize) {
@@ -214,31 +243,93 @@ impl<E> EventQueue<E> {
                 Some(e) => e,
                 None => unreachable!("peeked entry vanished"),
             };
-            let idx = (entry.time % HORIZON as Cycle) as usize;
-            self.buckets[idx].push_back(entry.payload);
-            self.set_bit(idx);
-            self.ring_len += 1;
+            self.push_ring(entry.time, entry.payload);
         }
     }
 
-    /// Pops the earliest ring event. Caller guarantees `ring_len > 0`.
-    fn pop_ring(&mut self) -> (Cycle, E) {
+    /// Appends `payload` to the ring bucket of `time`, which the caller
+    /// guarantees lies in `[base, base + HORIZON)`. A bucket's first event
+    /// brings in the most recently released pool buffer, still warm in the
+    /// CPU cache from the batch it last carried.
+    fn push_ring(&mut self, time: Cycle, payload: E) {
+        let idx = (time % HORIZON as Cycle) as usize;
+        let bucket = &mut self.buckets[idx];
+        let first = bucket.is_empty();
+        if first {
+            if let Some(buf) = self.pool.pop() {
+                *bucket = buf;
+            }
+        }
+        bucket.push(payload);
+        if first {
+            self.set_bit(idx);
+        }
+        self.ring_len += 1;
+    }
+
+    /// Returns an emptied buffer to the pool.
+    fn recycle(&mut self, buf: Vec<E>) {
+        debug_assert!(buf.is_empty(), "recycled a non-empty bucket buffer");
+        if buf.capacity() > 0 {
+            self.pool.push(buf);
+        }
+    }
+
+    /// Moves the whole of occupied ring bucket `idx` to the end of `out`:
+    /// an O(1) buffer swap when `out` is empty, an append otherwise. The
+    /// buffer left over goes back to the pool. Returns the event count.
+    fn take_bucket(&mut self, idx: usize, out: &mut Vec<E>) -> usize {
+        let bucket = &mut self.buckets[idx];
+        let n = bucket.len();
+        if out.is_empty() {
+            std::mem::swap(bucket, out);
+        } else {
+            out.append(bucket);
+        }
+        let spare = std::mem::take(bucket);
+        self.recycle(spare);
+        self.clear_bit(idx);
+        self.ring_len -= n;
+        n
+    }
+
+    /// The earliest occupied ring bucket and its time. Caller guarantees
+    /// `ring_len > 0`.
+    fn first_bucket(&self) -> (usize, Cycle) {
         let from = (self.base % HORIZON as Cycle) as usize;
         let idx = match self.next_occupied(from) {
             Some(i) => i,
             None => unreachable!("ring_len > 0 with an empty occupancy bitmap"),
         };
-        let time = self.bucket_time(idx, from);
-        let payload = match self.buckets[idx].pop_front() {
+        (idx, self.bucket_time(idx, from))
+    }
+
+    /// Pops the front's next event, returning its buffer to the pool once
+    /// empty. Caller guarantees the front is non-empty.
+    fn pop_front(&mut self) -> (Cycle, E) {
+        let payload = match self.front.pop() {
             Some(p) => p,
-            None => unreachable!("occupied bit over an empty bucket"),
+            None => unreachable!("pop_front on an empty front"),
         };
-        if self.buckets[idx].is_empty() {
-            self.clear_bit(idx);
+        if self.front.is_empty() {
+            let buf = std::mem::take(&mut self.front);
+            self.recycle(buf);
         }
-        self.ring_len -= 1;
+        (self.front_time, payload)
+    }
+
+    /// Pops the earliest ring event by moving its whole bucket, reversed,
+    /// to the front. Caller guarantees `ring_len > 0` and an empty front.
+    fn pop_ring(&mut self) -> (Cycle, E) {
+        let (idx, time) = self.first_bucket();
+        let mut bucket = std::mem::take(&mut self.buckets[idx]);
+        self.clear_bit(idx);
+        self.ring_len -= bucket.len();
+        bucket.reverse();
+        self.front = bucket;
+        self.front_time = time;
         self.advance_base(time);
-        (time, payload)
+        self.pop_front()
     }
 
     /// Schedules `payload` to fire at absolute cycle `time`.
@@ -268,10 +359,7 @@ impl<E> EventQueue<E> {
             // its (time, seq) delivery slot ahead of every ring entry.
             self.backlog.push(Entry { time, seq, payload });
         } else if time - self.base < HORIZON as Cycle {
-            let idx = (time % HORIZON as Cycle) as usize;
-            self.buckets[idx].push_back(payload);
-            self.set_bit(idx);
-            self.ring_len += 1;
+            self.push_ring(time, payload);
         } else {
             self.overflow.push(Entry { time, seq, payload });
         }
@@ -309,6 +397,8 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         let (time, payload) = if let Some(e) = self.backlog.pop() {
             (e.time, e.payload)
+        } else if !self.front.is_empty() {
+            self.pop_front()
         } else if self.ring_len > 0 {
             self.pop_ring()
         } else if let Some(e) = self.overflow.pop() {
@@ -344,6 +434,10 @@ impl<E> EventQueue<E> {
     ///
     /// A bucket holds exactly one timestamp, so the batch never spans
     /// cycles; handlers can treat [`EventQueue::now`] as constant across it.
+    ///
+    /// Pass an empty `out` in the hot loop: the bucket's buffer is then
+    /// swapped into it with no copy, and `out`'s old buffer joins the pool
+    /// that future pushes draw from. A non-empty `out` is appended to.
     pub fn drain_bucket(&mut self, out: &mut Vec<E>) -> usize {
         let start = out.len();
         let time = if let Some(head) = self.backlog.peek() {
@@ -361,17 +455,21 @@ impl<E> EventQueue<E> {
                 }
             }
             t
+        } else if !self.front.is_empty() {
+            // A bucket partly consumed by `pop`: its rest, then any events
+            // pushed at the same time since (the ring bucket at `base`).
+            let t = self.front_time;
+            out.extend(self.front.drain(..).rev());
+            let buf = std::mem::take(&mut self.front);
+            self.recycle(buf);
+            let idx = (t % HORIZON as Cycle) as usize;
+            if self.occupied(idx) {
+                self.take_bucket(idx, out);
+            }
+            t
         } else if self.ring_len > 0 {
-            let from = (self.base % HORIZON as Cycle) as usize;
-            let idx = match self.next_occupied(from) {
-                Some(i) => i,
-                None => unreachable!("ring_len > 0 with an empty occupancy bitmap"),
-            };
-            let t = self.bucket_time(idx, from);
-            let n = self.buckets[idx].len();
-            out.extend(self.buckets[idx].drain(..));
-            self.clear_bit(idx);
-            self.ring_len -= n;
+            let (idx, t) = self.first_bucket();
+            self.take_bucket(idx, out);
             // Migrating after the drain is equivalent to the per-pop
             // interleaving: an occupied ring bucket at `t` precludes
             // overflow entries at `t` (overflow starts a full horizon past
@@ -389,11 +487,8 @@ impl<E> EventQueue<E> {
             // the migration window.
             self.advance_base(t);
             let idx = (t % HORIZON as Cycle) as usize;
-            if self.words[idx / 64] & (1u64 << (idx % 64)) != 0 {
-                let n = self.buckets[idx].len();
-                out.extend(self.buckets[idx].drain(..));
-                self.clear_bit(idx);
-                self.ring_len -= n;
+            if self.occupied(idx) {
+                self.take_bucket(idx, out);
             }
             t
         } else {
@@ -422,10 +517,11 @@ impl<E> EventQueue<E> {
         if let Some(e) = self.backlog.peek() {
             return Some(e.time);
         }
+        if !self.front.is_empty() {
+            return Some(self.front_time);
+        }
         if self.ring_len > 0 {
-            let from = (self.base % HORIZON as Cycle) as usize;
-            let idx = self.next_occupied(from)?;
-            return Some(self.bucket_time(idx, from));
+            return Some(self.first_bucket().1);
         }
         self.overflow.peek().map(|e| e.time)
     }
@@ -461,7 +557,7 @@ impl<E> EventQueue<E> {
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        self.ring_len + self.overflow.len() + self.backlog.len()
+        self.front.len() + self.ring_len + self.overflow.len() + self.backlog.len()
     }
 
     /// Whether no events are pending.
@@ -777,6 +873,86 @@ mod tests {
         out.clear();
         assert_eq!(q.drain_bucket(&mut out), 1);
         assert_eq!(out, vec![4]);
+    }
+
+    /// Push delays of the engine, in cycles: `(lo, hi, weight)` log2 bins,
+    /// weights in basis points. Measured over 27M `Simulation::schedule`
+    /// calls of the xlat-local and xlat-remote benchmarks under the naive
+    /// and hdpat policies at bench scale (DESIGN.md §11.1).
+    const MEASURED_DELAY_MIX: [(Cycle, Cycle, u64); 12] = [
+        (0, 1, 2038),
+        (4, 8, 1),
+        (8, 16, 1508),
+        (16, 32, 805),
+        (32, 64, 1214),
+        (64, 128, 569),
+        (128, 256, 2537),
+        (256, 512, 1259),
+        (512, 1024, 38),
+        (1024, 2048, 18),
+        (2048, 4096, 12),
+        (4096, 8192, 1),
+    ];
+
+    fn measured_delay(rng: &mut crate::SimRng) -> Cycle {
+        let mut pick = rng.gen_range(0..10_000);
+        for (lo, hi, weight) in MEASURED_DELAY_MIX {
+            if pick < weight {
+                return lo + rng.gen_range(0..hi - lo);
+            }
+            pick -= weight;
+        }
+        unreachable!("weights sum to 10,000")
+    }
+
+    #[test]
+    fn pool_stays_within_peak_occupancy_under_the_measured_delay_mix() {
+        const EVENTS: u64 = 1_000_000;
+        let mut q = EventQueue::new();
+        let mut rng = crate::SimRng::seeded(42);
+        // The engine's shape: a 1,536-event kick at t=0, then every
+        // delivered event re-arms one follow-up until the budget is spent.
+        for cu in 0..1_536u64 {
+            q.push(0, cu);
+        }
+        let mut pushed = 1_536;
+        let (mut batch, mut peak_occupied) = (Vec::new(), 0);
+        while q.drain_bucket(&mut batch) > 0 {
+            let t = q.now();
+            for p in batch.drain(..) {
+                if pushed < EVENTS {
+                    q.push(t + measured_delay(&mut rng), p);
+                    pushed += 1;
+                }
+            }
+            let occupied: usize = q.words.iter().map(|w| w.count_ones() as usize).sum();
+            peak_occupied = peak_occupied.max(occupied);
+            let buffers = q.buckets.iter().filter(|b| b.capacity() > 0).count() + q.pool.len();
+            assert!(
+                buffers <= peak_occupied + 1,
+                "{buffers} buffers for a peak of {peak_occupied} occupied buckets"
+            );
+        }
+        assert!(q.overflow.is_empty() && q.front.is_empty());
+        assert_eq!(q.drain_check(), (EVENTS, EVENTS));
+    }
+
+    #[test]
+    fn drain_bucket_hands_over_the_bucket_buffer() {
+        let mut q = EventQueue::new();
+        q.push(1, 10u32);
+        q.push(1, 11);
+        let mut out = Vec::with_capacity(64);
+        let spare = out.as_ptr();
+        assert_eq!(q.drain_bucket(&mut out), 2);
+        assert_eq!(out, vec![10, 11]);
+        // The batch's old buffer is the pool's newest, so the next bucket
+        // opened reuses it.
+        out.clear();
+        q.push(2, 12);
+        assert_eq!(q.buckets[2].as_ptr(), spare);
+        assert_eq!(q.drain_bucket(&mut out), 1);
+        assert_eq!(out.as_ptr(), spare);
     }
 
     #[cfg(feature = "audit")]

@@ -90,6 +90,74 @@ proptest! {
         }
     }
 
+    /// Batch drains match the heap model too, under any mix with single
+    /// pops: drains into an empty batch (the buffer-swap path) and into a
+    /// non-empty one (the append path), drains of a bucket that `pop` has
+    /// started on, pushes at `now` after a partial pop, and one burst of
+    /// 1,600 same-cycle events (the engine's t=0 kick is 1,536).
+    #[test]
+    fn calendar_queue_mixed_pop_and_drain_matches_binary_heap(
+        ops in proptest::collection::vec((0u64..7, 0u64..3_000), 1..400),
+        burst_at in 0usize..400,
+    ) {
+        let mut cal: EventQueue<u64> = EventQueue::new();
+        let mut heap = HeapQueue::new();
+        let mut batch = Vec::new();
+        let mut id = 0u64;
+        for (step, &(kind, delta)) in ops.iter().enumerate() {
+            let burst = if step == burst_at { 1_600 } else { 0 };
+            let at = match kind {
+                0 => Some(0),
+                1 => Some(delta % 64),
+                2 => Some(delta),
+                _ => None,
+            };
+            for t in std::iter::repeat_n(cal.now() + delta % 4, burst)
+                .chain(at.map(|dt| cal.now() + dt))
+            {
+                cal.push(t, id);
+                heap.push(t, id);
+                id += 1;
+            }
+            match kind {
+                0..=2 => {}
+                3 => {
+                    prop_assert_eq!(cal.pop(), heap.pop());
+                }
+                _ => {
+                    // Kinds 4 and 5 drain into an empty batch, kind 6 into
+                    // one still holding a stale sentinel.
+                    batch.clear();
+                    if kind == 6 {
+                        batch.push(u64::MAX);
+                    }
+                    let start = batch.len();
+                    let n = cal.drain_bucket(&mut batch);
+                    prop_assert_eq!(batch.len(), start + n);
+                    for &got in &batch[start..] {
+                        prop_assert_eq!(heap.pop(), Some((cal.now(), got)));
+                    }
+                    prop_assert!(heap.peek_time() != Some(cal.now()),
+                        "drain_bucket left same-time events behind");
+                    if kind == 6 {
+                        prop_assert_eq!(batch[0], u64::MAX);
+                    }
+                }
+            }
+            prop_assert_eq!(cal.peek_time(), heap.peek_time());
+            prop_assert_eq!(cal.len(), heap.heap.len());
+            prop_assert_eq!(cal.now(), heap.now);
+        }
+        loop {
+            let (a, b) = (cal.pop(), heap.pop());
+            prop_assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+        prop_assert_eq!(cal.total_pushed(), cal.total_popped());
+    }
+
     /// Same-cycle events pop in insertion order even when the insertions are
     /// split across ring residence and overflow migration.
     #[test]

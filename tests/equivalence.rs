@@ -186,6 +186,9 @@ fn sharded_runs_satisfy_the_conservation_auditor() {
 // stamps, FIFO PW-queues — not the SoA layout.
 // ---------------------------------------------------------------------------
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use hdpat_wafer::mem::{Mshr, MshrOutcome};
 use hdpat_wafer::sim::{Cycle, EventQueue, ShardSet};
 use hdpat_wafer::xlat::{Pfn, SubmitResult, Tlb, TlbConfig, Vpn, WalkerPool};
@@ -544,6 +547,81 @@ proptest! {
                 prop_assert_eq!(&got, expected);
             }
         }
+    }
+
+    /// One queue delivering through any mix of [`EventQueue::pop`] and
+    /// [`EventQueue::drain_bucket`] — into an empty batch (buffer swap) or
+    /// a non-empty one (append) — still yields the `(time, seq)` stream of a
+    /// `BinaryHeap` model. Every delivery spawns payload-keyed follow-ups,
+    /// some at the current cycle, so pushes at `now` land after a partial
+    /// pop of the same bucket; the run opens with a 1,536-event burst, the
+    /// engine's CU kick.
+    #[test]
+    fn event_queue_mixed_delivery_matches_per_pop(
+        modes in proptest::collection::vec(0u8..3, 1..64),
+        kick in 0u64..3,
+    ) {
+        let spawn = |t: Cycle, p: u64| -> Vec<(Cycle, u64)> {
+            if p >= 6_000 {
+                return Vec::new();
+            }
+            let h = p.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 7;
+            let mut out = vec![(t + h % 300, p * 2 + 1)];
+            if h.is_multiple_of(3) {
+                out.push((t, p * 2 + 2));
+            }
+            out
+        };
+        // Reference model: a min-heap keyed `(time, insertion seq)`.
+        let mut heap = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut mixed: EventQueue<u64> = EventQueue::new();
+        for p in 0..1_536u64 {
+            mixed.push(kick, p);
+            heap.push(Reverse((kick, seq, p)));
+            seq += 1;
+        }
+        let mut expected = Vec::new();
+        while let Some(Reverse((t, _, p))) = heap.pop() {
+            expected.push((t, p));
+            for (ct, c) in spawn(t, p) {
+                heap.push(Reverse((ct, seq, c)));
+                seq += 1;
+            }
+        }
+        let mut got = Vec::new();
+        let mut batch = Vec::new();
+        for step in 0.. {
+            let delivered: Vec<u64> = match modes[step % modes.len()] {
+                0 => match mixed.pop() {
+                    Some((_, p)) => vec![p],
+                    None => break,
+                },
+                mode => {
+                    // Mode 2 drains behind a stale head: the append path.
+                    batch.clear();
+                    if mode == 2 {
+                        batch.push(u64::MAX);
+                    }
+                    let start = batch.len();
+                    if mixed.drain_bucket(&mut batch) == 0 {
+                        break;
+                    }
+                    prop_assert!(mixed.peek_time() != Some(mixed.now()),
+                        "drain_bucket left same-time events behind");
+                    batch[start..].to_vec()
+                }
+            };
+            let t = mixed.now();
+            for p in delivered {
+                got.push((t, p));
+                for (ct, c) in spawn(t, p) {
+                    mixed.push(ct, c);
+                }
+            }
+        }
+        prop_assert_eq!(&got, &expected);
+        prop_assert_eq!(mixed.drain_check(), (seq, seq));
     }
 
     /// [`ShardSet::next_batch`] delivers the same `(time, shard, payload)`
