@@ -559,62 +559,12 @@ fn sweep_summary(ctx: &SweepCtx) -> String {
     )
 }
 
-type FigureFn<'a> = Box<dyn Fn() -> Table + 'a>;
-
 fn cmd_figure(ctx: &SweepCtx, name: &str, scale: Scale, perf_out: Option<&str>) {
     // lint:allow(wallclock): host-side throughput measurement for the
     // `--perf-out` artifact; the deterministic figure text on stdout never
     // depends on it.
     let wall_start = std::time::Instant::now();
-    let all: Vec<(&str, FigureFn)> = vec![
-        ("fig02", Box::new(|| figures::fig02_headroom(ctx, scale))),
-        (
-            "fig03",
-            Box::new(|| figures::fig03_latency_breakdown(ctx, scale)),
-        ),
-        (
-            "fig04",
-            Box::new(|| figures::fig04_buffer_pressure(ctx, scale)),
-        ),
-        (
-            "fig05",
-            Box::new(|| figures::fig05_position_imbalance(ctx, scale)),
-        ),
-        (
-            "fig06",
-            Box::new(|| figures::fig06_translation_counts(ctx, scale)),
-        ),
-        (
-            "fig07",
-            Box::new(|| figures::fig07_reuse_distance(ctx, scale)),
-        ),
-        (
-            "fig08",
-            Box::new(|| figures::fig08_spatial_locality(ctx, scale)),
-        ),
-        ("fig13", Box::new(|| figures::fig13_size_invariance(ctx))),
-        ("fig14", Box::new(|| figures::fig14_overall(ctx, scale))),
-        ("fig15", Box::new(|| figures::fig15_ablation(ctx, scale))),
-        ("fig16", Box::new(|| figures::fig16_breakdown(ctx, scale))),
-        (
-            "fig17",
-            Box::new(|| figures::fig17_response_time(ctx, scale)),
-        ),
-        (
-            "fig18",
-            Box::new(|| figures::fig18_prefetch_granularity(ctx, scale)),
-        ),
-        (
-            "fig19",
-            Box::new(|| figures::fig19_redir_vs_tlb(ctx, scale)),
-        ),
-        ("fig20", Box::new(|| figures::fig20_page_size(ctx, scale))),
-        ("fig21", Box::new(|| figures::fig21_gpu_presets(ctx, scale))),
-        ("fig22", Box::new(|| figures::fig22_wafer_7x12(ctx, scale))),
-        ("tab1", Box::new(figures::tab1_config)),
-        ("tab2", Box::new(figures::tab2_workloads)),
-        ("tab3", Box::new(figures::tab3_area_power)),
-    ];
+    let all = figures::all(ctx, scale);
     let mut matched = false;
     for (n, f) in &all {
         if name == "all" || name.eq_ignore_ascii_case(n) {

@@ -689,3 +689,48 @@ pub fn tab3_area_power() -> Table {
     }
     t
 }
+
+/// A figure or table regenerator bound to its sweep context and scale.
+pub type Figure<'a> = Box<dyn Fn() -> Table + 'a>;
+
+/// Every paper figure and table by name, in `hdpat-sim figure all` order.
+/// An entry runs its sweep only when called.
+pub fn all(ctx: &SweepCtx, scale: Scale) -> Vec<(&'static str, Figure<'_>)> {
+    vec![
+        ("fig02", Box::new(move || fig02_headroom(ctx, scale))),
+        (
+            "fig03",
+            Box::new(move || fig03_latency_breakdown(ctx, scale)),
+        ),
+        ("fig04", Box::new(move || fig04_buffer_pressure(ctx, scale))),
+        (
+            "fig05",
+            Box::new(move || fig05_position_imbalance(ctx, scale)),
+        ),
+        (
+            "fig06",
+            Box::new(move || fig06_translation_counts(ctx, scale)),
+        ),
+        ("fig07", Box::new(move || fig07_reuse_distance(ctx, scale))),
+        (
+            "fig08",
+            Box::new(move || fig08_spatial_locality(ctx, scale)),
+        ),
+        ("fig13", Box::new(move || fig13_size_invariance(ctx))),
+        ("fig14", Box::new(move || fig14_overall(ctx, scale))),
+        ("fig15", Box::new(move || fig15_ablation(ctx, scale))),
+        ("fig16", Box::new(move || fig16_breakdown(ctx, scale))),
+        ("fig17", Box::new(move || fig17_response_time(ctx, scale))),
+        (
+            "fig18",
+            Box::new(move || fig18_prefetch_granularity(ctx, scale)),
+        ),
+        ("fig19", Box::new(move || fig19_redir_vs_tlb(ctx, scale))),
+        ("fig20", Box::new(move || fig20_page_size(ctx, scale))),
+        ("fig21", Box::new(move || fig21_gpu_presets(ctx, scale))),
+        ("fig22", Box::new(move || fig22_wafer_7x12(ctx, scale))),
+        ("tab1", Box::new(tab1_config)),
+        ("tab2", Box::new(tab2_workloads)),
+        ("tab3", Box::new(tab3_area_power)),
+    ]
+}

@@ -127,12 +127,14 @@ pub fn gmean_cell(values: &[f64]) -> String {
     }
 }
 
+/// A figure banner plus the table: the exact text [`emit`] prints.
+pub fn render(figure: &str, caption: &str, table: &Table) -> String {
+    format!("==== {figure} ====\n{caption}\n\n{}\n", table.to_text())
+}
+
 /// Prints a figure banner plus the table, used by every bench target.
 pub fn emit(figure: &str, caption: &str, table: &Table) {
-    println!("==== {figure} ====");
-    println!("{caption}");
-    println!();
-    println!("{}", table.to_text());
+    print!("{}", render(figure, caption, table));
 }
 
 #[cfg(test)]

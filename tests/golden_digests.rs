@@ -6,20 +6,43 @@
 //!   `Metrics::to_deterministic_string`. The catalog reaches the route,
 //!   concentric, distributed, Trans-FW and IOMMU-TLB paths that the fig14
 //!   golden skips. Checked in every build.
+//! * `table` lines — every table of `hdpat-sim figure all --scale unit`,
+//!   hashed as the exact text `hdpat-sim figure <name> --scale unit`
+//!   prints. Checked in every build.
 //! * `trace` lines — the Chrome-trace JSON of SPMV, KM and RELU under
 //!   naive and HDPAT (the points ci.sh exports artifacts for). Checked only
 //!   when the `trace` feature is compiled in.
+//! * `timeline` and `heatmap` lines — the CSV artifacts `hdpat-sim
+//!   timeline` and `hdpat-sim heatmap` write for the same six points at
+//!   the default sampling interval. Checked only when the `telemetry`
+//!   feature is compiled in.
 //!
 //! A deliberate model change re-blesses the file with
 //! `WSG_BLESS=1 cargo test --test golden_digests` (add `--features trace`
-//! for the trace lines); each build rewrites only the lines it computes.
+//! or `--features telemetry` for the feature-gated lines); each build
+//! rewrites only the lines it computes.
 
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 use hdpat_wafer::hdpat::experiments::fnv128_hex;
 use hdpat_wafer::prelude::*;
+use wsg_bench::report::render;
 
 const SEED: u64 = 42;
+
+/// The benchmark × policy points whose artifacts ci.sh exports.
+#[cfg(any(feature = "trace", feature = "telemetry"))]
+fn artifact_points() -> Vec<(BenchmarkId, &'static str, RunConfig)> {
+    let mut points = Vec::new();
+    for b in [BenchmarkId::Spmv, BenchmarkId::Km, BenchmarkId::Relu] {
+        for token in ["naive", "hdpat"] {
+            let p = PolicyKind::from_token(token).expect("catalog token");
+            points.push((b, token, RunConfig::new(b, Scale::Unit, p).with_seed(SEED)));
+        }
+    }
+    points
+}
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/digests.txt")
@@ -47,27 +70,55 @@ fn run_lines() -> Vec<String> {
         .collect()
 }
 
+/// One `table <name> <hash>` line per `figure all --scale unit` table.
+fn table_lines() -> Vec<String> {
+    let ctx = SweepCtx::auto();
+    wsg_bench::figures::all(&ctx, Scale::Unit)
+        .into_iter()
+        .map(|(name, table)| format!("table {name} {}", fnv128_hex(&render(name, "", &table()))))
+        .collect()
+}
+
 /// One `trace <bench> <policy> <hash>` line per traced point.
 #[cfg(feature = "trace")]
 fn trace_lines() -> Vec<String> {
-    let mut lines = Vec::new();
-    for b in [BenchmarkId::Spmv, BenchmarkId::Km, BenchmarkId::Relu] {
-        for token in ["naive", "hdpat"] {
-            let p = PolicyKind::from_token(token).expect("catalog token");
-            let cfg = RunConfig::new(b, Scale::Unit, p).with_seed(SEED);
+    artifact_points()
+        .into_iter()
+        .map(|(b, token, cfg)| {
             let (_, sink) = run_traced(&cfg);
-            lines.push(format!(
-                "trace {b} {token} {}",
-                fnv128_hex(&sink.to_chrome_json())
-            ));
-        }
-    }
-    lines
+            format!("trace {b} {token} {}", fnv128_hex(&sink.to_chrome_json()))
+        })
+        .collect()
 }
+
+/// The `timeline` and `heatmap` lines of every artifact point, sampled
+/// every 10,000 cycles like `hdpat-sim timeline` and `heatmap` by default.
+#[cfg(feature = "telemetry")]
+fn telemetry_lines() -> (Vec<String>, Vec<String>) {
+    let (mut timelines, mut heatmaps) = (Vec::new(), Vec::new());
+    for (b, token, cfg) in artifact_points() {
+        let (_, sink) = run_telemetry(&cfg, 10_000);
+        let heatmap = sink.heatmap().expect("mesh registered no spatial grid");
+        timelines.push(format!(
+            "timeline {b} {token} {}",
+            fnv128_hex(&sink.to_csv())
+        ));
+        heatmaps.push(format!(
+            "heatmap {b} {token} {}",
+            fnv128_hex(&heatmap.to_csv())
+        ));
+    }
+    (timelines, heatmaps)
+}
+
+/// Serializes [`check`], so tests re-blessing the file concurrently never
+/// overwrite each other's blocks.
+static GOLDEN_FILE: Mutex<()> = Mutex::new(());
 
 /// Compares the `kind` lines of the golden file with `fresh`, or rewrites
 /// them when `WSG_BLESS` is set.
 fn check(kind: &str, fresh: Vec<String>) {
+    let _file = GOLDEN_FILE.lock().unwrap_or_else(|e| e.into_inner());
     let path = golden_path();
     let text = std::fs::read_to_string(&path).unwrap_or_default();
     let prefix = format!("{kind} ");
@@ -110,8 +161,21 @@ fn every_catalog_point_matches_its_golden_digest() {
     check("run", run_lines());
 }
 
+#[test]
+fn every_figure_table_matches_its_golden_digest() {
+    check("table", table_lines());
+}
+
 #[cfg(feature = "trace")]
 #[test]
 fn traced_points_match_their_golden_digests() {
     check("trace", trace_lines());
+}
+
+#[cfg(feature = "telemetry")]
+#[test]
+fn telemetry_artifacts_match_their_golden_digests() {
+    let (timelines, heatmaps) = telemetry_lines();
+    check("timeline", timelines);
+    check("heatmap", heatmaps);
 }
