@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
 # CI gate for the HDPAT reproduction. Ordered cheapest-first so fast failures
-# come fast: formatting, clippy (plain, each of the audit/trace/telemetry
-# features, and all three combined), the determinism/shard-safety lint pass
-# with its JSON artifact plus the shard-safety report drift gate (DESIGN.md
-# §8.1/§13), rustdoc (warnings denied) + doctests, then the tier-1 build +
-# tests, the full workspace suite, the trace determinism gate (DESIGN.md §10),
-# the telemetry determinism gates (DESIGN.md §12: observational parity plus
-# timeline/heatmap artifacts byte-identical across --jobs), the
-# EXPERIMENTS.md and PROTOCOL.md drift gates (DESIGN.md §9, §14), the serve
-# lane (DESIGN.md §14: batch and socket replays of the fig14 request mix must
-# digest byte-identically, with the warm pass answered entirely from the
-# persistent run cache, plus cross-process cache reuse by `figure fig14`),
-# the ops lane (a daemon with --ops-log/--metrics-out must produce a
-# byte-identical replay digest, a reconciling metrics snapshot, and a
-# complete request-lifecycle log), and the perf-trajectory gate (DESIGN.md §11/§16): fig14 must stay
+# come fast: formatting, clippy (plain, each of the audit/trace/telemetry/
+# selfprof features, and all four combined), the determinism lint pass with
+# its JSON artifact (DESIGN.md §8.1/§13), rustdoc (warnings denied) +
+# doctests, then the tier-1 build + tests, the full workspace suite, the
+# golden digests in every feature build (tests/golden/digests.txt: run
+# points, figure tables, traces, timelines and heatmaps), the trace
+# determinism gate (DESIGN.md §10), the telemetry determinism gates
+# (DESIGN.md §12: observational parity plus timeline/heatmap artifacts
+# byte-identical across --jobs), the release-build equivalence proptests
+# per feature set, the EXPERIMENTS.md and PROTOCOL.md drift gates (DESIGN.md
+# §9, §14), the serve lane (DESIGN.md §14: batch and socket replays of the
+# fig14 request mix must digest byte-identically, with the warm pass
+# answered entirely from the persistent run cache, plus cross-process cache
+# reuse by `figure fig14`), the ops lane (a daemon with
+# --ops-log/--metrics-out must produce a byte-identical replay digest, a
+# reconciling metrics snapshot, and a complete request-lifecycle log), and
+# the perf-trajectory gate (DESIGN.md §11/§16): fig14 must stay
 # byte-identical to the pre-PR-4 golden run, and the median serial events/s
 # of three runs must stay within 10% of the committed BENCH_PR9.json point.
 # `./ci.sh pgo` runs the opt-in profile-guided-optimization lane instead
@@ -93,14 +96,11 @@ cargo clippy -p hdpat-wafer --all-targets --features selfprof -q -- -D warnings
 echo "== cargo clippy (audit+trace+telemetry+selfprof combined, -D warnings)"
 cargo clippy -p hdpat-wafer --all-targets --features audit,trace,telemetry,selfprof -q -- -D warnings
 
-echo "== determinism/shard-safety lint (cargo run -p xtask -- lint --json)"
+echo "== determinism lint (cargo run -p xtask -- lint --json)"
 mkdir -p target/ci
 cargo run -p xtask -q -- lint --json > target/ci/lint.json
 # The JSON artifact must agree with the exit status: zero diagnostics.
 grep -q '"violations": 0,' target/ci/lint.json
-
-echo "== shard-safety report drift gate (xtask analyze --check)"
-cargo run -p xtask -q -- analyze --check
 
 echo "== rustdoc (workspace, -D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
@@ -115,9 +115,10 @@ cargo test -q
 echo "== workspace tests"
 cargo test --workspace -q
 
-# Every feature lane also re-checks the golden per-point digests
-# (tests/golden/digests.txt; the trace lane adds the Chrome-trace hashes),
-# so each build runs the end-of-run request-slot assert on all of them.
+# Every feature lane also re-checks the golden digests
+# (tests/golden/digests.txt; the trace lane adds the Chrome-trace hashes, the
+# telemetry lane the timeline and heatmap hashes), so each build runs the
+# end-of-run request-slot assert on all of them.
 echo "== trace determinism gate (tests/trace_determinism.rs) + golden digests"
 cargo test --features trace --test trace_determinism --test golden_digests -q
 
@@ -127,7 +128,10 @@ cargo test --features telemetry --test telemetry_determinism --test golden_diges
 echo "== selfprof golden digests"
 cargo test --features selfprof --test golden_digests -q
 
-echo "== sharded equivalence gate (tests/equivalence.rs, per feature set) + golden digests"
+# Release builds per feature set: the structure-vs-model proptests at full
+# optimization, and the golden digests again. The audit line is the only one
+# that runs the runtime invariant auditor over every golden point.
+echo "== release equivalence proptests + golden digests, per feature set"
 cargo test --release --test equivalence --test golden_digests -q
 cargo test --release --features audit --test equivalence --test golden_digests -q
 cargo test --release --features trace --test equivalence --test golden_digests -q
@@ -232,7 +236,7 @@ grep -q '"disk": 70' target/ci/replay_ops_stats.json
 # ...the final metrics snapshot is schema-tagged and reconciles: every
 # submit accounted for, all of them attributed to the disk tier...
 grep -q '"type":"metrics"' target/ci/metrics.json
-grep -q '"schema":1' target/ci/metrics.json
+grep -q '"schema":2' target/ci/metrics.json
 grep -q '"submitted":70' target/ci/metrics.json
 grep -q '"completed":70' target/ci/metrics.json
 grep -q '"disk":{"count":70' target/ci/metrics.json
@@ -266,21 +270,5 @@ base="$(sed -n '/"serial"/,/}/s/.*"events_per_sec": \([0-9]*\).*/\1/p' BENCH_PR9
 floor=$((base * 9 / 10))
 echo "fig14 serial: median ${fresh} events/s of 3 (committed ${base}, floor ${floor})"
 test "$fresh" -ge "$floor"
-
-echo "== sharded-drive gate (fig14 --shards 4 byte-identical per feature set, DESIGN.md §15)"
-# The plain (feature-off) binary is still in place from the lanes above.
-./target/release/hdpat-sim figure fig14 --scale bench --no-cache --shards 4 \
-    --perf-out target/ci/BENCH_PR9_sharded.json > target/ci/fig14_shards4.txt
-cmp tests/golden/fig14_bench.txt target/ci/fig14_shards4.txt
-grep -q '"shards": 4' target/ci/BENCH_PR9_sharded.json
-cat target/ci/BENCH_PR9_sharded.json
-for feat in audit trace telemetry; do
-  cargo build --release -q -p wsg-bench --features "$feat"
-  ./target/release/hdpat-sim figure fig14 --scale bench --no-cache --shards 4 \
-      > "target/ci/fig14_shards4_${feat}.txt"
-  cmp tests/golden/fig14_bench.txt "target/ci/fig14_shards4_${feat}.txt"
-done
-# Leave the default binary in place again.
-cargo build --release -q -p wsg-bench
 
 echo "CI green."

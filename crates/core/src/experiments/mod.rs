@@ -156,26 +156,6 @@ pub fn run(cfg: &RunConfig) -> Metrics {
     .run()
 }
 
-/// Runs one experiment point like [`run`], executing the event population
-/// across `shards` tile-group shards under the conservative-lookahead
-/// window protocol (DESIGN.md §15). `shards <= 1` is exactly [`run`].
-///
-/// The shard count is purely an *execution* parameter: the metrics are
-/// byte-identical to [`run`] for every value (`tests/equivalence.rs` pins
-/// this property-based), which is also why it is deliberately **not** part
-/// of [`RunConfig::fingerprint`] — cached results are valid across shard
-/// counts.
-pub fn run_with_shards(cfg: &RunConfig, shards: usize) -> Metrics {
-    Simulation::new(
-        cfg.system.clone(),
-        cfg.policy,
-        cfg.benchmark,
-        cfg.scale,
-        cfg.seed,
-    )
-    .run_with_shards(shards)
-}
-
 /// Runs one experiment point like [`run`], with a request-lifecycle trace
 /// sink attached for the whole run. Returns the metrics (with
 /// `stage_latency` populated) together with the filled sink.
@@ -349,9 +329,6 @@ pub struct SweepCtx {
     cache: Option<RunCache>,
     disk: Option<DiskCache>,
     jobs: usize,
-    /// Intra-run shard count handed to [`run_with_shards`] for every point
-    /// this context executes; 1 = the serial drive.
-    shards: usize,
     hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
@@ -379,7 +356,6 @@ impl SweepCtx {
             cache: Some(RunCache::new()),
             disk: None,
             jobs: jobs.max(1),
-            shards: 1,
             hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -405,20 +381,6 @@ impl SweepCtx {
     /// The attached disk cache, if any — for hit-rate reporting.
     pub fn disk_cache(&self) -> Option<&DiskCache> {
         self.disk.as_ref()
-    }
-
-    /// Executes every point this context simulates across `shards`
-    /// tile-group shards (see [`run_with_shards`]; clamped to at least 1).
-    /// Purely an execution parameter — results, cache keys and every
-    /// artifact are byte-identical for every value.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// The intra-run shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Enables the live progress reporter: every completed simulation
@@ -545,7 +507,7 @@ impl SweepCtx {
                 self.jobs,
                 cfgs.len(),
                 |i| {
-                    let m = Arc::new(run_with_shards(&cfgs[i], self.shards));
+                    let m = Arc::new(run(&cfgs[i]));
                     self.events.fetch_add(m.sim_events, Ordering::Relaxed);
                     m
                 },
@@ -585,7 +547,7 @@ impl SweepCtx {
             self.jobs,
             todo.len(),
             |j| {
-                let m = Arc::new(run_with_shards(&cfgs[todo[j]], self.shards));
+                let m = Arc::new(run(&cfgs[todo[j]]));
                 self.events.fetch_add(m.sim_events, Ordering::Relaxed);
                 m
             },

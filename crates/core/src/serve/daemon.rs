@@ -30,7 +30,7 @@
 //! (never interleaved mid-line).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
@@ -823,33 +823,76 @@ impl Shared {
         }
     }
 
+    /// Answers one raw request line. Blank lines are not requests and get
+    /// no reply; a line that is not UTF-8 gets one `bad-request` error.
+    fn handle_bytes(&self, cid: u64, line: &[u8]) -> Flow {
+        match std::str::from_utf8(line) {
+            Ok(text) if text.trim().is_empty() => Flow::Continue,
+            Ok(text) => self.handle(cid, text.trim()),
+            Err(e) => {
+                self.reply_error(
+                    cid,
+                    codes::BAD_REQUEST,
+                    &format!("request line is not valid UTF-8: {e}"),
+                );
+                Flow::Continue
+            }
+        }
+    }
+
+    fn reply_error(&self, cid: u64, code: &str, message: &str) {
+        if let Some(w) = self.writer_of(cid) {
+            Self::write_now(&w, &proto::error_line(None, code, message));
+        }
+    }
+
     /// Reads requests from `reader` until EOF, a `shutdown`, or (for
     /// sockets with a read timeout) the daemon shutting down underneath an
     /// idle connection; then waits for this client's results to drain and
-    /// unregisters it.
+    /// unregisters it. Every non-blank line gets exactly one reply, and no
+    /// more than [`proto::MAX_LINE_BYTES`] of a line is ever buffered.
     fn serve_connection<R: BufRead>(
         self: &Arc<Self>,
         mut reader: R,
         writer: Box<dyn Write + Send>,
     ) {
         let cid = self.register(writer);
-        let mut acc = String::new();
+        let mut acc: Vec<u8> = Vec::new();
+        // The current line outgrew the cap: it has been answered with
+        // `line-too-long`, and its bytes are dropped up to its newline.
+        let mut skipping = false;
         loop {
-            match reader.read_line(&mut acc) {
+            // One byte past the cap is enough to notice an over-long line.
+            let room = (proto::MAX_LINE_BYTES + 1 - acc.len()) as u64;
+            match (&mut reader).take(room).read_until(b'\n', &mut acc) {
                 Ok(0) => {
                     // EOF; a final unterminated line still counts.
-                    if !acc.trim().is_empty() {
-                        let line = std::mem::take(&mut acc);
-                        let _ = self.handle(cid, line.trim());
+                    if !skipping {
+                        let _ = self.handle_bytes(cid, &acc);
                     }
                     break;
                 }
-                Ok(_) if acc.ends_with('\n') => {
-                    let line = std::mem::take(&mut acc);
-                    let line = line.trim();
-                    if !line.is_empty() && matches!(self.handle(cid, line), Flow::Stop) {
+                Ok(_) if acc.ends_with(b"\n") => {
+                    let stop = !std::mem::take(&mut skipping)
+                        && matches!(self.handle_bytes(cid, &acc), Flow::Stop);
+                    acc.clear();
+                    if stop {
                         break;
                     }
+                }
+                Ok(_) if acc.len() > proto::MAX_LINE_BYTES => {
+                    if !skipping {
+                        skipping = true;
+                        self.reply_error(
+                            cid,
+                            codes::LINE_TOO_LONG,
+                            &format!(
+                                "request line exceeds {} bytes; skipped to its newline",
+                                proto::MAX_LINE_BYTES
+                            ),
+                        );
+                    }
+                    acc.clear();
                 }
                 // A partial line (no newline yet): keep accumulating.
                 Ok(_) => {}
@@ -1663,5 +1706,86 @@ mod tests {
         );
         assert_eq!(member(&lines[1], "type"), Json::Str("result".into()));
         d.join();
+    }
+
+    const RELU_SUBMIT: &str =
+        r#"{"op":"submit","id":"ok","benchmark":"RELU","policy":"naive","scale":"unit"}"#;
+
+    #[test]
+    fn an_over_long_line_gets_one_error_and_the_connection_keeps_serving() {
+        // Regression: the line buffer had no cap, so a client that never
+        // sent a newline grew daemon memory without bound.
+        let d = daemon(1);
+        let out = SharedBuf::default();
+        let mut mix = vec![b'x'; 2 << 20];
+        mix.push(b'\n');
+        mix.extend_from_slice(RELU_SUBMIT.as_bytes());
+        d.serve_connection(Cursor::new(mix), out.clone());
+        let lines = out.lines();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert_eq!(
+            member(&lines[0], "code"),
+            Json::Str(codes::LINE_TOO_LONG.into())
+        );
+        assert_eq!(member(&lines[1], "type"), Json::Str("result".into()));
+        // An over-long final line that never ends is answered exactly once.
+        let out = SharedBuf::default();
+        d.serve_connection(Cursor::new(vec![b'{'; 2 << 20]), out.clone());
+        let lines = out.lines();
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert_eq!(
+            member(&lines[0], "code"),
+            Json::Str(codes::LINE_TOO_LONG.into())
+        );
+        d.join();
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_gets_a_bad_request_and_the_connection_survives() {
+        // Regression: `read_line` failed with `InvalidData`, which dropped
+        // the client without a reply.
+        let d = daemon(1);
+        let out = SharedBuf::default();
+        let mut mix = b"{\"op\":\"status\xff\"}\n".to_vec();
+        mix.extend_from_slice(RELU_SUBMIT.as_bytes());
+        d.serve_connection(Cursor::new(mix), out.clone());
+        let lines = out.lines();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert_eq!(
+            member(&lines[0], "code"),
+            Json::Str(codes::BAD_REQUEST.into())
+        );
+        assert_eq!(member(&lines[1], "type"), Json::Str("result".into()));
+        d.join();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Arbitrary byte lines, mostly not UTF-8: each non-blank line gets
+        /// exactly one reply, and a `status` request after them is still
+        /// answered.
+        #[test]
+        fn every_request_line_gets_exactly_one_reply(
+            lines in proptest::collection::vec(proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48), 1..12),
+        ) {
+            let lines: Vec<Vec<u8>> = lines
+                .into_iter()
+                .map(|l| l.into_iter().map(|b| if b == b'\n' { b'?' } else { b }).collect())
+                .collect();
+            let non_blank = lines.iter().filter(|l| !l.trim_ascii().is_empty()).count();
+            let mut mix = lines.join(&b'\n');
+            mix.extend_from_slice(b"\n{\"op\":\"status\"}");
+            let d = daemon(1);
+            let out = SharedBuf::default();
+            d.serve_connection(Cursor::new(mix), out.clone());
+            d.join();
+            let replies = out.lines();
+            proptest::prop_assert_eq!(replies.len(), non_blank + 1);
+            proptest::prop_assert_eq!(
+                member(replies.last().expect("at least one reply"), "type"),
+                Json::Str("status".into())
+            );
+        }
     }
 }

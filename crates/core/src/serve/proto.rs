@@ -45,7 +45,14 @@ pub mod codes {
     /// The daemon is draining after a shutdown request and accepts no new
     /// work.
     pub const SHUTTING_DOWN: &str = "shutting-down";
+    /// The request line is longer than [`super::MAX_LINE_BYTES`]. The daemon
+    /// skips it up to its newline and keeps the connection open.
+    pub const LINE_TOO_LONG: &str = "line-too-long";
 }
+
+/// The longest request line the daemon accepts, in bytes, not counting the
+/// newline. Reading never buffers more than this much of one line.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Where a result came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -648,8 +655,8 @@ pub fn protocol_examples() -> String {
         "metrics",
         "The full operational snapshot: per-tier request-lifecycle latency \
          histograms (log-scaled microseconds, `[lower_bound, count]` \
-         buckets), serving gauges, cache state, and engine drive counters. \
-         The same snapshot backs `hdpat-sim serve --metrics-out`; \
+         buckets), serving gauges, cache state, and the engine's phase \
+         timings. The same snapshot backs `hdpat-sim serve --metrics-out`; \
          `selfprof` is null unless the daemon was built with `--features \
          selfprof`. At quiescence the tier counts sum to `submitted`.",
         &[
@@ -668,11 +675,17 @@ pub fn protocol_examples() -> String {
     );
     section(
         "errors",
-        "Every failure is a one-line `error` response with a stable `code`; \
-         `id` is null when the failing line carried none. The codes: \
-         `bad-request`, `unknown-op`, `unknown-benchmark`, \
-         `unknown-policy`, `unknown-scale`, `duplicate-id`, `not-found`, \
-         `shutting-down`.",
+        &format!(
+            "Every failure is a one-line `error` response with a stable `code`; \
+             `id` is null when the failing line carried none. The codes: \
+             `bad-request`, `unknown-op`, `unknown-benchmark`, \
+             `unknown-policy`, `unknown-scale`, `duplicate-id`, `not-found`, \
+             `shutting-down`, `line-too-long`. Every non-blank request line \
+             gets exactly one reply: a line that is not UTF-8 is a \
+             `bad-request`, and a line over {MAX_LINE_BYTES} bytes is a \
+             `line-too-long` whose bytes are skipped up to its newline. The \
+             connection stays open after both."
+        ),
         &[
             error_line(
                 None,
@@ -688,6 +701,11 @@ pub fn protocol_examples() -> String {
                 Some("q0006"),
                 codes::SHUTTING_DOWN,
                 "daemon is draining; resubmit to the next instance",
+            ),
+            error_line(
+                None,
+                codes::LINE_TOO_LONG,
+                &format!("request line exceeds {MAX_LINE_BYTES} bytes; skipped to its newline"),
             ),
         ],
     );

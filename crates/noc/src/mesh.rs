@@ -209,20 +209,6 @@ impl Mesh {
         self.params
     }
 
-    /// The minimum number of cycles any event-carrying message needs to
-    /// cross a tile boundary: one link traversal plus the serialization
-    /// floor (every non-empty packet serializes for at least one cycle —
-    /// see [`serialization_cycles`]).
-    ///
-    /// This is the conservative-lookahead bound of the sharded drive
-    /// (DESIGN.md §15): when the simulation is partitioned into tile-group
-    /// shards, no message sent while executing inside a lookahead window of
-    /// this length can be *due* before the window ends, so shards only need
-    /// to exchange boundary messages at window barriers.
-    pub fn min_transit_cycles(&self) -> Cycle {
-        self.params.latency.saturating_add(1)
-    }
-
     /// Whether `c` is a valid tile of this mesh.
     pub fn contains(&self, c: Coord) -> bool {
         c.x < self.width && c.y < self.height
@@ -464,16 +450,17 @@ mod tests {
 
     #[test]
     fn min_transit_bounds_every_cross_tile_delivery() {
-        // The sharded drive's lookahead contract: even the smallest packet
-        // over the shortest (one-hop) route arrives no sooner than
-        // min_transit_cycles after departure, contended or not.
+        // Even the smallest packet over the shortest (one-hop) route pays
+        // one link latency plus the 1-cycle serialization floor after
+        // departure, contended or not.
         let mut m = small();
-        assert_eq!(m.min_transit_cycles(), 11); // 10 latency + 1 ser floor
+        let min_transit = m.params().latency + 1;
+        assert_eq!(min_transit, 11);
         let a = Coord::new(2, 2);
         let b = Coord::new(3, 2);
-        assert!(m.zero_load_latency(a, b, 1) >= m.min_transit_cycles());
+        assert!(m.zero_load_latency(a, b, 1) >= min_transit);
         let out = m.send(a, b, 1, 100);
-        assert!(out.arrival >= 100 + m.min_transit_cycles());
+        assert!(out.arrival >= 100 + min_transit);
         // A back-to-back send on the now-reserved link is strictly later.
         let out2 = m.send(a, b, 1, 100);
         assert!(out2.arrival > out.arrival);

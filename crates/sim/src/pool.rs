@@ -264,160 +264,6 @@ where
         .unwrap_or_else(|e| panic!("cannot spawn harness thread `{name}`: {e}"))
 }
 
-/// Error returned by [`ShardBarrier::wait`] when a sibling shard panicked:
-/// the barrier can never complete, so the waiter must stop its window loop
-/// and unwind. The original panic payload is held by the barrier for the
-/// coordinator to re-raise (see [`ShardBarrier::take_panic`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BarrierPoisoned;
-
-#[derive(Default)]
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-    poisoned: bool,
-    /// First panic payload deposited by [`ShardBarrier::poison`]; later
-    /// panics (typically siblings unwinding after their `wait` errored) are
-    /// dropped so the root cause is what resurfaces.
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-/// A reusable lookahead barrier for shard worker threads that survives
-/// participant panics.
-///
-/// `std::sync::Barrier` deadlocks the sharded drive's failure case: if one
-/// shard's window body panics, its siblings wait forever for an arrival
-/// that can never come. `ShardBarrier` adds a *poison* channel — a
-/// panicking participant deposits its payload with
-/// [`ShardBarrier::poison`], every blocked or future [`ShardBarrier::wait`]
-/// returns [`BarrierPoisoned`] immediately, and the coordinator re-raises
-/// the original payload after joining (see [`run_sharded_workers`], which
-/// packages the whole protocol).
-pub struct ShardBarrier {
-    parties: usize,
-    state: Mutex<BarrierState>,
-    cv: std::sync::Condvar,
-}
-
-impl std::fmt::Debug for ShardBarrier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardBarrier")
-            .field("parties", &self.parties)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ShardBarrier {
-    /// Creates a barrier for `parties` participants (at least one).
-    pub fn new(parties: usize) -> Self {
-        assert!(parties > 0, "a barrier needs at least one participant");
-        Self {
-            parties,
-            state: Mutex::new(BarrierState::default()),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    fn locked(&self) -> std::sync::MutexGuard<'_, BarrierState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            // A panic between lock and unlock only happens while poisoning,
-            // which leaves the state consistent; recover and read it.
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Blocks until all `parties` participants have arrived, then releases
-    /// them together and resets for the next window.
-    ///
-    /// Returns `Err(BarrierPoisoned)` — immediately, without blocking — if
-    /// any participant has panicked, including while this caller was
-    /// already waiting.
-    pub fn wait(&self) -> Result<(), BarrierPoisoned> {
-        let mut st = self.locked();
-        if st.poisoned {
-            return Err(BarrierPoisoned);
-        }
-        st.arrived += 1;
-        if st.arrived == self.parties {
-            st.arrived = 0;
-            st.generation = st.generation.wrapping_add(1);
-            self.cv.notify_all();
-            return Ok(());
-        }
-        let gen = st.generation;
-        while st.generation == gen && !st.poisoned {
-            st = match self.cv.wait(st) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
-        if st.poisoned {
-            Err(BarrierPoisoned)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Marks the barrier poisoned with a panic payload and wakes every
-    /// waiter. The first payload wins; subsequent ones are dropped.
-    pub fn poison(&self, payload: Box<dyn Any + Send>) {
-        let mut st = self.locked();
-        st.poisoned = true;
-        st.panic.get_or_insert(payload);
-        self.cv.notify_all();
-    }
-
-    /// Whether a participant has panicked.
-    pub fn is_poisoned(&self) -> bool {
-        self.locked().poisoned
-    }
-
-    /// Takes the first deposited panic payload, if any, so the coordinator
-    /// can `resume_unwind` it after joining the workers.
-    pub fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        self.locked().panic.take()
-    }
-}
-
-/// Runs `f(shard, &barrier)` on one thread per shard, sharing a
-/// [`ShardBarrier`] sized to the shard count, and joins them all.
-///
-/// This is the sanctioned driver for lock-step lookahead execution
-/// (DESIGN.md §15): each worker alternates window work with
-/// `barrier.wait()`, bailing out of its loop when the wait reports
-/// [`BarrierPoisoned`]. A panic anywhere — inside a window body or between
-/// waits — poisons the barrier (so no sibling deadlocks on a vanished
-/// participant) and resurfaces from this function with the *original*
-/// payload once every worker has exited.
-pub fn run_sharded_workers<F>(shards: usize, f: F)
-where
-    F: Fn(usize, &ShardBarrier) + Sync,
-{
-    let barrier = ShardBarrier::new(shards.max(1));
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..shards.max(1))
-            .map(|s| {
-                let barrier = &barrier;
-                let f = &f;
-                scope.spawn(move || {
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(s, barrier))) {
-                        barrier.poison(payload);
-                    }
-                })
-            })
-            .collect();
-        for worker in workers {
-            // Worker bodies catch their panics and poison instead, so join
-            // errors are unreachable; swallow defensively.
-            let _ = worker.join();
-        }
-    });
-    if let Some(payload) = barrier.take_panic() {
-        resume_unwind(payload);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,81 +409,6 @@ mod tests {
         });
         pool.join();
         assert_eq!(ok.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn shard_barrier_cycles_in_lock_step() {
-        use std::sync::atomic::AtomicUsize;
-        const WINDOWS: usize = 25;
-        let windows_done = AtomicUsize::new(0);
-        run_sharded_workers(4, |_, barrier| {
-            for w in 0..WINDOWS {
-                // No shard may observe a sibling more than one window ahead:
-                // the counter after window w is in [4w, 4(w + 1)).
-                let seen = windows_done.load(Ordering::Relaxed);
-                assert!(seen >= w.saturating_sub(1) * 4, "barrier skipped");
-                windows_done.fetch_add(1, Ordering::Relaxed);
-                barrier.wait().expect("no shard panics in this test");
-            }
-        });
-        assert_eq!(windows_done.load(Ordering::Relaxed), 4 * WINDOWS);
-    }
-
-    #[test]
-    fn shard_panic_inside_a_barrier_window_does_not_deadlock_siblings() {
-        use std::sync::atomic::AtomicUsize;
-        // Regression (ISSUE 8): a panic inside a lookahead window used to
-        // strand the sibling shards in Barrier::wait forever. Seed several
-        // (culprit shard, panic window) combinations; each run must
-        // terminate and resurface the culprit's original payload.
-        const SHARDS: usize = 4;
-        const WINDOWS: usize = 10;
-        for seed in [3u64, 17, 40, 91] {
-            let culprit = (seed % SHARDS as u64) as usize;
-            let bad_window = (seed / SHARDS as u64 % WINDOWS as u64) as usize;
-            let escaped = AtomicUsize::new(0);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                run_sharded_workers(SHARDS, |s, barrier| {
-                    for w in 0..WINDOWS {
-                        if s == culprit && w == bad_window {
-                            panic!("shard {s} died in window {w} (seed {seed})");
-                        }
-                        if barrier.wait().is_err() {
-                            // Poisoned: a sibling panicked. Stop the window
-                            // loop instead of waiting on a dead barrier.
-                            escaped.fetch_add(1, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                })
-            }));
-            let payload = result.expect_err("culprit panic must propagate");
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert_eq!(
-                msg,
-                format!("shard {culprit} died in window {bad_window} (seed {seed})"),
-                "original payload must survive the barrier"
-            );
-            assert_eq!(
-                escaped.load(Ordering::Relaxed),
-                SHARDS - 1,
-                "every sibling must observe the poison and exit (seed {seed})"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_barrier_wait_after_poison_fails_fast() {
-        let barrier = ShardBarrier::new(2);
-        barrier.poison(Box::new("dead"));
-        assert!(barrier.is_poisoned());
-        assert_eq!(barrier.wait(), Err(BarrierPoisoned));
-        let payload = barrier.take_panic().expect("payload retained");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"dead"));
-        assert!(barrier.take_panic().is_none(), "payload taken once");
     }
 
     #[test]

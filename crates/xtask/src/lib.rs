@@ -1,9 +1,7 @@
-//! Determinism and shard-safety lint pass for the HDPAT workspace
-//! (`cargo run -p xtask -- lint`), plus the `xtask analyze` shard-safety
-//! report (see [`analyze`]).
+//! Determinism lint pass for the HDPAT workspace
+//! (`cargo run -p xtask -- lint`).
 //!
-//! Ten rules, documented in DESIGN.md §13 ("Static analysis &
-//! shard-safety"):
+//! Ten rules, documented in DESIGN.md §13 ("Static analysis"):
 //!
 //! * `map-iter` (d1) — no iteration over `HashMap`/`HashSet` in library code.
 //!   Hash iteration order depends on `RandomState`, so any model behaviour or
@@ -37,11 +35,13 @@
 //!   a BTree collection; see DESIGN.md §11.
 //! * `shared-mut` (d7) — no shared interior mutability (`Rc<RefCell<..>>`,
 //!   `Cell<..>`, `static mut`, `thread_local!`) in simulator-crate library
-//!   code. Every such site is state that two shards could reach at once —
-//!   the exact worklist for ROADMAP items 1 (parallel sharding) and 3
-//!   (removing `Rc<RefCell>` from dispatch). The sanctioned homes are the
-//!   audit/trace/telemetry sinks in `crates/sim` (module-scoped allows) and
-//!   the engine hook fields that hold them in `crates/core/src/sim/mod.rs`.
+//!   code. Every such site is a handle that lets one engine structure mutate
+//!   state another one owns, which hides ownership from the reader and from
+//!   the borrow checker; engine structures hold plain indices or owned state
+//!   instead (ROADMAP item 4 removes the remaining sink handles). The
+//!   sanctioned homes are the audit/trace/telemetry sinks in `crates/sim`
+//!   (module-scoped allows) and the engine hook fields that hold them in
+//!   `crates/core/src/sim/mod.rs`.
 //! * `site-registry` (d8) — audit/trace/telemetry site-id registrations are
 //!   statically collected and model-checked: site expressions are evaluated
 //!   under small and large wafer configurations, and the pass fails on id
@@ -72,13 +72,12 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub mod analyze;
 pub mod registry;
 pub mod scope;
 
 use scope::PreSource;
 
-/// The ten determinism/shard-safety rules.
+/// The ten determinism lint rules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// d1: iteration over a hash-ordered collection.
@@ -585,7 +584,7 @@ fn check_default_hash(path: &str, lineno: usize, code: &str, diags: &mut Vec<Dia
     }
 }
 
-/// d7: shared interior mutability that a future shard boundary cannot cross.
+/// d7: shared interior mutability between engine structures.
 fn check_shared_mut(path: &str, lineno: usize, code: &str, diags: &mut Vec<Diagnostic>) {
     let refcell = !ident_occurrences(code, "RefCell").is_empty();
     let rc = !ident_occurrences(code, "Rc").is_empty();
@@ -596,9 +595,9 @@ fn check_shared_mut(path: &str, lineno: usize, code: &str, diags: &mut Vec<Diagn
             lineno,
             Rule::SharedMut,
             format!(
-                "`{what}` shared interior mutability in simulator code; a shard boundary \
-                 cannot cross it (ROADMAP items 1/3) — use plain indices or owned state, \
-                 or annotate lint:allow(shared-mut)"
+                "`{what}` shared interior mutability in simulator code; engine structures \
+                 must not share mutable handles (ROADMAP item 4) — use plain indices or \
+                 owned state, or annotate lint:allow(shared-mut)"
             ),
         ));
     } else if rc {
@@ -606,8 +605,8 @@ fn check_shared_mut(path: &str, lineno: usize, code: &str, diags: &mut Vec<Diagn
             path,
             lineno,
             Rule::SharedMut,
-            "`Rc` shared ownership in simulator code; shared state is a shard hazard \
-             (ROADMAP items 1/3) — use plain indices or owned state, or annotate \
+            "`Rc` shared ownership in simulator code; engine structures must not share \
+             handles (ROADMAP item 4) — use plain indices or owned state, or annotate \
              lint:allow(shared-mut)"
                 .to_string(),
         ));
@@ -619,8 +618,9 @@ fn check_shared_mut(path: &str, lineno: usize, code: &str, diags: &mut Vec<Diagn
             path,
             lineno,
             Rule::SharedMut,
-            "`Cell` interior mutability in simulator code; a shard boundary cannot \
-             cross it — use owned state, or annotate lint:allow(shared-mut)"
+            "`Cell` interior mutability in simulator code; it mutates through a shared \
+             reference, hiding which engine structure owns the state — use owned \
+             state, or annotate lint:allow(shared-mut)"
                 .to_string(),
         ));
     }
@@ -629,9 +629,9 @@ fn check_shared_mut(path: &str, lineno: usize, code: &str, diags: &mut Vec<Diagn
             path,
             lineno,
             Rule::SharedMut,
-            "`static mut` global state in simulator code; globals break sharding and \
-             determinism — thread state through the engine, or annotate \
-             lint:allow(shared-mut)"
+            "`static mut` global state in simulator code; globals are state no engine \
+             structure owns and break determinism — thread state through the engine, \
+             or annotate lint:allow(shared-mut)"
                 .to_string(),
         ));
     }
@@ -641,8 +641,8 @@ fn check_shared_mut(path: &str, lineno: usize, code: &str, diags: &mut Vec<Diagn
             lineno,
             Rule::SharedMut,
             "`thread_local!` state in simulator code; per-thread state makes results \
-             depend on the thread a shard runs on — thread state through the engine, \
-             or annotate lint:allow(shared-mut)"
+             depend on the worker thread a run lands on — thread state through the \
+             engine, or annotate lint:allow(shared-mut)"
                 .to_string(),
         ));
     }

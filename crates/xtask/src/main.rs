@@ -1,6 +1,5 @@
-//! Workspace task runner: `lint` (the determinism/shard-safety lint pass,
-//! rules d1..d10) and `analyze` (the shard-safety classification report).
-//! Both are documented in DESIGN.md §13 ("Static analysis & shard-safety").
+//! Workspace task runner: `lint`, the determinism lint pass (rules d1..d10,
+//! documented in DESIGN.md §13, "Static analysis").
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -57,113 +56,17 @@ fn run_lint(args: &[String]) -> ExitCode {
     }
 }
 
-fn run_analyze(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut check = false;
-    let mut write = false;
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--check" => check = true,
-            "--write" => write = true,
-            other => {
-                eprintln!("xtask analyze: unknown argument `{other}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let root = workspace_root();
-    let (report, errors) = xtask::analyze::analyze_workspace(&root);
-    if json {
-        print!("{}", xtask::analyze::to_json(&report, &errors));
-        return if errors.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    for e in &errors {
-        eprintln!("analyze: {e}");
-    }
-    if !errors.is_empty() {
-        eprintln!("analyze: {} classification error(s)", errors.len());
-        return ExitCode::FAILURE;
-    }
-    let rendered = xtask::analyze::markdown(&report);
-    let design_path = root.join("DESIGN.md");
-    if check || write {
-        let design = match std::fs::read_to_string(&design_path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("analyze: {}: {e}", design_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        if check {
-            match xtask::analyze::committed_region(&design) {
-                Some(committed) if committed == rendered => {
-                    println!("analyze: DESIGN.md shard-safety report is up to date");
-                    ExitCode::SUCCESS
-                }
-                Some(_) => {
-                    eprintln!(
-                        "analyze: DESIGN.md shard-safety report is stale; \
-                         run `cargo run -p xtask -- analyze --write`"
-                    );
-                    ExitCode::FAILURE
-                }
-                None => {
-                    eprintln!(
-                        "analyze: DESIGN.md is missing the {} / {} markers",
-                        xtask::analyze::BEGIN_MARKER,
-                        xtask::analyze::END_MARKER
-                    );
-                    ExitCode::FAILURE
-                }
-            }
-        } else {
-            match xtask::analyze::splice(&design, &rendered) {
-                Some(updated) => {
-                    if std::fs::write(&design_path, updated).is_err() {
-                        eprintln!("analyze: cannot write {}", design_path.display());
-                        return ExitCode::FAILURE;
-                    }
-                    println!("analyze: DESIGN.md shard-safety report updated");
-                    ExitCode::SUCCESS
-                }
-                None => {
-                    eprintln!(
-                        "analyze: DESIGN.md is missing the {} / {} markers",
-                        xtask::analyze::BEGIN_MARKER,
-                        xtask::analyze::END_MARKER
-                    );
-                    ExitCode::FAILURE
-                }
-            }
-        }
-    } else {
-        print!("{rendered}");
-        ExitCode::SUCCESS
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(&args[1..]),
-        Some("analyze") => run_analyze(&args[1..]),
         _ => {
             eprintln!("usage: cargo run -p xtask -- lint [--json] [path]");
-            eprintln!("       cargo run -p xtask -- analyze [--json | --check | --write]");
             eprintln!();
-            eprintln!("lint     runs the determinism/shard-safety pass (rules d1..d10,");
-            eprintln!("         see DESIGN.md section 13). With no path, lints the whole");
-            eprintln!("         workspace with per-path rule scoping; with a file or");
-            eprintln!("         directory, lints it with every rule enabled.");
-            eprintln!("analyze  classifies engine state as tile-local / gpm-local /");
-            eprintln!("         wafer-global and renders the shard-safety report;");
-            eprintln!("         --check verifies the committed DESIGN.md copy, --write");
-            eprintln!("         refreshes it, --json emits the machine-readable form.");
+            eprintln!("lint  runs the determinism pass (rules d1..d10, see DESIGN.md");
+            eprintln!("      section 13). With no path, lints the whole workspace with");
+            eprintln!("      per-path rule scoping; with a file or directory, lints it");
+            eprintln!("      with every rule enabled.");
             ExitCode::from(2)
         }
     }

@@ -9,12 +9,12 @@ pub struct SharedScoreboard {
     pub slots: std::rc::Rc<std::cell::RefCell<Vec<u64>>>,
 }
 
-/// Shared ownership alone is already a shard hazard.
+/// Shared ownership alone already hides which structure owns the state.
 pub fn pin(board: &std::rc::Rc<Vec<u64>>) -> usize {
     board.len()
 }
 
-/// Interior mutability without the Rc is still cross-shard poison.
+/// Interior mutability without the Rc still mutates through a shared reference.
 pub struct Credits {
     pub available: std::cell::Cell<u32>,
 }
