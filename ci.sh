@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
 # CI gate for the HDPAT reproduction. Ordered cheapest-first so fast failures
-# come fast: formatting, clippy (plain, each of the audit/trace/telemetry/
-# selfprof features, and all four combined), the determinism lint pass with
-# its JSON artifact (DESIGN.md §8.1/§13), rustdoc (warnings denied) +
-# doctests, then the tier-1 build + tests, the full workspace suite, the
-# golden digests in every feature build (tests/golden/digests.txt: run
-# points, figure tables, traces, timelines and heatmaps), the trace
-# determinism gate (DESIGN.md §10), the telemetry determinism gates
-# (DESIGN.md §12: observational parity plus timeline/heatmap artifacts
-# byte-identical across --jobs), the release-build equivalence proptests
-# per feature set, the EXPERIMENTS.md and PROTOCOL.md drift gates (DESIGN.md
-# §9, §14), the serve lane (DESIGN.md §14: batch and socket replays of the
+# come fast: formatting, clippy, the determinism lint pass with its JSON
+# artifact (DESIGN.md §8.1/§13), rustdoc (warnings denied) + doctests, then
+# the tier-1 build + tests (which include the golden digests of every run
+# point, figure table, trace, timeline and heatmap, the trace and telemetry
+# determinism gates of DESIGN.md §10, and the structures' debug-build
+# invariant checks), the full workspace suite, the release-build
+# equivalence proptests and golden digests with and without debug
+# assertions, the timeline/heatmap artifacts byte-identical across --jobs,
+# the EXPERIMENTS.md and PROTOCOL.md drift gates (DESIGN.md §9, §14), the
+# serve lane (DESIGN.md §14: batch and socket replays of the
 # fig14 request mix must digest byte-identically, with the warm pass
 # answered entirely from the persistent run cache, plus cross-process cache
 # reuse by `figure fig14`), the ops lane (a daemon with
@@ -81,21 +80,6 @@ cargo fmt --all --check
 echo "== cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
-echo "== cargo clippy (audit feature, -D warnings)"
-cargo clippy -p hdpat-wafer --all-targets --features audit -q -- -D warnings
-
-echo "== cargo clippy (trace feature, -D warnings)"
-cargo clippy -p hdpat-wafer --all-targets --features trace -q -- -D warnings
-
-echo "== cargo clippy (telemetry feature, -D warnings)"
-cargo clippy -p hdpat-wafer --all-targets --features telemetry -q -- -D warnings
-
-echo "== cargo clippy (selfprof feature, -D warnings)"
-cargo clippy -p hdpat-wafer --all-targets --features selfprof -q -- -D warnings
-
-echo "== cargo clippy (audit+trace+telemetry+selfprof combined, -D warnings)"
-cargo clippy -p hdpat-wafer --all-targets --features audit,trace,telemetry,selfprof -q -- -D warnings
-
 echo "== determinism lint (cargo run -p xtask -- lint --json)"
 mkdir -p target/ci
 cargo run -p xtask -q -- lint --json > target/ci/lint.json
@@ -115,49 +99,17 @@ cargo test -q
 echo "== workspace tests"
 cargo test --workspace -q
 
-# Every feature lane also re-checks the golden digests
-# (tests/golden/digests.txt; the trace lane adds the Chrome-trace hashes, the
-# telemetry lane the timeline and heatmap hashes), so each build runs the
-# end-of-run request-slot assert on all of them.
-echo "== trace determinism gate (tests/trace_determinism.rs) + golden digests"
-cargo test --features trace --test trace_determinism --test golden_digests -q
-
-echo "== telemetry determinism gate (tests/telemetry_determinism.rs) + golden digests"
-cargo test --features telemetry --test telemetry_determinism --test golden_digests -q
-
-echo "== selfprof golden digests"
-cargo test --features selfprof --test golden_digests -q
-
-# Release builds per feature set: the structure-vs-model proptests at full
-# optimization, and the golden digests again. The audit line is the only one
-# that runs the runtime invariant auditor over every golden point.
-echo "== release equivalence proptests + golden digests, per feature set"
+# Release builds: the structure-vs-model proptests and the golden digests at
+# full optimization, then again with debug assertions on, so the structures'
+# invariant checks (DESIGN.md §10.5) run over every golden point in a
+# release-optimised build.
+echo "== release equivalence proptests + golden digests, with and without debug assertions"
 cargo test --release --test equivalence --test golden_digests -q
-cargo test --release --features audit --test equivalence --test golden_digests -q
-cargo test --release --features trace --test equivalence --test golden_digests -q
-cargo test --release --features telemetry --test equivalence --test golden_digests -q
-
-echo "== trace on/off run parity (hdpat-sim run output byte-identical)"
-mkdir -p target/ci
-cargo build --release -q -p wsg-bench
-./target/release/hdpat-sim run KM hdpat --scale unit --seed 7 > target/ci/run_plain.txt
-cargo build --release -q --features trace -p wsg-bench
-./target/release/hdpat-sim run KM hdpat --scale unit --seed 7 > target/ci/run_traced.txt
-cmp target/ci/run_plain.txt target/ci/run_traced.txt
-
-echo "== selfprof on/off run parity (hdpat-sim run output byte-identical)"
-cargo build --release -q --features selfprof -p wsg-bench
-./target/release/hdpat-sim run KM hdpat --scale unit --seed 7 > target/ci/run_selfprof.txt
-cmp target/ci/run_plain.txt target/ci/run_selfprof.txt
-
-echo "== telemetry on/off run parity (hdpat-sim run output byte-identical)"
-# Last parity build on purpose: the artifact lane below drives this binary's
-# timeline/heatmap subcommands, which need the telemetry feature compiled in.
-cargo build --release -q --features telemetry -p wsg-bench
-./target/release/hdpat-sim run KM hdpat --scale unit --seed 7 > target/ci/run_telemetry.txt
-cmp target/ci/run_plain.txt target/ci/run_telemetry.txt
+CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true cargo test --release --test equivalence --test golden_digests -q
 
 echo "== telemetry artifacts: 3 benchmarks x 2 policies, --jobs 1 vs --jobs 4"
+mkdir -p target/ci
+cargo build --release -q -p wsg-bench
 for b in SPMV KM RELU; do
   for p in naive hdpat; do
     ./target/release/hdpat-sim timeline "$b" --policy "$p" --scale unit \
@@ -175,9 +127,6 @@ for b in SPMV KM RELU; do
     test "$(wc -l < "target/ci/hm_${b}_${p}_j1.csv")" -gt 1
   done
 done
-
-# Leave the default (feature-off) binary in place for the drift gate below.
-cargo build --release -q -p wsg-bench
 
 echo "== EXPERIMENTS.md drift gate (regen-experiments --check)"
 cargo run --release -q -p wsg-bench --bin hdpat-sim -- regen-experiments --scale bench --check
@@ -236,7 +185,7 @@ grep -q '"disk": 70' target/ci/replay_ops_stats.json
 # ...the final metrics snapshot is schema-tagged and reconciles: every
 # submit accounted for, all of them attributed to the disk tier...
 grep -q '"type":"metrics"' target/ci/metrics.json
-grep -q '"schema":2' target/ci/metrics.json
+grep -q '"schema":3' target/ci/metrics.json
 grep -q '"submitted":70' target/ci/metrics.json
 grep -q '"completed":70' target/ci/metrics.json
 grep -q '"disk":{"count":70' target/ci/metrics.json

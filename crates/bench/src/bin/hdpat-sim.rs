@@ -8,10 +8,8 @@
 //! hdpat-sim figure fig14                  # regenerate one paper figure
 //! hdpat-sim figure all --jobs 4           # regenerate everything, 4 workers
 //! hdpat-sim trace SPMV                    # workload-trace statistics
-//! hdpat-sim trace SPMV --out t.json       # request-lifecycle trace (needs
-//!                                         # the `trace` cargo feature)
+//! hdpat-sim trace SPMV --out t.json       # request-lifecycle trace
 //! hdpat-sim timeline SPMV --out t.csv     # epoch-sampled counter timeline
-//!                                         # (needs the `telemetry` feature)
 //! hdpat-sim heatmap SPMV --out h.csv      # per-tile activity heatmap
 //! hdpat-sim regen-experiments             # rewrite EXPERIMENTS.md tables
 //! hdpat-sim regen-experiments --check     # CI doc drift gate
@@ -388,7 +386,6 @@ fn cmd_trace(b: BenchmarkId, scale: Scale, seed: u64) {
 /// Runs one traced simulation, writes the request lifecycle as Chrome
 /// trace-event JSON (loadable in Perfetto / `chrome://tracing`), and prints
 /// the per-stage latency table as CSV on stdout.
-#[cfg(feature = "trace")]
 fn cmd_trace_run(b: BenchmarkId, p: PolicyKind, scale: Scale, seed: u64, out: &str) {
     let (m, sink) = hdpat::experiments::run_traced(&RunConfig::new(b, scale, p).with_seed(seed));
     if let Err(e) = std::fs::write(out, sink.to_chrome_json()) {
@@ -403,25 +400,12 @@ fn cmd_trace_run(b: BenchmarkId, p: PolicyKind, scale: Scale, seed: u64, out: &s
     );
 }
 
-/// Without the feature there is no tracing infrastructure to run; fail
-/// loudly rather than silently printing workload statistics.
-#[cfg(not(feature = "trace"))]
-fn cmd_trace_run(_b: BenchmarkId, _p: PolicyKind, _scale: Scale, _seed: u64, _out: &str) {
-    eprintln!(
-        "trace --out needs the `trace` feature; rebuild with \
-         `cargo run --release --features trace --bin hdpat-sim -- trace ...`"
-    );
-    std::process::exit(2);
-}
-
 /// Runs one telemetry-instrumented simulation and writes the epoch-sampled
 /// counter timeline to `out`. `--format csv` (default) is the long-form
 /// `name,site,tile_x,tile_y,t,value` table; `json` is the structured
 /// registry dump; `perfetto` is a Chrome trace-event document with one
-/// `"ph":"C"` counter track per registered series — and, when the `trace`
-/// feature is also compiled in, the request-lifecycle spans merged onto the
-/// same simulated clock.
-#[cfg(feature = "telemetry")]
+/// `"ph":"C"` counter track per registered series, with the
+/// request-lifecycle spans merged onto the same simulated clock.
 fn cmd_timeline(
     b: BenchmarkId,
     p: PolicyKind,
@@ -442,7 +426,10 @@ fn cmd_timeline(
             };
             (m, body)
         }
-        "perfetto" => perfetto_timeline(&cfg, interval),
+        "perfetto" => {
+            let (m, tel, trc) = hdpat::experiments::run_telemetry_traced(&cfg, interval);
+            (m, tel.merge_chrome_json(&trc.to_chrome_json()))
+        }
         _ => {
             eprintln!("timeline: unknown format `{format}`; use csv, json, or perfetto");
             std::process::exit(2);
@@ -458,24 +445,8 @@ fn cmd_timeline(
     );
 }
 
-/// With both observability features the Perfetto document carries lifecycle
-/// spans and counter tracks on one shared clock.
-#[cfg(all(feature = "telemetry", feature = "trace"))]
-fn perfetto_timeline(cfg: &RunConfig, interval: u64) -> (hdpat::metrics::Metrics, String) {
-    let (m, tel, trc) = hdpat::experiments::run_telemetry_traced(cfg, interval);
-    (m, tel.merge_chrome_json(&trc.to_chrome_json()))
-}
-
-/// Telemetry-only builds still get a loadable document, just without spans.
-#[cfg(all(feature = "telemetry", not(feature = "trace")))]
-fn perfetto_timeline(cfg: &RunConfig, interval: u64) -> (hdpat::metrics::Metrics, String) {
-    let (m, tel) = hdpat::experiments::run_telemetry(cfg, interval);
-    (m, tel.to_perfetto_json())
-}
-
 /// Runs one telemetry-instrumented simulation and writes the per-tile
 /// activity heatmap (`metric,x,y,value` CSV, whole-run totals) to `out`.
-#[cfg(feature = "telemetry")]
 fn cmd_heatmap(b: BenchmarkId, p: PolicyKind, scale: Scale, seed: u64, interval: u64, out: &str) {
     let cfg = RunConfig::new(b, scale, p).with_seed(seed);
     let (metrics, sink) = hdpat::experiments::run_telemetry(&cfg, interval);
@@ -491,41 +462,6 @@ fn cmd_heatmap(b: BenchmarkId, p: PolicyKind, scale: Scale, seed: u64, interval:
         "[heatmap] {b} under {p} (seed {seed}): {}x{} tiles over {} cycles -> {out}",
         hm.width, hm.height, metrics.total_cycles
     );
-}
-
-/// Without the feature there is no telemetry infrastructure; fail loudly.
-#[cfg(not(feature = "telemetry"))]
-fn cmd_timeline(
-    _b: BenchmarkId,
-    _p: PolicyKind,
-    _scale: Scale,
-    _seed: u64,
-    _interval: u64,
-    _out: &str,
-    _format: &str,
-) {
-    eprintln!(
-        "timeline needs the `telemetry` feature; rebuild with \
-         `cargo run --release --features telemetry --bin hdpat-sim -- timeline ...`"
-    );
-    std::process::exit(2);
-}
-
-/// Without the feature there is no telemetry infrastructure; fail loudly.
-#[cfg(not(feature = "telemetry"))]
-fn cmd_heatmap(
-    _b: BenchmarkId,
-    _p: PolicyKind,
-    _scale: Scale,
-    _seed: u64,
-    _interval: u64,
-    _out: &str,
-) {
-    eprintln!(
-        "heatmap needs the `telemetry` feature; rebuild with \
-         `cargo run --release --features telemetry --bin hdpat-sim -- heatmap ...`"
-    );
-    std::process::exit(2);
 }
 
 /// The end-of-sweep stderr accounting line. The disk-hit clause appears

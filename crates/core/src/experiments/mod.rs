@@ -11,7 +11,10 @@ mod fingerprint;
 pub use diskcache::{fnv128_hex, DiskCache, DiskCacheStats};
 pub use fingerprint::FINGERPRINT_VERSION;
 
-use wsg_gpu::SystemConfig;
+use wsg_gpu::{AddressSpace, SystemConfig};
+use wsg_sim::telemetry::TelemetrySink;
+use wsg_sim::trace::TraceSink;
+use wsg_sim::{Cycle, Observer};
 use wsg_workloads::{BenchmarkId, Scale};
 
 /// Divides the capacity of every translation/cache structure by the same
@@ -156,104 +159,61 @@ pub fn run(cfg: &RunConfig) -> Metrics {
     .run()
 }
 
-/// Runs one experiment point like [`run`], with a request-lifecycle trace
-/// sink attached for the whole run. Returns the metrics (with
+/// Runs one experiment point like [`run`], reporting to `obs`; returns the
+/// metrics together with the observer.
+pub fn run_observed<O: Observer>(cfg: &RunConfig, obs: O) -> (Metrics, O) {
+    let system = cfg.system.clone();
+    let mut space = AddressSpace::new(system.page_size, system.gpm_count() as u32);
+    let traces = wsg_workloads::generate(cfg.benchmark, cfg.scale, &mut space, cfg.seed);
+    Simulation::observed(system, cfg.policy, space, traces, obs).run_observed()
+}
+
+/// Folds a trace sink's per-stage latency distributions into `metrics`.
+fn fold_stages(metrics: &mut Metrics, sink: &TraceSink) {
+    metrics.stage_latency = sink
+        .stage_summary()
+        .into_iter()
+        .map(|(stage, stats)| (stage.to_string(), stats))
+        .collect();
+}
+
+/// Runs one experiment point like [`run`] with a request-lifecycle trace
+/// sink observing the whole run. Returns the metrics (with
 /// `stage_latency` populated) together with the filled sink.
 ///
 /// Tracing is purely observational: the metrics' deterministic serialization
 /// is byte-identical to an untraced [`run`] of the same point
 /// (`tests/trace_determinism.rs`).
-#[cfg(feature = "trace")]
-pub fn run_traced(cfg: &RunConfig) -> (Metrics, wsg_sim::trace::TraceSink) {
-    let mut sim = Simulation::new(
-        cfg.system.clone(),
-        cfg.policy,
-        cfg.benchmark,
-        cfg.scale,
-        cfg.seed,
-    );
-    let sink = wsg_sim::trace::TraceSink::shared();
-    sim.set_tracer(&sink);
-    // `run` consumes the simulation, dropping the engine's sink handles, so
-    // the Rc unwraps cleanly; the clone fallback is defensive only.
-    let metrics = sim.run();
-    // lint:allow(shared-mut): harness-boundary unwrap of the sink handle;
-    // the Rc never outlives this function and never crosses into the model.
-    let sink = std::rc::Rc::try_unwrap(sink)
-        .map(|cell| cell.into_inner())
-        .unwrap_or_else(|rc| rc.borrow().clone());
+pub fn run_traced(cfg: &RunConfig) -> (Metrics, TraceSink) {
+    let (mut metrics, sink) = run_observed(cfg, TraceSink::new());
+    fold_stages(&mut metrics, &sink);
     (metrics, sink)
 }
 
-/// Runs one experiment point like [`run`], with the telemetry flight
-/// recorder attached and sampling every `sample_interval` cycles. Returns
-/// the metrics together with the filled registry, ready for the CSV /
-/// JSON / Perfetto-counter and heatmap exports.
+/// Runs one experiment point like [`run`] with the telemetry flight
+/// recorder sampling every `sample_interval` cycles. Returns the metrics
+/// together with the filled registry, ready for the CSV / JSON /
+/// Perfetto-counter and heatmap exports.
 ///
 /// Telemetry is purely observational: the metrics' deterministic
 /// serialization is byte-identical to a plain [`run`] of the same point,
 /// and the sink's exports are byte-identical across hosts and `--jobs`
 /// values (`tests/telemetry_determinism.rs`).
-#[cfg(feature = "telemetry")]
-pub fn run_telemetry(
-    cfg: &RunConfig,
-    sample_interval: wsg_sim::Cycle,
-) -> (Metrics, wsg_sim::telemetry::TelemetrySink) {
-    let mut sim = Simulation::new(
-        cfg.system.clone(),
-        cfg.policy,
-        cfg.benchmark,
-        cfg.scale,
-        cfg.seed,
-    );
-    let sink = wsg_sim::telemetry::TelemetrySink::shared(sample_interval);
-    sim.set_telemetry(&sink);
-    // `run` consumes the simulation, dropping the engine's sink handles, so
-    // the Rc unwraps cleanly; the clone fallback is defensive only.
-    let metrics = sim.run();
-    // lint:allow(shared-mut): harness-boundary unwrap of the sink handle;
-    // the Rc never outlives this function and never crosses into the model.
-    let sink = std::rc::Rc::try_unwrap(sink)
-        .map(|cell| cell.into_inner())
-        .unwrap_or_else(|rc| rc.borrow().clone());
-    (metrics, sink)
+pub fn run_telemetry(cfg: &RunConfig, sample_interval: Cycle) -> (Metrics, TelemetrySink) {
+    run_observed(cfg, TelemetrySink::new(sample_interval))
 }
 
 /// Runs one experiment point with both the request-lifecycle tracer and the
-/// telemetry flight recorder attached, so span events and counter tracks
-/// share one simulated clock. Feed both sinks to
-/// [`wsg_sim::telemetry::TelemetrySink::merge_chrome_json`] for a single
-/// Perfetto document.
-#[cfg(all(feature = "telemetry", feature = "trace"))]
+/// telemetry flight recorder observing it, so span events and counter
+/// tracks share one simulated clock. Feed both sinks to
+/// [`TelemetrySink::merge_chrome_json`] for a single Perfetto document.
 pub fn run_telemetry_traced(
     cfg: &RunConfig,
-    sample_interval: wsg_sim::Cycle,
-) -> (
-    Metrics,
-    wsg_sim::telemetry::TelemetrySink,
-    wsg_sim::trace::TraceSink,
-) {
-    let mut sim = Simulation::new(
-        cfg.system.clone(),
-        cfg.policy,
-        cfg.benchmark,
-        cfg.scale,
-        cfg.seed,
-    );
-    let tel = wsg_sim::telemetry::TelemetrySink::shared(sample_interval);
-    sim.set_telemetry(&tel);
-    let trc = wsg_sim::trace::TraceSink::shared();
-    sim.set_tracer(&trc);
-    let metrics = sim.run();
-    // lint:allow(shared-mut): harness-boundary unwrap of the sink handles;
-    // the Rcs never outlive this function and never cross into the model.
-    let tel = std::rc::Rc::try_unwrap(tel)
-        .map(|cell| cell.into_inner())
-        .unwrap_or_else(|rc| rc.borrow().clone());
-    // lint:allow(shared-mut): harness-boundary unwrap (see above).
-    let trc = std::rc::Rc::try_unwrap(trc)
-        .map(|cell| cell.into_inner())
-        .unwrap_or_else(|rc| rc.borrow().clone());
+    sample_interval: Cycle,
+) -> (Metrics, TelemetrySink, TraceSink) {
+    let obs = (TelemetrySink::new(sample_interval), TraceSink::new());
+    let (mut metrics, (tel, trc)) = run_observed(cfg, obs);
+    fold_stages(&mut metrics, &trc);
     (metrics, tel, trc)
 }
 

@@ -140,12 +140,11 @@ pub struct Metrics {
     /// excluded from [`Metrics::to_deterministic_string`].
     pub host_wall_nanos: u64,
 
-    /// Per-stage latency distributions folded from an attached trace sink,
-    /// sorted by stage name (`trace` feature only). Deliberately excluded
+    /// Per-stage latency distributions folded from a traced run's sink,
+    /// sorted by stage name (empty otherwise). Deliberately excluded
     /// from [`Metrics::to_deterministic_string`], which must stay
     /// byte-identical whether or not a tracer was attached; render with
     /// [`Metrics::stage_latency_string`].
-    #[cfg(feature = "trace")]
     pub stage_latency: Vec<(String, wsg_sim::trace::StageStats)>,
 }
 
@@ -186,7 +185,6 @@ impl Metrics {
             pages_migrated: 0,
             sim_events: 0,
             host_wall_nanos: 0,
-            #[cfg(feature = "trace")]
             stage_latency: Vec::new(),
         }
     }
@@ -195,7 +193,6 @@ impl Metrics {
     /// stable text form: one line per stage in name order, all values exact
     /// integers. Kept separate from [`Metrics::to_deterministic_string`] so
     /// the determinism contract is unaffected by tracing.
-    #[cfg(feature = "trace")]
     pub fn stage_latency_string(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -503,7 +500,6 @@ impl Metrics {
             pages_migrated,
             sim_events,
             host_wall_nanos,
-            #[cfg(feature = "trace")]
             stage_latency: Vec::new(),
         })
     }
@@ -851,7 +847,6 @@ mod tests {
     /// `stage_latency_string` is the only rendered view of trace-fed stage
     /// stats, so its exact shape (line per stage, declaration order of the
     /// sorted vector, integer fields) is pinned here.
-    #[cfg(feature = "trace")]
     mod stage_latency {
         use super::super::*;
         use wsg_sim::trace::StageStats;

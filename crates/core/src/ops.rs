@@ -25,9 +25,9 @@
 //!   [`OpsRegistry`], so tests and embedded daemons never share request
 //!   counters and the reconciliation invariant (`submitted == sum of tier
 //!   counts` at quiescence) holds per instance.
-//! * **Process-global** — engine code (the `selfprof` phase timer) has no
-//!   daemon handle, so its counters accumulate on [`engine()`] and every
-//!   snapshot includes them.
+//! * **Process-global** — engine code (the sampled `selfprof` phase timer)
+//!   has no daemon handle, so its counters accumulate on [`engine()`] and
+//!   every snapshot includes them.
 
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -52,16 +52,19 @@ pub enum Tier {
     Cancelled,
     /// Dropped from the queue because the client disconnected.
     ClientGone,
+    /// The simulation panicked; the client got a `run-failed` error.
+    Failed,
 }
 
 impl Tier {
     /// Every tier, in canonical exposition order.
-    pub const ALL: [Tier; 5] = [
+    pub const ALL: [Tier; 6] = [
         Tier::Memory,
         Tier::Disk,
         Tier::Simulated,
         Tier::Cancelled,
         Tier::ClientGone,
+        Tier::Failed,
     ];
 
     /// Stable wire token (snapshot keys, ops-log fields, Prometheus labels).
@@ -72,6 +75,7 @@ impl Tier {
             Tier::Simulated => "simulated",
             Tier::Cancelled => "cancelled",
             Tier::ClientGone => "client-gone",
+            Tier::Failed => "failed",
         }
     }
 
@@ -82,6 +86,7 @@ impl Tier {
             Tier::Simulated => 2,
             Tier::Cancelled => 3,
             Tier::ClientGone => 4,
+            Tier::Failed => 5,
         }
     }
 }
@@ -101,17 +106,22 @@ pub struct TierStats {
     pub total_us: LogHistogram,
 }
 
-/// Cumulative `--features selfprof` phase timings, in host nanoseconds.
-/// Phases partition the hot loop: *dispatch* (event extraction: the
-/// calendar-bucket drain) and *handler* (event handler execution).
-#[cfg(feature = "selfprof")]
+/// Sampled engine phase timings, in host nanoseconds. Phases partition the
+/// hot loop: *dispatch* (event extraction: the calendar-bucket drain) and
+/// *handler* (event handler execution). Every run times one drained batch
+/// in 64; `sampled_batches / batches` is the sampled fraction, so the
+/// phase totals scale by its inverse.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SelfProf {
     /// Runs that recorded phase timings.
     pub runs: u64,
-    /// Nanoseconds extracting runnable events.
+    /// Batches drained.
+    pub batches: u64,
+    /// Batches timed.
+    pub sampled_batches: u64,
+    /// Nanoseconds extracting runnable events, over the timed batches.
     pub dispatch_nanos: u64,
-    /// Nanoseconds executing handlers.
+    /// Nanoseconds executing handlers, over the timed batches.
     pub handler_nanos: u64,
 }
 
@@ -119,22 +129,21 @@ pub struct SelfProf {
 /// handle, so these accumulate globally (see the module docs).
 #[derive(Debug, Default)]
 pub struct EngineCounters {
-    #[cfg(feature = "selfprof")]
     selfprof: Mutex<SelfProf>,
 }
 
 impl EngineCounters {
     /// Folds one run's phase timings into the cumulative profile.
-    #[cfg(feature = "selfprof")]
-    pub fn record_selfprof(&self, dispatch_nanos: u64, handler_nanos: u64) {
+    pub fn record_selfprof(&self, run: SelfProf) {
         let mut p = self.selfprof.lock().expect("selfprof poisoned");
         p.runs = p.runs.saturating_add(1);
-        p.dispatch_nanos = p.dispatch_nanos.saturating_add(dispatch_nanos);
-        p.handler_nanos = p.handler_nanos.saturating_add(handler_nanos);
+        p.batches = p.batches.saturating_add(run.batches);
+        p.sampled_batches = p.sampled_batches.saturating_add(run.sampled_batches);
+        p.dispatch_nanos = p.dispatch_nanos.saturating_add(run.dispatch_nanos);
+        p.handler_nanos = p.handler_nanos.saturating_add(run.handler_nanos);
     }
 
     /// Current cumulative phase timings.
-    #[cfg(feature = "selfprof")]
     pub fn selfprof(&self) -> SelfProf {
         *self.selfprof.lock().expect("selfprof poisoned")
     }
@@ -194,7 +203,7 @@ pub struct DiskGauges {
 #[derive(Debug, Default)]
 pub struct OpsRegistry {
     submitted: AtomicU64,
-    lifecycle: Mutex<[TierStats; 5]>,
+    lifecycle: Mutex<[TierStats; 6]>,
 }
 
 impl OpsRegistry {
@@ -227,7 +236,7 @@ impl OpsRegistry {
     }
 
     /// Clones the per-tier accumulators, in [`Tier::ALL`] order.
-    pub fn lifecycle(&self) -> [TierStats; 5] {
+    pub fn lifecycle(&self) -> [TierStats; 6] {
         self.lifecycle.lock().expect("lifecycle poisoned").clone()
     }
 
@@ -307,7 +316,7 @@ impl OpsRegistry {
 
         Json::Obj(vec![
             ("type".to_string(), Json::Str("metrics".into())),
-            ("schema".to_string(), Json::U64(2)),
+            ("schema".to_string(), Json::U64(3)),
             ("requests".to_string(), requests),
             ("gauges".to_string(), gauges_json),
             ("cache".to_string(), cache),
@@ -392,16 +401,15 @@ impl OpsRegistry {
                 out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
             }
         }
-        #[cfg(feature = "selfprof")]
-        {
-            let p = engine().selfprof();
-            for (name, v) in [
-                ("hdpat_selfprof_runs", p.runs),
-                ("hdpat_selfprof_dispatch_nanos", p.dispatch_nanos),
-                ("hdpat_selfprof_handler_nanos", p.handler_nanos),
-            ] {
-                out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-            }
+        let p = engine().selfprof();
+        for (name, v) in [
+            ("hdpat_selfprof_runs", p.runs),
+            ("hdpat_selfprof_batches", p.batches),
+            ("hdpat_selfprof_sampled_batches", p.sampled_batches),
+            ("hdpat_selfprof_dispatch_nanos", p.dispatch_nanos),
+            ("hdpat_selfprof_handler_nanos", p.handler_nanos),
+        ] {
+            out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
         }
         out
     }
@@ -429,19 +437,15 @@ fn histogram_json(h: &LogHistogram) -> Json {
     ])
 }
 
-#[cfg(feature = "selfprof")]
 fn selfprof_json() -> Json {
     let p = engine().selfprof();
     Json::Obj(vec![
         ("runs".into(), Json::U64(p.runs)),
+        ("batches".into(), Json::U64(p.batches)),
+        ("sampled_batches".into(), Json::U64(p.sampled_batches)),
         ("dispatch_nanos".into(), Json::U64(p.dispatch_nanos)),
         ("handler_nanos".into(), Json::U64(p.handler_nanos)),
     ])
-}
-
-#[cfg(not(feature = "selfprof"))]
-fn selfprof_json() -> Json {
-    Json::Null
 }
 
 /// Append-only JSONL ops log: one object per request state transition

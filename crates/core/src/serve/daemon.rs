@@ -31,6 +31,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{BufRead, Read, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
@@ -39,8 +40,31 @@ use wsg_sim::pool::{Task, TaskPool};
 
 use super::json::Json;
 use super::proto::{self, codes, Request, Source, Submit};
-use crate::experiments::{run, DiskCache, RunCache};
+use crate::experiments::{run, DiskCache, RunCache, RunConfig};
+use crate::metrics::Metrics;
 use crate::ops::{DiskGauges, GaugeSample, OpsLog, OpsRegistry, Tier};
+
+/// The simulation behind submit `id`.
+#[cfg(not(test))]
+fn simulate(cfg: &RunConfig, _id: &str) -> Metrics {
+    run(cfg)
+}
+
+/// Test seam: the submit with id [`tests::PANICKING_ID`] panics mid-run.
+#[cfg(test)]
+fn simulate(cfg: &RunConfig, id: &str) -> Metrics {
+    assert_ne!(id, tests::PANICKING_ID, "injected simulation panic");
+    run(cfg)
+}
+
+/// The message of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic")
+}
 
 /// Daemon construction parameters.
 #[derive(Debug, Clone, Default)]
@@ -483,8 +507,8 @@ impl Shared {
         } else {
             None
         };
-        let (metrics, source) = match resolved {
-            Some(hit) => hit,
+        let outcome = match resolved {
+            Some(hit) => Ok(hit),
             None => {
                 let writer = self.writer_of(cid);
                 let progress = submit.progress;
@@ -496,35 +520,53 @@ impl Shared {
                 // The simulation runs through the pool's completion-observer
                 // plumbing (the hook behind the CLI's `--progress` line), so
                 // the `finished` event fires exactly when the run completes,
-                // before any caching or response work.
-                let out = wsg_sim::pool::run_indexed_with(
-                    1,
-                    1,
-                    |_| run(&cfg),
-                    |_| {
-                        if progress {
-                            if let Some(w) = &writer {
-                                Self::write_now(w, &proto::progress_line(&submit.id, "finished"));
+                // before any caching or response work. A panicking run is
+                // caught here: its slot still gets an answer and the
+                // accounting below still runs.
+                catch_unwind(AssertUnwindSafe(|| {
+                    wsg_sim::pool::run_indexed_with(
+                        1,
+                        1,
+                        |_| simulate(&cfg, &submit.id),
+                        |_| {
+                            if progress {
+                                if let Some(w) = &writer {
+                                    Self::write_now(
+                                        w,
+                                        &proto::progress_line(&submit.id, "finished"),
+                                    );
+                                }
                             }
-                        }
-                    },
-                );
-                let m = match out.into_iter().next() {
-                    Some(m) => Arc::new(m),
-                    None => unreachable!("run_indexed_with(_, 1, ..) returned no result"),
-                };
-                self.mem.insert(key.clone(), Arc::clone(&m));
-                if let Some(disk) = &self.disk {
-                    disk.insert(&key, &m);
-                }
-                (m, Source::Simulated)
+                        },
+                    )
+                }))
+                .map(|out| {
+                    let m = match out.into_iter().next() {
+                        Some(m) => Arc::new(m),
+                        None => unreachable!("run_indexed_with(_, 1, ..) returned no result"),
+                    };
+                    self.mem.insert(key.clone(), Arc::clone(&m));
+                    if let Some(disk) = &self.disk {
+                        disk.insert(&key, &m);
+                    }
+                    (m, Source::Simulated)
+                })
             }
         };
-        let line = proto::result_line(&submit.id, source, &key, &metrics);
-        let tier = match source {
-            Source::Memory => Tier::Memory,
-            Source::Disk => Tier::Disk,
-            Source::Simulated => Tier::Simulated,
+        let (line, tier) = match outcome {
+            Ok((metrics, source)) => {
+                let tier = match source {
+                    Source::Memory => Tier::Memory,
+                    Source::Disk => Tier::Disk,
+                    Source::Simulated => Tier::Simulated,
+                };
+                (proto::result_line(&submit.id, source, &key, &metrics), tier)
+            }
+            Err(payload) => {
+                let message = format!("simulation panicked: {}", panic_message(&*payload));
+                let line = proto::error_line(Some(&submit.id), codes::RUN_FAILED, &message);
+                (line, Tier::Failed)
+            }
         };
         self.record_terminal("complete", tier, cid, &submit.id, enqueued, scheduled);
         {
@@ -1153,6 +1195,9 @@ mod tests {
     use crate::serve::json::Json;
     use std::io::Cursor;
 
+    /// The submit id whose simulation panics (see [`simulate`]).
+    pub(super) const PANICKING_ID: &str = "injected-panic";
+
     /// A `Write` handle over a shared buffer, so tests can read back what
     /// the daemon wrote after the connection closes.
     #[derive(Clone, Default)]
@@ -1549,6 +1594,52 @@ mod tests {
         assert_eq!(mem_entries, 1, "disk hit promotes into memory");
         assert_eq!(disk_stats.map(|s| s.hits), Some(1));
         std::fs::remove_dir_all(&dir).expect("test dir removable");
+    }
+
+    #[test]
+    fn a_panicking_run_answers_its_slot_and_the_daemon_keeps_serving() {
+        let d = daemon(2);
+        let out = SharedBuf::default();
+        let mix = [
+            r#"{"op":"submit","id":"p1","benchmark":"RELU","policy":"naive","scale":"unit"}"#,
+            r#"{"op":"submit","id":"injected-panic","benchmark":"AES","policy":"naive","scale":"unit"}"#,
+            r#"{"op":"submit","id":"p3","benchmark":"AES","policy":"naive","scale":"unit"}"#,
+            r#"{"op":"shutdown"}"#,
+        ]
+        .join("\n");
+        // Returns only once shutdown has drained every run.
+        d.serve_connection(Cursor::new(mix), out.clone());
+        let lines = out.lines();
+        assert_eq!(lines.len(), 4, "{lines:?}");
+        let ids: Vec<Json> = lines[..3].iter().map(|l| member(l, "id")).collect();
+        assert_eq!(
+            ids,
+            ["p1", PANICKING_ID, "p3"]
+                .map(|s| Json::Str(s.into()))
+                .to_vec()
+        );
+        assert_eq!(member(&lines[1], "type"), Json::Str("error".into()));
+        assert_eq!(
+            member(&lines[1], "code"),
+            Json::Str(codes::RUN_FAILED.into())
+        );
+        assert_eq!(member(&lines[2], "type"), Json::Str("result".into()));
+        assert_eq!(member(&lines[3], "type"), Json::Str("shutdown-ack".into()));
+        let snap = d.metrics_snapshot();
+        let requests = snap.get("requests").expect("requests member");
+        let tiers = requests.get("tiers").expect("tiers member");
+        let count = |tier: &str| {
+            tiers
+                .get(tier)
+                .and_then(|t| t.get("count"))
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("tier {tier} missing in {snap:?}"))
+        };
+        assert_eq!(count("failed"), 1);
+        assert_eq!(count("simulated") + count("memory") + count("disk"), 2);
+        assert_eq!(requests.get("submitted").and_then(Json::as_u64), Some(3));
+        assert_eq!(requests.get("completed").and_then(Json::as_u64), Some(3));
+        d.join();
     }
 
     #[test]

@@ -48,6 +48,10 @@ pub mod codes {
     /// The request line is longer than [`super::MAX_LINE_BYTES`]. The daemon
     /// skips it up to its newline and keeps the connection open.
     pub const LINE_TOO_LONG: &str = "line-too-long";
+    /// The simulation behind a submit panicked. The error takes the
+    /// submit's place in the client's result order, counts in the `failed`
+    /// tier, and the daemon keeps serving.
+    pub const RUN_FAILED: &str = "run-failed";
 }
 
 /// The longest request line the daemon accepts, in bytes, not counting the
@@ -655,10 +659,10 @@ pub fn protocol_examples() -> String {
         "metrics",
         "The full operational snapshot: per-tier request-lifecycle latency \
          histograms (log-scaled microseconds, `[lower_bound, count]` \
-         buckets), serving gauges, cache state, and the engine's phase \
-         timings. The same snapshot backs `hdpat-sim serve --metrics-out`; \
-         `selfprof` is null unless the daemon was built with `--features \
-         selfprof`. At quiescence the tier counts sum to `submitted`.",
+         buckets), serving gauges, cache state, and the engine's sampled \
+         phase timings (`selfprof`: one drained batch in 64 is timed). The \
+         same snapshot backs `hdpat-sim serve --metrics-out`. At quiescence \
+         the tier counts sum to `submitted`.",
         &[
             Json::Obj(vec![("op".into(), Json::Str("metrics".into()))]).to_line(),
             example_metrics_line(),
@@ -680,11 +684,13 @@ pub fn protocol_examples() -> String {
              `id` is null when the failing line carried none. The codes: \
              `bad-request`, `unknown-op`, `unknown-benchmark`, \
              `unknown-policy`, `unknown-scale`, `duplicate-id`, `not-found`, \
-             `shutting-down`, `line-too-long`. Every non-blank request line \
-             gets exactly one reply: a line that is not UTF-8 is a \
-             `bad-request`, and a line over {MAX_LINE_BYTES} bytes is a \
+             `shutting-down`, `line-too-long`, `run-failed`. Every non-blank \
+             request line gets exactly one reply: a line that is not UTF-8 is \
+             a `bad-request`, and a line over {MAX_LINE_BYTES} bytes is a \
              `line-too-long` whose bytes are skipped up to its newline. The \
-             connection stays open after both."
+             connection stays open after both. A submit whose simulation \
+             panics is answered with a `run-failed` error in its place in the \
+             result order, and the daemon keeps serving."
         ),
         &[
             error_line(

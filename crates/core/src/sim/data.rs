@@ -6,12 +6,12 @@
 //! far-future reservations on links and starve packets handled later but
 //! departing earlier.
 
-use wsg_sim::Cycle;
+use wsg_sim::{Cycle, Observer};
 use wsg_xlat::Vpn;
 
 use super::{Event, ReqId, Simulation};
 
-impl Simulation {
+impl<O: Observer> Simulation<O> {
     /// Performs the data access for a translated request: L1 → L2 → local
     /// HBM, or a mesh round trip to the owning GPM's L2/HBM for remote
     /// cachelines (the zero-copy model of §II-A).
@@ -48,8 +48,8 @@ impl Simulation {
         }
         if home == gpm_id {
             // Local HBM.
+            let done = self.hbm_access(gpm_id, t2, self.cfg.data_bytes);
             let gpm = &mut self.gpms[gpm_id as usize];
-            let done = gpm.hbm.access(t2, self.cfg.data_bytes);
             gpm.l2_cache.fill(line);
             gpm.cus[cu as usize].l1_cache.fill(line);
             self.schedule(done, Event::DataDone { req });
@@ -68,15 +68,12 @@ impl Simulation {
         let line = self.reqs[req].vaddr & !(self.cfg.data_bytes - 1);
         let l2_lat = self.cfg.gpm.l2_cache.hit_latency;
         let data_bytes = self.cfg.data_bytes;
-        let served = {
-            let hg = &mut self.gpms[home as usize];
-            if hg.l2_cache.lookup(line).is_hit() {
-                t + l2_lat
-            } else {
-                let d = hg.hbm.access(t + l2_lat, data_bytes);
-                hg.l2_cache.fill(line);
-                d
-            }
+        let served = if self.gpms[home as usize].l2_cache.lookup(line).is_hit() {
+            t + l2_lat
+        } else {
+            let d = self.hbm_access(home, t + l2_lat, data_bytes);
+            self.gpms[home as usize].l2_cache.fill(line);
+            d
         };
         self.schedule(served, Event::DataReturn { req, home });
     }
@@ -159,14 +156,13 @@ impl Simulation {
             }
             let to = self.gpm_coord(g);
             // Fire-and-forget invalidation traffic (accounted, no event).
-            self.mesh.send(cpu, to, bytes, t);
+            self.mesh_send(cpu, to, bytes, t);
         }
         // Bulk page transfer old home -> new home.
         let page_bytes = self.cfg.page_size.bytes();
         let from = self.gpm_coord(old_home);
         let to = self.gpm_coord(dest);
-        self.mesh
-            .send(from, to, page_bytes, t + cfg.install_latency);
+        self.mesh_send(from, to, page_bytes, t + cfg.install_latency);
         self.metrics.pages_migrated += 1;
     }
 
@@ -177,7 +173,7 @@ impl Simulation {
         let from = self.gpm_coord(home);
         let to = self.gpm_coord(gpm_id);
         let bytes = self.cfg.data_bytes + 8;
-        let out = self.mesh.send(from, to, bytes, t);
+        let out = self.mesh_send(from, to, bytes, t);
         // Cache the remote line locally (caches are flushed at kernel
         // boundaries in the zero-copy model, so this is safe).
         let cu = self.reqs[req].cu;

@@ -2,19 +2,19 @@
 //! coalescing, proactive delivery, and selective push.
 
 use wsg_mem::MshrOutcome;
-use wsg_sim::Cycle;
+use wsg_sim::{Cycle, Observer};
 use wsg_xlat::{SubmitResult, Vpn};
 
 use crate::metrics::Resolution;
 
-use super::{Event, ReqId, Simulation, NEVER};
+use super::{Event, ReqId, Simulation, Site, NEVER};
 
 /// IOMMU-TLB lookup latency (Fig 19 variant).
 const IOMMU_TLB_LATENCY: Cycle = 8;
 /// Redirection-table lookup latency.
 const REDIR_LATENCY: Cycle = 4;
 
-impl Simulation {
+impl<O: Observer> Simulation<O> {
     /// A translation request arrives at the IOMMU (step ① of Fig 12).
     pub(crate) fn on_iommu_arrive(&mut self, t: Cycle, req: ReqId) {
         if self.reqs[req].resolved {
@@ -48,7 +48,7 @@ impl Simulation {
             let hit = if self.reqs[req].redirect_failed {
                 None
             } else {
-                self.iommu.tlb.as_mut().expect("checked").lookup_meta(vpn)
+                self.tlb_lookup(Site::IommuTlb, vpn)
             };
             if let Some((pfn, prefetched)) = hit {
                 let to = self.gpm_coord(self.reqs[req].gpm);
@@ -71,13 +71,7 @@ impl Simulation {
             // TLB miss: the request must hold an MSHR before it may proceed
             // to the walkers; when all MSHRs are busy it stalls outside the
             // TLB (the concurrency limit the redirection table avoids).
-            match self
-                .iommu
-                .tlb_mshr
-                .as_mut()
-                .expect("TLB variant has MSHRs")
-                .register(vpn.0, req)
-            {
+            match self.iommu_mshr_register(vpn.0, req) {
                 // Both keep the request in the MSHR's waiter list.
                 MshrOutcome::Primary => self.reqs.pin(req), // proceed to the walk
                 MshrOutcome::Secondary => {
@@ -106,7 +100,7 @@ impl Simulation {
             }
         } else if self.hdpat().is_some_and(|h| h.redirection) && !self.reqs[req].redirect_failed {
             // Redirection table check (step ② of Fig 12).
-            if let Some(holder) = self.iommu.redirection.lookup(vpn) {
+            if let Some(holder) = self.redirection_lookup(vpn) {
                 let cpu = self.cpu();
                 let to = self.gpm_coord(holder);
                 let bytes = self.cfg.xlat_req_bytes;
@@ -127,7 +121,7 @@ impl Simulation {
     /// when the PW-queue is full; either queue holds a pin.
     fn enqueue_walk(&mut self, t: Cycle, req: ReqId) {
         let walk_latency = self.cfg.iommu.walk_latency;
-        match self.iommu.walkers.submit(req) {
+        match self.walker_submit(Site::IommuWalkers, req) {
             SubmitResult::Started => {
                 self.reqs[req].pw_entered = t;
                 self.reqs[req].walk_started = t;
@@ -168,7 +162,7 @@ impl Simulation {
             (r.vpn, r.gpm)
         };
         let lat = self.cfg.gpm.gmmu_cache.latency;
-        let hit = self.gpms[holder as usize].gmmu_cache.lookup_meta(vpn);
+        let hit = self.tlb_lookup(Site::GmmuCache(holder), vpn);
         let from = self.gpm_coord(holder);
         match hit {
             Some((pfn, prefetched)) => {
@@ -203,7 +197,7 @@ impl Simulation {
     pub(crate) fn on_iommu_walk_done(&mut self, t: Cycle, req: ReqId) {
         let walk_latency = self.cfg.iommu.walk_latency;
         // Free the walker; the promoted PW-queue head starts walking.
-        if let Some(next) = self.iommu.walkers.finish() {
+        if let Some(next) = self.walker_finish(Site::IommuWalkers) {
             self.reqs[next].walk_started = t;
             self.note_walk_started(next);
             self.schedule(t + walk_latency, Event::IommuWalkDone { req: next });
@@ -213,7 +207,7 @@ impl Simulation {
         while !self.iommu.pre_queue.is_empty() && !self.iommu.walkers.is_saturated() {
             let r = self.iommu.pre_queue.pop_front().expect("non-empty");
             self.reqs[r].pw_entered = t;
-            match self.iommu.walkers.submit(r) {
+            match self.walker_submit(Site::IommuWalkers, r) {
                 SubmitResult::Started => {
                     self.reqs[r].walk_started = t;
                     self.note_walk_started(r);
@@ -278,7 +272,7 @@ impl Simulation {
                 self.push_to_layers(t, vpn, false);
                 if h.redirection && self.iommu.tlb.is_none() {
                     let holder = self.concentric.as_ref().expect("checked").aux_gpm(vpn, 1);
-                    self.iommu.redirection.insert(vpn, holder);
+                    self.redirection_insert(vpn, holder);
                 }
             }
             // Prefetch VPN N+1 … N+(degree-1); adjacent PTEs share the walked
@@ -294,7 +288,7 @@ impl Simulation {
                         if k == 1 && h.redirection && self.iommu.tlb.is_none() {
                             let holder =
                                 self.concentric.as_ref().expect("checked").aux_gpm(nvpn, 1);
-                            self.iommu.redirection.insert(nvpn, holder);
+                            self.redirection_insert(nvpn, holder);
                         }
                     }
                     if let Some(tlb) = self.iommu.tlb.as_mut() {
@@ -381,9 +375,10 @@ impl Simulation {
     /// Records the Fig 3 per-request latency components. `walked` marks
     /// requests that performed their own walk (coalesced requests get a
     /// zero-walk share).
+    #[inline]
     fn record_iommu_latency(&mut self, t: Cycle, req: ReqId, walked: bool) {
         let r = &self.reqs[req];
-        let (arrived, entered) = (r.iommu_arrived, r.pw_entered);
+        let (arrived, entered, serial) = (r.iommu_arrived, r.pw_entered, r.serial);
         if arrived == NEVER || entered == NEVER {
             return;
         }
@@ -403,18 +398,15 @@ impl Simulation {
             .add("walk", t.saturating_sub(started));
         // Mirror the three Breakdown components as spans at the IOMMU walker
         // site, so a trace shows the same decomposition as Fig 3.
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &self.tracer {
-            let site = self.iommu_site_base();
-            let serial = u64::from(r.serial);
+        if O::ENABLED {
+            let serial = u64::from(serial);
             let pre = entered.saturating_sub(arrived);
             let queue = started.saturating_sub(entered);
             let walk = t.saturating_sub(started);
-            tr.with(|s| {
-                s.complete("iommu.pre_queue", arrived, pre, site, serial);
-                s.complete("iommu.ptw_queue", entered, queue, site, serial);
-                s.complete("iommu.walk", started, walk, site, serial);
-            });
+            let site = Site::IommuWalkers;
+            self.span("iommu.pre_queue", arrived, pre, site, serial);
+            self.span("iommu.ptw_queue", entered, queue, site, serial);
+            self.span("iommu.walk", started, walk, site, serial);
         }
     }
 }

@@ -13,9 +13,17 @@
 //!   cacheline fetches).
 //! * `reqs` — the in-flight request table: recycled slots, freed by pin
 //!   count (DESIGN.md §16.5).
+//! * `observe` — typed sites and the hooked structure calls through which
+//!   the engine reports to its one [`Observer`].
+//!
+//! A plain run uses the observer `()`, which compiles every hook away; a
+//! [`wsg_sim::trace::TraceSink`], [`wsg_sim::telemetry::TelemetrySink`] or
+//! a pair of them observes a run chosen at runtime, with byte-identical
+//! metrics.
 
 mod data;
 mod iommu;
+mod observe;
 mod reqs;
 mod translate;
 
@@ -24,7 +32,7 @@ use std::collections::VecDeque;
 use wsg_gpu::{AddressSpace, CuPipeline, SystemConfig, WorkgroupTrace};
 use wsg_mem::{Hbm, Mshr, SetAssocCache};
 use wsg_noc::{Coord, Mesh};
-use wsg_sim::{Cycle, EventQueue, HashIndex};
+use wsg_sim::{Cycle, EventQueue, HashIndex, Observer};
 use wsg_workloads::{BenchmarkId, Scale};
 use wsg_xlat::{CuckooFilter, PageTable, Pfn, RedirectionTable, Tlb, TlbConfig, Vpn, WalkerPool};
 
@@ -58,7 +66,12 @@ pub(crate) fn check_event_cap(delivered: u64) {
     );
 }
 
+pub(crate) use observe::Site;
 pub(crate) use reqs::{ReqId, ReqTable, NEVER};
+
+/// One drained batch in this many is timed by the engine's phase profiler
+/// (dispatch vs handler host time, reported through [`crate::ops`]).
+const SELFPROF_PERIOD: u64 = 64;
 
 /// One compute unit: issue pipeline plus its private L1 TLB and L1 cache.
 #[derive(Debug)]
@@ -159,9 +172,11 @@ pub(crate) enum Event {
 
 /// The full-system simulator. Construct with [`Simulation::new`] (generated
 /// workload) or [`Simulation::with_traces`] (caller-provided traces), then
-/// call [`Simulation::run`].
+/// call [`Simulation::run`]; [`Simulation::observed`] builds one that
+/// reports to observer `O`, and [`Simulation::run_observed`] hands the
+/// observer back with the metrics.
 #[derive(Debug)]
-pub struct Simulation {
+pub struct Simulation<O: Observer = ()> {
     pub(crate) cfg: SystemConfig,
     pub(crate) policy: PolicyKind,
     pub(crate) space: AddressSpace,
@@ -190,27 +205,11 @@ pub struct Simulation {
     pub(crate) home_override: HashIndex<u32>,
     /// Per-page (last remote consumer, consecutive-access streak).
     pub(crate) access_streak: HashIndex<(u32, u32)>,
-    /// The runtime invariant auditor observing the queue, mesh, and every
-    /// translation structure (`audit` feature only).
-    #[cfg(feature = "audit")]
-    // lint:allow(shared-mut): the auditor is a sanctioned sink (DESIGN.md
-    // §13); the engine root handle shares it with every audited structure.
-    pub(crate) auditor: std::rc::Rc<std::cell::RefCell<wsg_sim::audit::ConservationAuditor>>,
-    /// Request-lifecycle trace sink handle (`trace` feature only); attached
-    /// with [`Simulation::set_tracer`], absent by default.
-    #[cfg(feature = "trace")]
-    pub(crate) tracer: Option<wsg_sim::trace::TraceHandle>,
-    /// Telemetry flight-recorder handle (`telemetry` feature only);
-    /// attached with [`Simulation::set_telemetry`], absent by default.
-    #[cfg(feature = "telemetry")]
-    pub(crate) telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
-    /// Simulated time of the next telemetry epoch boundary; `dispatch`
-    /// publishes and samples when event time reaches it.
-    #[cfg(feature = "telemetry")]
-    pub(crate) telemetry_next: Cycle,
-    /// First id of the engine-level telemetry counters.
-    #[cfg(feature = "telemetry")]
-    pub(crate) telemetry_base: usize,
+    /// The run's one observer (`()` for a plain run).
+    pub(crate) obs: O,
+    /// Issue cycle per request slot, for the whole-translation span;
+    /// written only when the observer is enabled.
+    pub(crate) issued: Vec<Cycle>,
 }
 
 impl Simulation {
@@ -240,6 +239,36 @@ impl Simulation {
         policy: PolicyKind,
         space: AddressSpace,
         traces: Vec<WorkgroupTrace>,
+    ) -> Self {
+        Self::observed(system, policy, space, traces, ())
+    }
+
+    /// Runs the simulation to completion and returns the collected metrics.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build profile, if the event count explodes past a
+    /// safety cap of 2·10⁹ events (indicating a scheduling bug rather than a
+    /// big workload); the check runs once per delivered batch.
+    pub fn run(self) -> Metrics {
+        self.run_observed().0
+    }
+}
+
+impl<O: Observer> Simulation<O> {
+    /// [`Simulation::with_traces`] reporting to `obs`. Observation is
+    /// purely observational: metrics are byte-identical to a plain run
+    /// (`tests/trace_determinism.rs`, `tests/telemetry_determinism.rs`).
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulation::with_traces`].
+    pub fn observed(
+        system: SystemConfig,
+        policy: PolicyKind,
+        space: AddressSpace,
+        traces: Vec<WorkgroupTrace>,
+        obs: O,
     ) -> Self {
         assert!(!traces.is_empty(), "no workgroups to simulate");
         assert_eq!(
@@ -361,63 +390,9 @@ impl Simulation {
             migration: None,
             home_override: HashIndex::new(),
             access_streak: HashIndex::new(),
-            #[cfg(feature = "audit")]
-            // lint:allow(shared-mut): constructing the sanctioned audit
-            // sink root (see the `auditor` field).
-            auditor: std::rc::Rc::new(std::cell::RefCell::new(
-                wsg_sim::audit::ConservationAuditor::new(),
-            )),
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-            #[cfg(feature = "telemetry")]
-            telemetry_next: 0,
-            #[cfg(feature = "telemetry")]
-            telemetry_base: 0,
+            obs,
+            issued: Vec::new(),
         };
-
-        // Attach the auditor to every structure before the first event, so
-        // the occupancy mirrors start from empty state.
-        #[cfg(feature = "audit")]
-        {
-            use wsg_sim::audit::AuditHandle;
-            let handle = AuditHandle::of(&sim.auditor);
-            // lint:allow(site-registry): the event queue is audit-only by
-            // design — trace spans and telemetry counters model component
-            // occupancy, not scheduler bookkeeping.
-            sim.queue.set_auditor(handle.clone());
-            sim.mesh.set_auditor(handle.clone());
-            // Site ids: GPM-local structures get gpm*8+slot; per-CU L1 TLBs
-            // and IOMMU structures hang off the top of the range. The L1
-            // stride widens past 64 for presets with more CUs per GPM
-            // (e.g. MI300's 76) — a fixed 64 made neighbouring GPMs share
-            // site ids, and the two occupancy streams diverged the mirror.
-            let g_total = sim.gpms.len() as u64;
-            let cu_stride = sim.cu_site_stride();
-            for (g, gpm) in sim.gpms.iter_mut().enumerate() {
-                let g = g as u64;
-                gpm.l2_tlb.set_auditor(handle.clone(), g * 8);
-                gpm.gmmu_cache.set_auditor(handle.clone(), g * 8 + 1);
-                gpm.walkers.set_auditor(handle.clone(), g * 8 + 2);
-                for (c, cu) in gpm.cus.iter_mut().enumerate() {
-                    cu.l1_tlb
-                        // lint:allow(site-registry): per-CU L1 TLBs audit and
-                        // trace but are deliberately not telemetry-attached —
-                        // the per-GPM L2s capture the spatial picture at a
-                        // fraction of the artifact size (see `set_telemetry`).
-                        .set_auditor(handle.clone(), g_total * 8 + g * cu_stride + c as u64);
-                }
-            }
-            let iommu_base = sim.iommu_site_base();
-            sim.iommu.walkers.set_auditor(handle.clone(), iommu_base);
-            sim.iommu
-                .redirection
-                .set_auditor(handle.clone(), iommu_base + 1);
-            if let Some(tlb) = &mut sim.iommu.tlb {
-                tlb.set_auditor(handle.clone(), iommu_base + 2);
-            }
-        }
 
         // Dispatch workgroups breadth-first (round-robin) across GPMs, the
         // way GPU runtimes launch blocks across compute dies; pages are
@@ -448,172 +423,6 @@ impl Simulation {
         self.policy
     }
 
-    /// Per-GPM site-id stride for the L1-TLB range of the audit/trace
-    /// numbering: at least 64 (the historical stride, kept so existing
-    /// configurations number identically) and wide enough that a preset with
-    /// more than 64 CUs per GPM cannot alias a neighbouring GPM's sites.
-    #[cfg(any(feature = "audit", feature = "trace", feature = "telemetry"))]
-    fn cu_site_stride(&self) -> u64 {
-        self.gpms
-            .iter()
-            .map(|g| g.cus.len() as u64)
-            .max()
-            .unwrap_or(0)
-            .max(64)
-    }
-
-    /// First site id of the IOMMU structures in the audit/trace/telemetry
-    /// numbering, `G*8 + G*S`: past every GPM-local slot and L1-TLB range.
-    #[cfg(any(feature = "audit", feature = "trace", feature = "telemetry"))]
-    pub(crate) fn iommu_site_base(&self) -> u64 {
-        let g = self.gpms.len() as u64;
-        g * 8 + g * self.cu_site_stride()
-    }
-
-    /// Attaches a request-lifecycle trace sink to the engine and every model
-    /// structure, using the same site-id numbering as the audit feature:
-    /// GPM-local structures at `gpm*8 + slot` (L2 TLB 0, GMMU cache 1,
-    /// walkers 2, cuckoo 3, HBM 4), per-CU L1 TLBs at
-    /// `G*8 + gpm*S + cu` where the stride `S = max(64, CUs per GPM)`, and
-    /// IOMMU structures from `G*8 + G*S` (walkers +0, redirection +1,
-    /// TLB +2, TLB MSHR +3).
-    ///
-    /// Attach before [`Simulation::run`]; tracing is purely observational
-    /// and never changes metrics (`tests/trace_determinism.rs`).
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(
-        &mut self,
-        // lint:allow(shared-mut): the sanctioned sink handle type at the
-        // attach boundary (DESIGN.md §13).
-        sink: &std::rc::Rc<std::cell::RefCell<wsg_sim::trace::TraceSink>>,
-    ) {
-        use wsg_sim::trace::TraceHandle;
-        let handle = TraceHandle::of(sink);
-        self.mesh.set_tracer(handle.clone());
-        let g_total = self.gpms.len() as u64;
-        let cu_stride = self.cu_site_stride();
-        for (g, gpm) in self.gpms.iter_mut().enumerate() {
-            let g = g as u64;
-            gpm.l2_tlb.set_tracer(handle.clone(), g * 8);
-            gpm.gmmu_cache.set_tracer(handle.clone(), g * 8 + 1);
-            gpm.walkers.set_tracer(handle.clone(), g * 8 + 2);
-            // The cuckoo filter and HBM have no audit occupancy mirror
-            // (conservation is audited on the structures they front), so
-            // they register with the trace and telemetry sinks only.
-            gpm.cuckoo.set_tracer(handle.clone(), g * 8 + 3); // lint:allow(site-registry): see above.
-            gpm.hbm.set_tracer(handle.clone(), g * 8 + 4); // lint:allow(site-registry): see above.
-            for (c, cu) in gpm.cus.iter_mut().enumerate() {
-                cu.l1_tlb
-                    .set_tracer(handle.clone(), g_total * 8 + g * cu_stride + c as u64);
-            }
-        }
-        let iommu_base = self.iommu_site_base();
-        self.iommu.walkers.set_tracer(handle.clone(), iommu_base);
-        self.iommu
-            .redirection
-            .set_tracer(handle.clone(), iommu_base + 1);
-        if let Some(tlb) = &mut self.iommu.tlb {
-            tlb.set_tracer(handle.clone(), iommu_base + 2);
-        }
-        if let Some(mshr) = &mut self.iommu.tlb_mshr {
-            // lint:allow(site-registry): MSHR occupancy is audited via its
-            // owning TLB; the MSHR itself traces and samples only.
-            mshr.set_tracer(handle.clone(), iommu_base + 3);
-        }
-        self.tracer = Some(handle);
-    }
-
-    /// Attaches the telemetry flight recorder to the engine and every
-    /// model structure, using the audit/trace site-id numbering (see
-    /// [`Simulation::set_tracer`]). GPM-local structures are tagged with
-    /// their wafer tile and IOMMU structures with the CPU tile, so the
-    /// recorder can render spatial heatmaps; per-CU L1 TLBs are *not*
-    /// attached — the per-GPM L2s already capture the spatial picture at a
-    /// fraction of the artifact size.
-    ///
-    /// Attach before [`Simulation::run`]; telemetry is purely
-    /// observational and never changes metrics
-    /// (`tests/telemetry_determinism.rs`).
-    #[cfg(feature = "telemetry")]
-    pub fn set_telemetry(
-        &mut self,
-        // lint:allow(shared-mut): the sanctioned sink handle type at the
-        // attach boundary (DESIGN.md §13).
-        sink: &std::rc::Rc<std::cell::RefCell<wsg_sim::telemetry::TelemetrySink>>,
-    ) {
-        use wsg_sim::telemetry::{CounterKind, TelemetryHandle};
-        let handle = TelemetryHandle::of(sink);
-        self.mesh.set_telemetry(&handle);
-        let g_total = self.gpms.len() as u64;
-        let tiles: Vec<(u16, u16)> = (0..g_total as u32)
-            .map(|id| {
-                let c = self.cfg.layout.coord_of(id);
-                (c.x, c.y)
-            })
-            .collect();
-        for (g, gpm) in self.gpms.iter_mut().enumerate() {
-            let tile = Some(tiles[g]);
-            let g = g as u64;
-            gpm.l2_tlb.set_telemetry(&handle, g * 8, tile);
-            gpm.gmmu_cache.set_telemetry(&handle, g * 8 + 1, tile);
-            gpm.walkers.set_telemetry(&handle, g * 8 + 2, tile);
-            gpm.cuckoo.set_telemetry(&handle, g * 8 + 3, tile);
-            gpm.hbm.set_telemetry(&handle, g * 8 + 4, tile);
-        }
-        let cpu = self.cfg.layout.cpu();
-        let cpu_tile = Some((cpu.x, cpu.y));
-        let iommu_base = self.iommu_site_base();
-        self.iommu
-            .walkers
-            .set_telemetry(&handle, iommu_base, cpu_tile);
-        self.iommu
-            .redirection
-            .set_telemetry(&handle, iommu_base + 1, cpu_tile);
-        if let Some(tlb) = &mut self.iommu.tlb {
-            tlb.set_telemetry(&handle, iommu_base + 2, cpu_tile);
-        }
-        if let Some(mshr) = &mut self.iommu.tlb_mshr {
-            mshr.set_telemetry(&handle, iommu_base + 3, cpu_tile);
-        }
-        self.telemetry_base = handle.with(|t| {
-            let base = t.register("iommu.pre_queue", iommu_base, cpu_tile, CounterKind::Gauge);
-            t.register("engine.ops_completed", 0, None, CounterKind::Counter);
-            base
-        });
-        self.telemetry_next = handle.with(|t| t.next_sample_at());
-        self.telemetry = Some(handle);
-    }
-
-    /// Publishes every attached structure's current counters into the
-    /// telemetry registry. Called at each epoch boundary and once at the
-    /// end of the run, never per event.
-    #[cfg(feature = "telemetry")]
-    fn publish_telemetry_all(&self) {
-        self.mesh.publish_telemetry();
-        for gpm in &self.gpms {
-            gpm.l2_tlb.publish_telemetry();
-            gpm.gmmu_cache.publish_telemetry();
-            gpm.walkers.publish_telemetry();
-            gpm.cuckoo.publish_telemetry();
-            gpm.hbm.publish_telemetry();
-        }
-        self.iommu.walkers.publish_telemetry();
-        self.iommu.redirection.publish_telemetry();
-        if let Some(tlb) = &self.iommu.tlb {
-            tlb.publish_telemetry();
-        }
-        if let Some(mshr) = &self.iommu.tlb_mshr {
-            mshr.publish_telemetry();
-        }
-        if let Some(tel) = &self.telemetry {
-            let base = self.telemetry_base;
-            tel.with(|t| {
-                t.set(base, self.iommu.pre_queue.len() as u64);
-                t.set(base + 1, self.metrics.ops_completed);
-            });
-        }
-    }
-
     /// Enables the streak-based page-migration extension (see
     /// [`crate::migration`]). Composes with any translation policy.
     pub fn with_migration(mut self, cfg: MigrationConfig) -> Self {
@@ -642,14 +451,13 @@ impl Simulation {
         }
     }
 
-    /// Runs the simulation to completion and returns the collected metrics.
+    /// Runs the simulation to completion and returns the collected metrics
+    /// together with the observer.
     ///
     /// # Panics
     ///
-    /// Panics, in every build profile, if the event count explodes past a
-    /// safety cap of 2·10⁹ events (indicating a scheduling bug rather than a
-    /// big workload); the check runs once per delivered batch.
-    pub fn run(mut self) -> Metrics {
+    /// As [`Simulation::run`].
+    pub fn run_observed(mut self) -> (Metrics, O) {
         // lint:allow(wallclock): events-per-second accounting only; the
         // reading lands in `Metrics::host_wall_nanos`, which is excluded
         // from the deterministic serialization, and never feeds back into
@@ -662,35 +470,34 @@ impl Simulation {
         // work at `t` see it arrive in a later batch, just as later pops
         // would have delivered it.
         let mut batch: Vec<Event> = Vec::new();
-        #[cfg(feature = "selfprof")]
-        let (mut prof_dispatch, mut prof_handler) = (0u64, 0u64);
+        // Sampled phase profiler: one batch in SELFPROF_PERIOD is timed, so
+        // the clock reads cost nothing measurable. Host time lands in
+        // `ops::engine()` only, never in simulation state.
+        let mut prof = crate::ops::SelfProf::default();
         loop {
-            #[cfg(feature = "selfprof")]
-            // selfprof phase timer; host-time buckets land in `ops::engine()`
-            // only, never in simulation state.
-            let d0 = std::time::Instant::now(); // lint:allow(wallclock): selfprof phase timer, ops registry only
+            let timed = prof.batches % SELFPROF_PERIOD == 0;
+            let d0 = timed.then(std::time::Instant::now); // lint:allow(wallclock): sampled phase timer, ops registry only
             let drained = self.queue.drain_bucket(&mut batch);
-            #[cfg(feature = "selfprof")]
-            {
-                prof_dispatch += d0.elapsed().as_nanos() as u64;
-            }
             if drained == 0 {
                 break;
             }
+            let h0 = d0.map(|d0| {
+                let h0 = std::time::Instant::now(); // lint:allow(wallclock): sampled phase timer, ops registry only
+                prof.dispatch_nanos += (h0 - d0).as_nanos() as u64;
+                h0
+            });
             let t = self.queue.now();
-            #[cfg(feature = "selfprof")]
-            let h0 = std::time::Instant::now(); // lint:allow(wallclock): selfprof phase timer, ops registry only
             for ev in batch.drain(..) {
                 self.dispatch(t, ev);
             }
-            #[cfg(feature = "selfprof")]
-            {
-                prof_handler += h0.elapsed().as_nanos() as u64;
+            if let Some(h0) = h0 {
+                prof.handler_nanos += h0.elapsed().as_nanos() as u64;
+                prof.sampled_batches += 1;
             }
+            prof.batches += 1;
             check_event_cap(self.queue.total_popped());
         }
-        #[cfg(feature = "selfprof")]
-        crate::ops::engine().record_selfprof(prof_dispatch, prof_handler);
+        crate::ops::engine().record_selfprof(prof);
         // All CUs must have drained; anything else is a lost-wakeup bug.
         for (g, gpm) in self.gpms.iter().enumerate() {
             for (c, cu) in gpm.cus.iter().enumerate() {
@@ -729,24 +536,12 @@ impl Simulation {
         // request slot was released by its last holder.
         self.queue.drain_check();
         self.reqs.assert_all_free();
-        // Runtime invariants: the auditor saw a clean run.
-        #[cfg(feature = "audit")]
-        {
-            let total = self.auditor.borrow_mut().finish();
-            assert_eq!(
-                total,
-                0,
-                "runtime invariant violations: {:#?}",
-                self.auditor.borrow().violations()
-            );
-        }
-        // Close the telemetry recording at the last event time: sample any
-        // remaining whole epochs plus the trailing partial one.
-        #[cfg(feature = "telemetry")]
-        if let Some(tel) = self.telemetry.clone() {
-            self.publish_telemetry_all();
+        self.mesh.check_conservation();
+        // Close the observation at the last event time (telemetry samples
+        // its remaining whole epochs plus the trailing partial one).
+        if O::ENABLED {
             let end = self.queue.now();
-            tel.with(|s| s.finalize(end));
+            self.observe_counters(end, true);
         }
         self.metrics.total_cycles = self.metrics.gpm_finish.iter().copied().max().unwrap_or(0);
         self.metrics.sim_events = self.queue.total_popped();
@@ -754,24 +549,12 @@ impl Simulation {
         self.metrics.noc_bytes = self.mesh.total_bytes();
         self.metrics.noc_hop_bytes = self.mesh.total_hop_bytes();
         self.metrics.noc_packets = self.mesh.total_packets();
-        // Fold the per-stage latency distributions into the metrics. This
-        // does not touch `to_deterministic_string`, so traced and untraced
-        // runs serialize identically (DESIGN.md §10).
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &self.tracer {
-            self.metrics.stage_latency = tr.with(|s| {
-                s.stage_summary()
-                    .into_iter()
-                    .map(|(stage, stats)| (stage.to_string(), stats))
-                    .collect()
-            });
-        }
         // Free the engine before the batch buffer: `sim` is declared after
         // `batch`, so it drops first. Freeing the buffer first fragments the
         // heap: 6 MiB more peak RSS on the benchmark's xlat-remote workload
         // at seed 42.
         let sim = self;
-        sim.metrics
+        (sim.metrics, sim.obs)
     }
 
     /// The request id an event is about, if any.
@@ -801,28 +584,19 @@ impl Simulation {
                 eprintln!("TRACE t={t} {ev:?}");
             }
         }
-        // Sample telemetry epochs lazily off the event stream rather than
-        // via scheduled events: the queue's sequence numbers and popped
-        // count stay exactly as in a telemetry-off run, and state cannot
-        // change between events, so sampling at the first event past an
-        // epoch boundary observes the same values an end-of-epoch probe
-        // would have.
-        #[cfg(feature = "telemetry")]
-        if self.telemetry.is_some() && t >= self.telemetry_next {
-            self.publish_telemetry_all();
-            if let Some(tel) = self.telemetry.clone() {
-                tel.with(|s| s.sample_up_to(t));
-                self.telemetry_next = tel.with(|s| s.next_sample_at());
+        if O::ENABLED {
+            // Epochs are sampled lazily off the event stream rather than via
+            // scheduled events: the queue's sequence numbers and popped count
+            // stay exactly as in a plain run, and state cannot change between
+            // events, so sampling at the first event past an epoch boundary
+            // observes the same values an end-of-epoch probe would have.
+            if t >= self.obs.next_epoch() {
+                self.observe_counters(t, false);
             }
-        }
-        // Stamp the (cycle, request) context so leaf-structure hooks can
-        // emit instants without the engine threading either value through.
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &self.tracer {
             let rid = req
                 .map(|r| u64::from(self.reqs[r].serial))
                 .unwrap_or(wsg_sim::trace::NO_REQ);
-            tr.with(|s| s.set_context(t, rid));
+            self.obs.context(t, rid);
         }
         match ev {
             Event::CuIssue { gpm, cu } => self.on_cu_issue(t, gpm, cu),
@@ -856,7 +630,7 @@ impl Simulation {
     /// Schedules `ev` to fire at absolute cycle `time`. Every handler goes
     /// through this seam; a queued event pins its request until it has been
     /// dispatched.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn schedule(&mut self, time: Cycle, ev: Event) {
         if let Some(r) = Self::event_req(&ev) {
             self.reqs.pin(r);
@@ -865,9 +639,12 @@ impl Simulation {
     }
 
     /// Sends `ev` as a packet of `bytes` from tile `from` to tile `to`,
-    /// scheduling it at the mesh-computed arrival time.
+    /// scheduling it at the mesh-computed arrival time. Kept out of line:
+    /// inlined into its ~30 call sites it bloats the handlers, and fig14
+    /// ran ~5% slower that way.
+    #[inline(never)]
     pub(crate) fn send(&mut self, from: Coord, to: Coord, bytes: u64, depart: Cycle, ev: Event) {
-        let out = self.mesh.send(from, to, bytes, depart);
+        let out = self.mesh_send(from, to, bytes, depart);
         self.schedule(out.arrival, ev);
     }
 
@@ -888,14 +665,15 @@ impl Simulation {
         };
         let vaddr = slot.pipeline.issue(issue_at).vaddr;
         let vpn = self.cfg.page_size.vpn_of(vaddr);
-        let req = self.reqs.issue(gpm, cu, vaddr, vpn, issue_at);
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &self.tracer {
-            let serial = u64::from(self.reqs[req].serial);
-            tr.with(|s| {
-                s.set_context(issue_at, serial);
-                s.instant("issue", gpm as u64, vpn.0);
-            });
+        let req = self.reqs.issue(gpm, cu, vaddr, vpn);
+        if O::ENABLED {
+            let slot = req as usize;
+            if self.issued.len() <= slot {
+                self.issued.resize(slot + 1, 0);
+            }
+            self.issued[slot] = issue_at;
+            self.obs.context(issue_at, u64::from(self.reqs[req].serial));
+            self.note("issue", Site::Gpm(gpm), vpn.0);
         }
         self.start_translation(issue_at, req);
         // Chain the next issue: gaps accumulate from this issue time.

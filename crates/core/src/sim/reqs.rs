@@ -35,9 +35,6 @@ pub(crate) struct Request {
     pub serial: u32,
     pub vaddr: u64,
     pub vpn: Vpn,
-    /// Issue cycle, kept for the whole-translation trace span.
-    #[cfg(feature = "trace")]
-    pub issued: Cycle,
     /// Lifecycle stamps; [`NEVER`] until the stage is reached.
     pub remote_started: Cycle,
     pub iommu_arrived: Cycle,
@@ -55,8 +52,7 @@ pub(crate) struct Request {
     pub resolved: bool,
 }
 
-// One cache line per request in the default build.
-#[cfg(not(feature = "trace"))]
+// One cache line per request.
 const _: () = assert!(std::mem::size_of::<Request>() <= 64);
 
 /// The request slots and their free list.
@@ -72,8 +68,7 @@ impl ReqTable {
     /// one, which is likely still cached) and returns its id. The request
     /// starts with its own pin, released once its `DataDone` has been
     /// handled.
-    pub(crate) fn issue(&mut self, gpm: u32, cu: u32, vaddr: u64, vpn: Vpn, at: Cycle) -> ReqId {
-        let _ = at;
+    pub(crate) fn issue(&mut self, gpm: u32, cu: u32, vaddr: u64, vpn: Vpn) -> ReqId {
         let req = Request {
             gpm,
             cu: u16::try_from(cu).expect("CU index fits the request table"),
@@ -81,8 +76,6 @@ impl ReqTable {
             serial: self.issued,
             vaddr,
             vpn,
-            #[cfg(feature = "trace")]
-            issued: at,
             remote_started: NEVER,
             iommu_arrived: NEVER,
             pw_entered: NEVER,
@@ -168,12 +161,12 @@ mod tests {
     #[test]
     fn freed_slots_are_reused_last_in_first_out() {
         let mut t = ReqTable::default();
-        let a = t.issue(0, 0, 0, Vpn(1), 0);
-        let b = t.issue(0, 1, 0, Vpn(2), 0);
+        let a = t.issue(0, 0, 0, Vpn(1));
+        let b = t.issue(0, 1, 0, Vpn(2));
         t.unpin(a);
         t.unpin(b);
-        assert_eq!(t.issue(0, 2, 0, Vpn(3), 0), b);
-        assert_eq!(t.issue(0, 3, 0, Vpn(4), 0), a);
+        assert_eq!(t.issue(0, 2, 0, Vpn(3)), b);
+        assert_eq!(t.issue(0, 3, 0, Vpn(4)), a);
         assert_eq!(t.slots(), 2);
         // Serials keep counting across reuse.
         assert_eq!(t[a].serial, 3);
@@ -182,20 +175,20 @@ mod tests {
     #[test]
     fn a_pinned_slot_outlives_its_retirement() {
         let mut t = ReqTable::default();
-        let a = t.issue(0, 0, 0, Vpn(1), 0);
+        let a = t.issue(0, 0, 0, Vpn(1));
         t.pin(a); // a stale probe still in flight
         t.unpin(a);
         assert_eq!(t.live().count(), 1);
-        assert_ne!(t.issue(0, 0, 0, Vpn(2), 0), a);
+        assert_ne!(t.issue(0, 0, 0, Vpn(2)), a);
         t.unpin(a);
-        assert_eq!(t.issue(0, 0, 0, Vpn(3), 0), a);
+        assert_eq!(t.issue(0, 0, 0, Vpn(3)), a);
     }
 
     #[test]
     #[should_panic(expected = "request table leaked")]
     fn leaked_pins_fail_the_end_of_run_check() {
         let mut t = ReqTable::default();
-        let a = t.issue(0, 0, 0, Vpn(1), 0);
+        let a = t.issue(0, 0, 0, Vpn(1));
         t.pin(a);
         t.unpin(a);
         t.assert_all_free();
@@ -235,7 +228,7 @@ mod tests {
     #[should_panic(expected = "unpinned below zero")]
     fn unpinning_a_free_slot_is_caught() {
         let mut t = ReqTable::default();
-        let a = t.issue(0, 0, 0, Vpn(1), 0);
+        let a = t.issue(0, 0, 0, Vpn(1));
         t.unpin(a);
         t.unpin(a);
     }

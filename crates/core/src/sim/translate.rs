@@ -1,14 +1,14 @@
 //! GPM-side translation path and policy-specific remote resolution.
 
-use wsg_sim::Cycle;
+use wsg_sim::{Cycle, Observer};
 use wsg_xlat::{Pfn, SubmitResult, Vpn};
 
 use crate::metrics::Resolution;
 use crate::policy::PolicyKind;
 
-use super::{Event, ReqId, Simulation, CUCKOO_LATENCY, NEVER, PROBE_OVERHEAD, RETRY_BACKOFF};
+use super::{Event, ReqId, Simulation, Site, CUCKOO_LATENCY, NEVER, PROBE_OVERHEAD, RETRY_BACKOFF};
 
-impl Simulation {
+impl<O: Observer> Simulation<O> {
     /// Walks a just-issued request down the local translation hierarchy
     /// (Fig 1b): L1 TLB → L2 TLB → cuckoo filter → GMMU cache → GMMU
     /// walkers, falling over to the remote path when the page is not local.
@@ -18,38 +18,41 @@ impl Simulation {
             (r.gpm, r.cu, r.vpn)
         };
         let gc = self.cfg.gpm;
-        let gpm = &mut self.gpms[gpm_id as usize];
+        let cu = u32::from(cu);
 
         // L1 TLB.
         let t1 = t + gc.l1_tlb.latency;
-        if let Some(pfn) = gpm.cus[cu as usize].l1_tlb.lookup(vpn) {
+        if let Some((pfn, _)) = self.tlb_lookup(Site::L1Tlb { gpm: gpm_id, cu }, vpn) {
             self.metrics.local_translations += 1;
             self.start_data(t1, req, pfn);
             return;
         }
         // L2 TLB.
         let t2 = t1 + gc.l2_tlb.latency;
-        if let Some(pfn) = gpm.l2_tlb.lookup(vpn) {
+        if let Some((pfn, _)) = self.tlb_lookup(Site::L2Tlb(gpm_id), vpn) {
             self.metrics.local_translations += 1;
-            gpm.cus[cu as usize].l1_tlb.fill(vpn, pfn, false);
+            self.gpms[gpm_id as usize].cus[cu as usize]
+                .l1_tlb
+                .fill(vpn, pfn, false);
             self.start_data(t2, req, pfn);
             return;
         }
         // Cuckoo filter: definite-absence check for the local structures.
         let t3 = t2 + CUCKOO_LATENCY;
-        if gpm.cuckoo.contains(vpn.0) {
+        if self.cuckoo_contains(gpm_id, vpn) {
             let t4 = t3 + gc.gmmu_cache.latency;
-            if let Some((pfn, prefetched)) = gpm.gmmu_cache.lookup_meta(vpn) {
+            if let Some((pfn, prefetched)) = self.tlb_lookup(Site::GmmuCache(gpm_id), vpn) {
                 self.metrics.local_translations += 1;
                 if prefetched {
                     self.metrics.prefetches_used += 1;
                 }
+                let gpm = &mut self.gpms[gpm_id as usize];
                 gpm.l2_tlb.fill(vpn, pfn, false);
                 gpm.cus[cu as usize].l1_tlb.fill(vpn, pfn, false);
                 self.start_data(t4, req, pfn);
                 return;
             }
-            if !gpm.page_table.contains(vpn) {
+            if !self.gpms[gpm_id as usize].page_table.contains(vpn) {
                 // False positive: the filter promised locality the page
                 // table cannot honour. The request still pays the full
                 // local walk before going remote (§II-B case 3).
@@ -67,8 +70,7 @@ impl Simulation {
     /// saturated.
     pub(crate) fn submit_gmmu_walk(&mut self, t: Cycle, gpm_id: u32, req: ReqId) {
         let walk_latency = self.cfg.gpm.walk_latency;
-        let gpm = &mut self.gpms[gpm_id as usize];
-        match gpm.walkers.submit(req) {
+        match self.walker_submit(Site::GmmuWalkers(gpm_id), req) {
             SubmitResult::Started => {
                 self.schedule(t + walk_latency, Event::GmmuWalkDone { gpm: gpm_id, req });
             }
@@ -85,7 +87,7 @@ impl Simulation {
     pub(crate) fn on_gmmu_walk_done(&mut self, t: Cycle, gpm_id: u32, req: ReqId) {
         let walk_latency = self.cfg.gpm.walk_latency;
         // Free the walker; a promoted queue head starts walking now.
-        if let Some(next) = self.gpms[gpm_id as usize].walkers.finish() {
+        if let Some(next) = self.walker_finish(Site::GmmuWalkers(gpm_id)) {
             self.schedule(
                 t + walk_latency,
                 Event::GmmuWalkDone {
@@ -267,6 +269,7 @@ impl Simulation {
     /// Returns `Some((pfn, prefetched, extra_latency))` on a cache hit,
     /// `None` on a miss (after `extra_latency` has been charged by the
     /// caller via the returned latency in the miss path below).
+    #[inline]
     fn probe_gpm(&mut self, target: u32, vpn: Vpn) -> (Option<(Pfn, bool)>, Cycle) {
         let gc = self.cfg.gpm;
         // Valkyrie probes the neighbour's L2 TLB rather than its GMMU cache.
@@ -278,13 +281,12 @@ impl Simulation {
                 .map(|p| (p, false));
             return (hit, lat);
         }
-        let gpm = &mut self.gpms[target as usize];
         let mut lat = CUCKOO_LATENCY;
-        if !gpm.cuckoo.contains(vpn.0) {
+        if !self.cuckoo_contains(target, vpn) {
             return (None, lat);
         }
         lat += gc.gmmu_cache.latency;
-        (gpm.gmmu_cache.lookup_meta(vpn), lat)
+        (self.tlb_lookup(Site::GmmuCache(target), vpn), lat)
     }
 
     /// A serial probe (route / concentric / distributed / Valkyrie /
@@ -399,10 +401,9 @@ impl Simulation {
             self.metrics.remote_rtt.record(rtt);
             // The "remote" span covers exactly this interval, so a trace's
             // per-stage sum reconciles with the remote_rtt summary.
-            #[cfg(feature = "trace")]
-            if let Some(tr) = &self.tracer {
-                let r = &self.reqs[req];
-                tr.with(|s| s.complete("remote", start, t - start, r.gpm as u64, r.vpn.0));
+            if O::ENABLED {
+                let (gpm, vpn) = (self.reqs[req].gpm, self.reqs[req].vpn);
+                self.span("remote", start, t - start, Site::Gpm(gpm), vpn.0);
             }
             match source {
                 Resolution::PeerCache => self.metrics.rtt_peer.record(rtt),
@@ -433,10 +434,9 @@ impl Simulation {
         };
         let _ = source;
         // Whole-translation span: issue to PFN delivery at the requester.
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &self.tracer {
-            let issued = self.reqs[req].issued;
-            tr.with(|s| s.complete("xlat", issued, t - issued, gpm_id as u64, vpn.0));
+        if O::ENABLED {
+            let issued = self.issued[req as usize];
+            self.span("xlat", issued, t - issued, Site::Gpm(gpm_id), vpn.0);
         }
 
         // Opportunistic fill of the GPMs probed on the way (route-based and

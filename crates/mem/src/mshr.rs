@@ -1,5 +1,7 @@
 //! Miss-status holding registers.
 
+use wsg_sim::telemetry::CounterKind;
+
 /// The outcome of registering a miss with an [`Mshr`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MshrOutcome {
@@ -49,14 +51,6 @@ pub struct Mshr<W> {
     len: usize,
     stalls: u64,
     merges: u64,
-    #[cfg(feature = "trace")]
-    tracer: Option<wsg_sim::trace::TraceHandle>,
-    #[cfg(feature = "trace")]
-    trace_site: u64,
-    #[cfg(feature = "telemetry")]
-    telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
-    #[cfg(feature = "telemetry")]
-    telemetry_base: usize,
 }
 
 impl<W> Mshr<W> {
@@ -90,64 +84,18 @@ impl<W> Mshr<W> {
             len: 0,
             stalls: 0,
             merges: 0,
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "trace")]
-            trace_site: 0,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-            #[cfg(feature = "telemetry")]
-            telemetry_base: 0,
         }
     }
 
-    /// Attaches a tracer recording registration outcomes under instance id
-    /// `site`.
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(&mut self, tracer: wsg_sim::trace::TraceHandle, site: u64) {
-        self.tracer = Some(tracer);
-        self.trace_site = site;
-    }
-
-    /// Attaches the telemetry flight recorder, registering this MSHR
-    /// file's merge/stall/occupancy metrics under instance id `site`
-    /// (optionally tagged with a wafer tile for heatmap exports).
-    #[cfg(feature = "telemetry")]
-    pub fn set_telemetry(
-        &mut self,
-        telemetry: &wsg_sim::telemetry::TelemetryHandle,
-        site: u64,
-        tile: Option<(u16, u16)>,
-    ) {
-        use wsg_sim::telemetry::CounterKind::{Counter, Gauge};
-        self.telemetry_base = telemetry.with(|t| {
-            let base = t.register("mshr.merges", site, tile, Counter);
-            t.register("mshr.stalls", site, tile, Counter);
-            t.register("mshr.occupancy", site, tile, Gauge);
-            base
-        });
-        self.telemetry = Some(telemetry.clone());
-    }
-
-    /// Publishes current cumulative counters into the attached recorder (a
-    /// no-op without one). The engine calls this at each epoch boundary.
-    #[cfg(feature = "telemetry")]
-    pub fn publish_telemetry(&self) {
-        if let Some(tel) = &self.telemetry {
-            let base = self.telemetry_base;
-            tel.with(|t| {
-                t.set(base, self.merges());
-                t.set(base + 1, self.stalls());
-                t.set(base + 2, self.occupancy() as u64);
-            });
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    fn trace_event(&self, stage: &'static str, block: u64) {
-        if let Some(tr) = &self.tracer {
-            tr.with(|s| s.instant(stage, self.trace_site, block));
-        }
+    /// Visits this MSHR file's telemetry counters in their fixed order.
+    pub fn counters(&self, f: &mut dyn FnMut(&'static str, CounterKind, u64)) {
+        f("mshr.merges", CounterKind::Counter, self.merges());
+        f("mshr.stalls", CounterKind::Counter, self.stalls());
+        f(
+            "mshr.occupancy",
+            CounterKind::Gauge,
+            self.occupancy() as u64,
+        );
     }
 
     /// Slot currently holding `block`, if any — a scan over the tag plane.
@@ -163,20 +111,14 @@ impl<W> Mshr<W> {
             // at its target bound exactly when `len() == targets_per_entry`.
             if self.waiters[slot].len() >= self.targets_per_entry {
                 self.stalls += 1;
-                #[cfg(feature = "trace")]
-                self.trace_event("mshr.full", block);
                 return MshrOutcome::Full;
             }
             self.waiters[slot].push(waiter);
             self.merges += 1;
-            #[cfg(feature = "trace")]
-            self.trace_event("mshr.secondary", block);
             return MshrOutcome::Secondary;
         }
         if self.len >= self.capacity {
             self.stalls += 1;
-            #[cfg(feature = "trace")]
-            self.trace_event("mshr.full", block);
             return MshrOutcome::Full;
         }
         let slot = match self.live.iter().position(|l| !l) {
@@ -187,8 +129,6 @@ impl<W> Mshr<W> {
         self.live[slot] = true;
         self.waiters[slot].push(waiter);
         self.len += 1;
-        #[cfg(feature = "trace")]
-        self.trace_event("mshr.primary", block);
         MshrOutcome::Primary
     }
 

@@ -1,5 +1,6 @@
 //! The mesh interconnect with bandwidth-reserving links.
 
+use wsg_sim::telemetry::CounterKind;
 use wsg_sim::time::serialization_cycles;
 use wsg_sim::Cycle;
 
@@ -81,29 +82,6 @@ pub struct Mesh {
     total_bytes: u64,
     total_packets: u64,
     total_hop_bytes: u64,
-    #[cfg(feature = "audit")]
-    auditor: Option<wsg_sim::audit::AuditHandle>,
-    #[cfg(feature = "trace")]
-    tracer: Option<wsg_sim::trace::TraceHandle>,
-    #[cfg(feature = "telemetry")]
-    telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
-    #[cfg(feature = "telemetry")]
-    telemetry_base: usize,
-}
-
-/// Encodes a directional link's endpoints into one trace site id (same
-/// packing as the audit link site).
-#[cfg(feature = "trace")]
-fn trace_link_site(from: Coord, to: Coord) -> u64 {
-    ((from.x as u64) << 48) | ((from.y as u64) << 32) | ((to.x as u64) << 16) | to.y as u64
-}
-
-/// Encodes a directional link's endpoints into one audit site id.
-#[cfg(feature = "audit")]
-fn link_site(from: Coord, to: Coord) -> wsg_sim::audit::Site {
-    let id =
-        ((from.x as u64) << 48) | ((from.y as u64) << 32) | ((to.x as u64) << 16) | to.y as u64;
-    wsg_sim::audit::Site::new(wsg_sim::audit::SiteKind::Link, id)
 }
 
 impl Mesh {
@@ -126,72 +104,35 @@ impl Mesh {
             total_bytes: 0,
             total_packets: 0,
             total_hop_bytes: 0,
-            #[cfg(feature = "audit")]
-            auditor: None,
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-            #[cfg(feature = "telemetry")]
-            telemetry_base: 0,
         }
     }
 
-    /// Attaches an auditor observing every link injection and delivery.
-    #[cfg(feature = "audit")]
-    pub fn set_auditor(&mut self, auditor: wsg_sim::audit::AuditHandle) {
-        self.auditor = Some(auditor);
+    /// Visits the telemetry counters of tile `(x, y)` in their fixed order:
+    /// bytes injected on, and busy cycles of, the tile's outgoing links.
+    pub fn tile_counters(&self, x: u16, y: u16, f: &mut dyn FnMut(&'static str, CounterKind, u64)) {
+        let tile = y as usize * self.width as usize + x as usize;
+        let out = &self.links[tile * 4..tile * 4 + 4];
+        f(
+            "mesh.link_bytes",
+            CounterKind::Counter,
+            out.iter().map(|l| l.bytes).sum(),
+        );
+        f(
+            "mesh.link_busy",
+            CounterKind::Counter,
+            out.iter().map(|l| l.busy_cycles).sum(),
+        );
     }
 
-    /// Attaches a tracer recording a span per packet and per link hop.
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(&mut self, tracer: wsg_sim::trace::TraceHandle) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Attaches the telemetry flight recorder, announcing the mesh grid
-    /// and registering two tile-tagged counters per tile — bytes injected
-    /// on and busy cycles of the tile's outgoing links — so link
-    /// utilization can be rendered both as a timeline and as a wafer
-    /// heatmap.
-    #[cfg(feature = "telemetry")]
-    pub fn set_telemetry(&mut self, telemetry: &wsg_sim::telemetry::TelemetryHandle) {
-        use wsg_sim::telemetry::CounterKind::Counter;
-        self.telemetry_base = telemetry.with(|t| {
-            t.set_grid(self.width, self.height);
-            let mut base = 0;
-            for y in 0..self.height {
-                for x in 0..self.width {
-                    let tile = y as u64 * self.width as u64 + x as u64;
-                    let id = t.register("mesh.link_bytes", tile, Some((x, y)), Counter);
-                    t.register("mesh.link_busy", tile, Some((x, y)), Counter);
-                    if tile == 0 {
-                        base = id;
-                    }
-                }
-            }
-            base
-        });
-        self.telemetry = Some(telemetry.clone());
-    }
-
-    /// Publishes per-tile cumulative link traffic into the attached
-    /// recorder (a no-op without one). The engine calls this at each epoch
-    /// boundary.
-    #[cfg(feature = "telemetry")]
-    pub fn publish_telemetry(&self) {
-        if let Some(tel) = &self.telemetry {
-            let base = self.telemetry_base;
-            tel.with(|t| {
-                for tile in 0..self.width as usize * self.height as usize {
-                    let out = &self.links[tile * 4..tile * 4 + 4];
-                    let bytes: u64 = out.iter().map(|l| l.bytes).sum();
-                    let busy: u64 = out.iter().map(|l| l.busy_cycles).sum();
-                    t.set(base + tile * 2, bytes);
-                    t.set(base + tile * 2 + 1, busy);
-                }
-            });
-        }
+    /// Debug-build link conservation check: every byte a route injected
+    /// into a link was delivered over it, so the per-link byte counts add
+    /// up to the bytes×hops total.
+    pub fn check_conservation(&self) {
+        debug_assert_eq!(
+            self.links.iter().map(|l| l.bytes).sum::<u64>(),
+            self.total_hop_bytes,
+            "mesh: link conservation broken (per-link bytes do not add up to bytes x hops)"
+        );
     }
 
     /// Mesh width in tiles.
@@ -255,6 +196,21 @@ impl Mesh {
     ///
     /// Panics if either endpoint is outside the mesh.
     pub fn send(&mut self, from: Coord, to: Coord, bytes: u64, depart: Cycle) -> SendOutcome {
+        self.send_with(from, to, bytes, depart, |_, _, _, _| {})
+    }
+
+    /// [`Mesh::send`], calling `on_hop(from, to, start, dur)` for every link
+    /// the packet crosses: it reached the link at `start` and arrived at
+    /// its far end `dur` cycles later (waiting, serialization and
+    /// traversal).
+    pub fn send_with(
+        &mut self,
+        from: Coord,
+        to: Coord,
+        bytes: u64,
+        depart: Cycle,
+        mut on_hop: impl FnMut(Coord, Coord, Cycle, Cycle),
+    ) -> SendOutcome {
         assert!(self.contains(from), "source {from} outside mesh");
         assert!(self.contains(to), "destination {to} outside mesh");
         if from == to {
@@ -281,12 +237,7 @@ impl Mesh {
             } else {
                 Coord::new(cur.x, if to.y > cur.y { cur.y + 1 } else { cur.y - 1 })
             };
-            let key = (cur, next);
-            #[cfg(feature = "audit")]
-            if let Some(a) = &self.auditor {
-                a.with(|au| au.on_inject(link_site(key.0, key.1), bytes));
-            }
-            let idx = self.link_index(key.0, key.1);
+            let idx = self.link_index(cur, next);
             let link = &mut self.links[idx];
             let start = t.max(link.next_free);
             queueing += start - t;
@@ -297,49 +248,15 @@ impl Mesh {
             self.total_hop_bytes += bytes;
             let hop_depart = t;
             t = start + ser + self.params.latency;
-            #[cfg(feature = "audit")]
-            if let Some(a) = &self.auditor {
-                a.with(|au| au.on_deliver(link_site(key.0, key.1), bytes));
-            }
-            #[cfg(feature = "trace")]
-            if let Some(tr) = &self.tracer {
-                // Per-hop span: waiting for the link plus serialization plus
-                // traversal, on the link's own site.
-                tr.with(|s| {
-                    s.complete(
-                        "noc.hop",
-                        hop_depart,
-                        t - hop_depart,
-                        trace_link_site(key.0, key.1),
-                        bytes,
-                    )
-                });
-            }
-            #[cfg(not(feature = "trace"))]
-            let _ = hop_depart;
+            on_hop(cur, next, hop_depart, t - hop_depart);
             cur = next;
             hops += 1;
         }
-        let out = SendOutcome {
+        SendOutcome {
             arrival: t,
             hops,
             queueing,
-        };
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &self.tracer {
-            // Packet-level span on the source→destination pair, carrying the
-            // hop count so stage summaries can distinguish path lengths.
-            tr.with(|s| {
-                s.complete(
-                    "noc.send",
-                    depart,
-                    out.arrival - depart,
-                    trace_link_site(from, to),
-                    ((out.hops as u64) << 32) | bytes.min(u32::MAX as u64),
-                )
-            });
         }
-        out
     }
 
     /// The zero-load latency of a `bytes`-sized packet between two tiles
@@ -559,5 +476,47 @@ mod tests {
         let far = m.zero_load_latency(Coord::new(0, 0), cpu, 32);
         assert!(far >= 6 * near / 2);
         assert!(far > near);
+    }
+
+    #[test]
+    #[should_panic(expected = "link conservation broken")]
+    #[cfg(debug_assertions)]
+    fn unbalanced_link_breaks_conservation() {
+        let mut m = small();
+        m.send(Coord::new(0, 0), Coord::new(2, 1), 64, 0);
+        m.check_conservation();
+        // Corrupt one link: bytes injected that no route delivered.
+        m.links[0].bytes += 8;
+        m.check_conservation();
+    }
+
+    #[test]
+    fn send_with_reports_every_hop() {
+        let mut m = small();
+        let mut hops = Vec::new();
+        let out = m.send_with(
+            Coord::new(0, 0),
+            Coord::new(1, 1),
+            16,
+            5,
+            |a, b, start, dur| hops.push((a, b, start, dur)),
+        );
+        assert_eq!(
+            hops,
+            vec![
+                (Coord::new(0, 0), Coord::new(1, 0), 5, 12),
+                (Coord::new(1, 0), Coord::new(1, 1), 17, 12),
+            ]
+        );
+        assert_eq!(out.arrival, 29);
+    }
+
+    #[test]
+    fn tile_counters_sum_the_outgoing_links() {
+        let mut m = small();
+        m.send(Coord::new(0, 0), Coord::new(2, 0), 16, 0);
+        let mut seen = Vec::new();
+        m.tile_counters(1, 0, &mut |name, _, v| seen.push((name, v)));
+        assert_eq!(seen, vec![("mesh.link_bytes", 16), ("mesh.link_busy", 2)]);
     }
 }

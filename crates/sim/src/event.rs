@@ -64,8 +64,7 @@ const _: () = assert!(HORIZON.is_power_of_two() && HORIZON.is_multiple_of(64) &&
 ///   order still equals sequence order.
 /// * **Backlog** — a sorted heap for events below `base`. Unreachable in
 ///   debug builds (pushing the past panics); in release builds it preserves
-///   the heap-order delivery of erroneous past pushes, which the attached
-///   auditor reports.
+///   the heap-order delivery of erroneous past pushes.
 ///
 /// # Example
 ///
@@ -105,8 +104,6 @@ pub struct EventQueue<E> {
     seq: u64,
     pushed: u64,
     popped: u64,
-    #[cfg(feature = "audit")]
-    auditor: Option<crate::audit::AuditHandle>,
 }
 
 #[derive(Debug)]
@@ -173,15 +170,7 @@ impl<E> EventQueue<E> {
             seq: 0,
             pushed: 0,
             popped: 0,
-            #[cfg(feature = "audit")]
-            auditor: None,
         }
-    }
-
-    /// Attaches an auditor observing every push and pop.
-    #[cfg(feature = "audit")]
-    pub fn set_auditor(&mut self, auditor: crate::audit::AuditHandle) {
-        self.auditor = Some(auditor);
     }
 
     fn set_bit(&mut self, idx: usize) {
@@ -338,12 +327,6 @@ impl<E> EventQueue<E> {
     ///
     /// Panics in debug builds if `time` is earlier than the current time.
     pub fn push(&mut self, time: Cycle, payload: E) {
-        // The auditor sees the violation even in release builds, where the
-        // debug_assert below compiles out.
-        #[cfg(feature = "audit")]
-        if let Some(a) = &self.auditor {
-            a.with(|au| au.on_push(self.now, time));
-        }
         debug_assert!(
             time >= self.now,
             "event scheduled in the past: {} < {}",
@@ -370,17 +353,11 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics in debug builds if `now + delay` overflows the cycle counter.
-    /// Release builds report the overflow through
-    /// `audit::Audit::on_delay_overflow` (when auditing is enabled) and
-    /// clamp the event to `Cycle::MAX`.
+    /// Release builds clamp the event to `Cycle::MAX`.
     pub fn push_after(&mut self, delay: Cycle, payload: E) {
         match self.now.checked_add(delay) {
             Some(time) => self.push(time, payload),
             None => {
-                #[cfg(feature = "audit")]
-                if let Some(a) = &self.auditor {
-                    a.with(|au| au.on_delay_overflow(self.now, delay));
-                }
                 if cfg!(debug_assertions) {
                     panic!(
                         "push_after delay overflow: {} + {} wraps the cycle counter",
@@ -407,10 +384,6 @@ impl<E> EventQueue<E> {
         } else {
             return None;
         };
-        #[cfg(feature = "audit")]
-        if let Some(a) = &self.auditor {
-            a.with(|au| au.on_pop(self.now, time));
-        }
         debug_assert!(time >= self.now, "time ran backwards");
         self.now = time;
         self.popped += 1;
@@ -427,9 +400,7 @@ impl<E> EventQueue<E> {
     /// stream as a sequence of `pop` calls — including events pushed *between*
     /// batches at the just-drained timestamp, which land in the (re-based)
     /// ring bucket and come out in the next batch, after the current one,
-    /// exactly where their higher sequence numbers place them. The attached
-    /// auditor observes the same per-event `on_pop(prev, time)` arguments as
-    /// under per-pop delivery. Batching amortizes the occupancy-bitmap scan,
+    /// exactly where their higher sequence numbers place them. Batching amortizes the occupancy-bitmap scan,
     /// base advance and `now` update over the bucket.
     ///
     /// A bucket holds exactly one timestamp, so the batch never spans
@@ -495,17 +466,6 @@ impl<E> EventQueue<E> {
             return 0;
         };
         let n = out.len() - start;
-        #[cfg(feature = "audit")]
-        if let Some(a) = &self.auditor {
-            // Per-event hook parity with `pop`: the first event advances the
-            // clock from the previous `now`, the rest observe `time == prev`.
-            a.with(|au| {
-                au.on_pop(self.now, time);
-                for _ in 1..n {
-                    au.on_pop(time, time);
-                }
-            });
-        }
         debug_assert!(time >= self.now, "time ran backwards");
         self.now = time;
         self.popped += n as u64;
@@ -676,6 +636,17 @@ mod tests {
         q.push(10, ());
         q.pop();
         q.push_after(Cycle::MAX, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "time ran backwards")]
+    #[cfg(debug_assertions)]
+    fn pop_behind_a_corrupted_clock_panics() {
+        let mut q = EventQueue::new();
+        q.push(25, ());
+        // Corrupt the clock past the pending event.
+        q.now = 30;
+        q.pop();
     }
 
     #[test]
@@ -903,81 +874,5 @@ mod tests {
         assert_eq!(q.buckets[2].as_ptr(), spare);
         assert_eq!(q.drain_bucket(&mut out), 1);
         assert_eq!(out.as_ptr(), spare);
-    }
-
-    #[cfg(feature = "audit")]
-    #[test]
-    fn drain_bucket_reports_per_event_pops_to_the_auditor() {
-        use crate::audit::{Audit, AuditHandle};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        #[derive(Default)]
-        struct PopLog(Vec<(Cycle, Cycle)>);
-        impl Audit for PopLog {
-            fn on_pop(&mut self, prev: Cycle, time: Cycle) {
-                self.0.push((prev, time));
-            }
-        }
-
-        let log = Rc::new(RefCell::new(PopLog::default()));
-        let mut q = EventQueue::new();
-        q.set_auditor(AuditHandle::of(&log));
-        q.push(4, ());
-        q.push(9, ());
-        q.push(9, ());
-        let mut out = Vec::new();
-        q.drain_bucket(&mut out);
-        out.clear();
-        q.drain_bucket(&mut out);
-        // Exactly what three pops would have reported.
-        assert_eq!(log.borrow().0, vec![(0, 4), (4, 9), (9, 9)]);
-    }
-
-    #[cfg(feature = "audit")]
-    #[test]
-    fn auditor_sees_past_push_in_any_profile() {
-        use crate::audit::{AuditHandle, ConservationAuditor};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        let auditor = Rc::new(RefCell::new(ConservationAuditor::new()));
-        let mut q = EventQueue::new();
-        q.set_auditor(AuditHandle::of(&auditor));
-        q.push(10, ());
-        q.pop();
-        // Swallow the debug panic so the hook's observation is testable in
-        // both profiles.
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            q.push(5, ());
-        }));
-        if cfg!(debug_assertions) {
-            assert!(r.is_err());
-        }
-        assert_eq!(auditor.borrow().total_violations(), 1);
-    }
-
-    #[cfg(feature = "audit")]
-    #[test]
-    fn push_after_overflow_reports_to_auditor() {
-        use crate::audit::{AuditHandle, ConservationAuditor};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        let auditor = Rc::new(RefCell::new(ConservationAuditor::new()));
-        let mut q = EventQueue::new();
-        q.set_auditor(AuditHandle::of(&auditor));
-        q.push(10, ());
-        q.pop();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            q.push_after(Cycle::MAX, ());
-        }));
-        if cfg!(debug_assertions) {
-            assert!(r.is_err());
-        } else {
-            // Release builds clamp and keep going; the event still delivers.
-            assert_eq!(q.pop(), Some((Cycle::MAX, ())));
-        }
-        assert_eq!(auditor.borrow().total_violations(), 1);
     }
 }

@@ -18,6 +18,10 @@
 //!   the paper.
 //! * [`SimRng`] — a seeded, reproducible random number generator used by the
 //!   workload generators.
+//! * The [`observe`] module — the engine's one observation interface
+//!   ([`observe::Observer`]), implemented by the request-lifecycle
+//!   [`trace::TraceSink`] and the epoch-sampled
+//!   [`telemetry::TelemetrySink`].
 //! * The [`pool`] module — a scoped worker pool for fanning independent,
 //!   fully seeded simulations across threads without sacrificing
 //!   reproducibility (results come back in input order).
@@ -38,22 +42,20 @@
 //! assert_eq!(q.now(), 5);
 //! ```
 
-#[cfg(feature = "audit")]
-pub mod audit;
 pub mod event;
 pub mod index;
+pub mod observe;
 pub mod pool;
 pub mod rng;
 pub mod server;
 pub mod stats;
-#[cfg(feature = "telemetry")]
 pub mod telemetry;
 pub mod time;
-#[cfg(feature = "trace")]
 pub mod trace;
 
 pub use event::EventQueue;
 pub use index::HashIndex;
+pub use observe::Observer;
 pub use rng::SimRng;
 pub use server::ServerPool;
 pub use time::Cycle;

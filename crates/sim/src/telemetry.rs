@@ -1,22 +1,19 @@
-//! Deterministic, epoch-sampled counter registry (feature `telemetry`).
+//! Deterministic, epoch-sampled counter registry.
 //!
-//! A [`TelemetrySink`] is a "flight recorder" for the simulator: model
-//! structures register named counters and gauges once at attach time, the
-//! engine *publishes* current values and *samples* the registry every
-//! `interval` cycles of simulated time, and each counter accumulates into a
-//! [`TimeSeries`] with one sample per epoch. Structures hold an
-//! `Option<TelemetryHandle>` exactly like the `audit` and `trace` features'
-//! optional handles (lint rule d5), so a build without the feature — or a
-//! run that never attaches a sink — pays nothing and simulates identically.
+//! A [`TelemetrySink`] is a "flight recorder" for the simulator. It is an
+//! [`Observer`]: at every `interval` cycles of simulated time the engine
+//! hands it a [`CounterSource`] walk over every structure's lifetime
+//! counters, and each counter accumulates into a [`TimeSeries`] with one
+//! sample per epoch. A plain run (observer `()`) pays nothing and simulates
+//! identically.
 //!
 //! # Pull model
 //!
 //! Telemetry never rides the hot path. Components keep the lifetime
 //! counters they already maintain (hits, misses, occupancy, …); at each
-//! epoch boundary the engine calls every component's `publish_telemetry`,
-//! which writes the *current cumulative* values into the registry with
-//! [`TelemetrySink::set`], then [`TelemetrySink::sample_up_to`] folds them
-//! into per-epoch windows:
+//! epoch boundary the sink reads their *current cumulative* values (the
+//! first walk registers them, in walk order), then
+//! [`TelemetrySink::sample_up_to`] folds them into per-epoch windows:
 //!
 //! * [`CounterKind::Counter`] records the **delta** since the previous
 //!   epoch (activity per epoch; gap epochs record 0).
@@ -28,39 +25,31 @@
 //! configuration produce byte-identical exports, independent of host,
 //! `--jobs`, or whether request tracing is also enabled.
 //!
-//! # Determinism contract (DESIGN.md §12)
+//! # Determinism contract (DESIGN.md §10)
 //!
 //! * Hooks are purely observational: they never influence event ordering,
 //!   timing, or any simulated state.
 //! * `Metrics::to_deterministic_string` is byte-identical with telemetry on
-//!   and off (`ci.sh` gates this).
+//!   and off (`tests/telemetry_determinism.rs`).
 //! * Exports iterate `Vec`s in registration order — no hash maps anywhere
 //!   in this module (lint rule d6 needs no exemption here).
 //!
 //! # Example
 //!
 //! ```
-//! use wsg_sim::telemetry::{CounterKind, TelemetryHandle, TelemetrySink};
+//! use wsg_sim::telemetry::{CounterKind, TelemetrySink};
 //!
-//! let sink = TelemetrySink::shared(100);
-//! let handle = TelemetryHandle::of(&sink);
-//! let hits = handle.with(|t| t.register("tlb.hits", 3, None, CounterKind::Counter));
-//! handle.with(|t| {
-//!     t.set(hits, 7);      // published cumulative value
-//!     t.sample_up_to(250); // epochs [0,100) and [100,200) elapsed
-//! });
-//! let sink = sink.borrow();
+//! let mut sink = TelemetrySink::new(100);
+//! let hits = sink.register("tlb.hits", 3, None, CounterKind::Counter);
+//! sink.set(hits, 7);      // published cumulative value
+//! sink.sample_up_to(250); // epochs [0,100) and [100,200) elapsed
 //! assert_eq!(sink.series(hits).windows().count(), 2);
 //! assert!(sink.to_csv().contains("tlb.hits"));
 //! ```
 
-// lint:allow-module(shared-mut): this sink is the sanctioned shared-state
-// boundary — handles are Rc<RefCell<..>> by design (DESIGN.md §13), and
-// model structures only ever hold the Option<TelemetryHandle> defined here.
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
+use crate::observe::{CounterSource, Observer};
 use crate::stats::TimeSeries;
 use crate::time::Cycle;
 
@@ -79,7 +68,7 @@ pub enum CounterKind {
 pub struct CounterDef {
     /// Static metric name (e.g. `"tlb.hits"`); must be JSON-safe.
     pub name: &'static str,
-    /// Structure instance id (same numbering as the audit/trace sites).
+    /// Structure instance id (the engine's site numbering).
     pub site: u64,
     /// Wafer tile the metric belongs to, if spatially attributable; tagged
     /// metrics feed the [`Heatmap`] export.
@@ -154,18 +143,13 @@ impl TelemetrySink {
         }
     }
 
-    /// An empty registry ready to be shared with [`TelemetryHandle::of`].
-    pub fn shared(interval: Cycle) -> Rc<RefCell<Self>> {
-        Rc::new(RefCell::new(Self::new(interval)))
-    }
-
     /// Sampling interval in cycles.
     pub fn interval(&self) -> Cycle {
         self.interval
     }
 
     /// The simulated time at which the next unsampled epoch ends — the
-    /// engine publishes and samples once event time reaches this boundary.
+    /// engine hands over its counters once event time reaches this boundary.
     pub fn next_sample_at(&self) -> Cycle {
         (self.epochs + 1) * self.interval
     }
@@ -410,29 +394,41 @@ impl TelemetrySink {
     }
 }
 
-/// A cloneable, shared handle to a [`TelemetrySink`], mirroring the trace
-/// feature's `TraceHandle`. Model structures store
-/// `Option<TelemetryHandle>` (the sanctioned optional-handle pattern,
-/// enforced by xtask lint rule d5) and publish through
-/// [`TelemetryHandle::with`].
-#[derive(Debug, Clone)]
-pub struct TelemetryHandle(Rc<RefCell<TelemetrySink>>);
+impl TelemetrySink {
+    /// Reads every counter of `src` into the registry. The first walk
+    /// announces the grid and registers the counters in walk order; later
+    /// walks visit them in that same order.
+    fn publish(&mut self, src: &dyn CounterSource) {
+        if self.defs.is_empty() {
+            let (width, height) = src.grid();
+            self.set_grid(width, height);
+            src.visit(&mut |def, value| {
+                let id = self.register(def.name, def.site, def.tile, def.kind);
+                self.set(id, value);
+            });
+        } else {
+            let mut id = 0;
+            src.visit(&mut |_, value| {
+                self.set(id, value);
+                id += 1;
+            });
+        }
+    }
+}
 
-impl TelemetryHandle {
-    /// Wraps a fresh sink.
-    pub fn new(sink: TelemetrySink) -> Self {
-        Self(Rc::new(RefCell::new(sink)))
+impl Observer for TelemetrySink {
+    fn next_epoch(&self) -> Cycle {
+        self.next_sample_at()
     }
 
-    /// Shares an existing sink, so the caller keeps access to the recorded
-    /// samples after the simulation is done with the handle.
-    pub fn of(sink: &Rc<RefCell<TelemetrySink>>) -> Self {
-        Self(Rc::clone(sink))
+    fn epoch(&mut self, now: Cycle, counters: &dyn CounterSource) {
+        self.publish(counters);
+        self.sample_up_to(now);
     }
 
-    /// Runs `f` with mutable access to the sink.
-    pub fn with<R>(&self, f: impl FnOnce(&mut TelemetrySink) -> R) -> R {
-        f(&mut self.0.borrow_mut())
+    fn finish(&mut self, end: Cycle, counters: &dyn CounterSource) {
+        self.publish(counters);
+        self.finalize(end);
     }
 }
 
@@ -565,13 +561,39 @@ mod tests {
         assert!(s.heatmap().is_none());
     }
 
+    struct Fake(u64);
+
+    impl CounterSource for Fake {
+        fn grid(&self) -> (u16, u16) {
+            (2, 1)
+        }
+
+        fn visit(&self, f: &mut dyn FnMut(CounterDef, u64)) {
+            let def = |name, tile, kind| CounterDef {
+                name,
+                site: 5,
+                tile,
+                kind,
+            };
+            f(def("hits", Some((1, 0)), CounterKind::Counter), self.0);
+            f(def("occ", None, CounterKind::Gauge), self.0 * 2);
+        }
+    }
+
     #[test]
-    fn handle_shares_one_sink() {
-        let sink = TelemetrySink::shared(10);
-        let a = TelemetryHandle::of(&sink);
-        let b = a.clone();
-        let id = a.with(|t| t.register("x", 0, None, CounterKind::Gauge));
-        b.with(|t| t.set(id, 42));
-        assert_eq!(sink.borrow().values[id], 42);
+    fn observer_registers_on_the_first_walk_and_updates_in_order() {
+        let mut s = TelemetrySink::new(10);
+        assert_eq!(s.next_epoch(), 10);
+        s.epoch(10, &Fake(3));
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.next_epoch(), 20);
+        s.finish(25, &Fake(5));
+        assert_eq!(s.len(), 2);
+        let hits: Vec<u64> = s.series(0).windows().map(|w| w.sum).collect();
+        let occ: Vec<u64> = s.series(1).windows().map(|w| w.sum).collect();
+        assert_eq!(hits, vec![3, 2, 0]);
+        assert_eq!(occ, vec![6, 10, 10]);
+        let hm = s.heatmap().expect("grid announced by the first walk");
+        assert_eq!(hm.metrics, vec![("hits", vec![0, 5])]);
     }
 }

@@ -1,12 +1,11 @@
-//! Structured, deterministic request-lifecycle tracing (feature `trace`).
+//! Structured, deterministic request-lifecycle tracing.
 //!
 //! A [`TraceSink`] records cycle-stamped span events for each translation
 //! request's journey through the simulator: issue, L1/L2 TLB probes, cuckoo
 //! filter checks, local walks, per-hop NoC timing, and the remote
-//! peer-cache / redirection / IOMMU resolution path. Model structures hold
-//! an `Option<TraceHandle>` exactly like the `audit` feature's optional
-//! auditor handle (see `audit.rs`), so a build without the feature — or a
-//! run that never attaches a sink — pays nothing and simulates identically.
+//! peer-cache / redirection / IOMMU resolution path. It is an
+//! [`Observer`]: a simulation that owns one gets every hook, and a plain
+//! run (observer `()`) pays nothing and simulates identically.
 //!
 //! # Determinism contract (DESIGN.md §10)
 //!
@@ -22,28 +21,20 @@
 //! # Example
 //!
 //! ```
-//! use wsg_sim::trace::{TraceHandle, TraceSink};
+//! use wsg_sim::trace::TraceSink;
 //!
-//! let sink = TraceSink::shared();
-//! let handle = TraceHandle::of(&sink);
-//! handle.with(|s| {
-//!     s.set_context(100, 7);
-//!     s.instant("tlb.miss", 3, 0x42);
-//!     s.complete("remote", 100, 250, 3, 0);
-//! });
-//! let sink = sink.borrow();
+//! let mut sink = TraceSink::new();
+//! sink.set_context(100, 7);
+//! sink.instant("tlb.miss", 3, 0x42);
+//! sink.complete("remote", 100, 250, 3, 0);
 //! assert_eq!(sink.len(), 2);
 //! assert!(sink.to_chrome_json().contains("\"name\":\"remote\""));
 //! ```
 
-// lint:allow-module(shared-mut): this sink is the sanctioned shared-state
-// boundary — handles are Rc<RefCell<..>> by design (DESIGN.md §13), and
-// model structures only ever hold the Option<TraceHandle> defined here.
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
+use crate::observe::Observer;
 use crate::time::Cycle;
 
 /// Sentinel request id for events not attributable to a single request.
@@ -71,7 +62,7 @@ pub struct TraceEvent {
     pub dur: Cycle,
     /// Request id, or [`NO_REQ`].
     pub req: u64,
-    /// Structure instance id (same numbering as the audit sites).
+    /// Structure instance id (the engine's site numbering).
     pub site: u64,
     /// Stage-specific payload (VPN, bytes, hop count, …).
     pub arg: u64,
@@ -140,10 +131,9 @@ impl StageStats {
 /// Collects trace events for one simulation run.
 ///
 /// The engine stamps a *context* — the current cycle and request id — at
-/// each event dispatch; leaf structures (TLBs, filters, walker pools, MSHRs)
-/// then emit [`TraceSink::instant`] events without needing either value
-/// threaded through their APIs. Span emitters with exact interval knowledge
-/// (the engine, the mesh, HBM) use [`TraceSink::complete`] directly.
+/// each event dispatch; point events ([`TraceSink::instant`]) are recorded
+/// against it, and spans with exact interval knowledge use
+/// [`TraceSink::complete`].
 #[derive(Debug, Clone, Default)]
 pub struct TraceSink {
     events: Vec<TraceEvent>,
@@ -159,11 +149,6 @@ impl TraceSink {
             now: 0,
             req: NO_REQ,
         }
-    }
-
-    /// An empty sink ready to be shared with [`TraceHandle::of`].
-    pub fn shared() -> Rc<RefCell<Self>> {
-        Rc::new(RefCell::new(Self::new()))
     }
 
     /// Sets the current `(cycle, request)` context used to stamp instants.
@@ -285,28 +270,21 @@ impl TraceSink {
     }
 }
 
-/// A cloneable, shared handle to a [`TraceSink`], mirroring the audit
-/// feature's `AuditHandle`. Model structures store `Option<TraceHandle>`
-/// (the sanctioned optional-handle pattern, enforced by xtask lint rule d5)
-/// and emit through [`TraceHandle::with`].
-#[derive(Debug, Clone)]
-pub struct TraceHandle(Rc<RefCell<TraceSink>>);
-
-impl TraceHandle {
-    /// Wraps a fresh sink.
-    pub fn new(sink: TraceSink) -> Self {
-        Self(Rc::new(RefCell::new(sink)))
+impl Observer for TraceSink {
+    fn context(&mut self, now: Cycle, req: u64) {
+        self.set_context(now, req);
     }
 
-    /// Shares an existing sink, so the caller keeps access to the recorded
-    /// events after the simulation is done with the handle.
-    pub fn of(sink: &Rc<RefCell<TraceSink>>) -> Self {
-        Self(Rc::clone(sink))
+    fn instant(&mut self, stage: &'static str, site: u64, arg: u64) {
+        TraceSink::instant(self, stage, site, arg);
     }
 
-    /// Runs `f` with mutable access to the sink.
-    pub fn with<R>(&self, f: impl FnOnce(&mut TraceSink) -> R) -> R {
-        f(&mut self.0.borrow_mut())
+    fn complete(&mut self, stage: &'static str, start: Cycle, dur: Cycle, site: u64, arg: u64) {
+        TraceSink::complete(self, stage, start, dur, site, arg);
+    }
+
+    fn hop(&mut self, site: u64, start: Cycle, dur: Cycle, bytes: u64) {
+        TraceSink::complete(self, "noc.hop", start, dur, site, bytes);
     }
 }
 
@@ -416,15 +394,5 @@ mod tests {
             Some("remote,2,400,200.00,100,300,300,100,300")
         );
         assert_eq!(lines.next(), Some("walk,1,10,10.00,10,10,10,10,10"));
-    }
-
-    #[test]
-    fn handle_shares_one_sink() {
-        let sink = TraceSink::shared();
-        let a = TraceHandle::of(&sink);
-        let b = a.clone();
-        a.with(|s| s.instant("issue", 0, 0));
-        b.with(|s| s.instant("issue", 0, 1));
-        assert_eq!(sink.borrow().len(), 2);
     }
 }

@@ -11,6 +11,8 @@
 //! local walk entirely; a false positive costs a wasted local walk before
 //! the request is forwarded to the IOMMU.
 
+use wsg_sim::telemetry::CounterKind;
+
 /// Fingerprint width: 16 bits keeps the false-positive rate around
 /// `2·4/2^16 ≈ 0.012 %` at high load, matching the "low false-positive
 /// rates even at high capacity" the paper relies on.
@@ -44,14 +46,6 @@ pub struct CuckooFilter {
     bucket_mask: u64,
     len: usize,
     kicks: u64,
-    #[cfg(feature = "trace")]
-    tracer: Option<wsg_sim::trace::TraceHandle>,
-    #[cfg(feature = "trace")]
-    trace_site: u64,
-    #[cfg(feature = "telemetry")]
-    telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
-    #[cfg(feature = "telemetry")]
-    telemetry_base: usize,
 }
 
 impl CuckooFilter {
@@ -70,56 +64,13 @@ impl CuckooFilter {
             bucket_mask: num_buckets as u64 - 1,
             len: 0,
             kicks: 0,
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "trace")]
-            trace_site: 0,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-            #[cfg(feature = "telemetry")]
-            telemetry_base: 0,
         }
     }
 
-    /// Attaches a tracer recording membership-test outcomes under instance
-    /// id `site`.
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(&mut self, tracer: wsg_sim::trace::TraceHandle, site: u64) {
-        self.tracer = Some(tracer);
-        self.trace_site = site;
-    }
-
-    /// Attaches the telemetry flight recorder, registering this filter's
-    /// occupancy and relocation metrics under instance id `site`
-    /// (optionally tagged with a wafer tile for heatmap exports).
-    #[cfg(feature = "telemetry")]
-    pub fn set_telemetry(
-        &mut self,
-        telemetry: &wsg_sim::telemetry::TelemetryHandle,
-        site: u64,
-        tile: Option<(u16, u16)>,
-    ) {
-        use wsg_sim::telemetry::CounterKind::{Counter, Gauge};
-        self.telemetry_base = telemetry.with(|t| {
-            let base = t.register("cuckoo.occupancy", site, tile, Gauge);
-            t.register("cuckoo.kicks", site, tile, Counter);
-            base
-        });
-        self.telemetry = Some(telemetry.clone());
-    }
-
-    /// Publishes current occupancy and cumulative kick counts into the
-    /// attached recorder (a no-op without one). The engine calls this at
-    /// each epoch boundary.
-    #[cfg(feature = "telemetry")]
-    pub fn publish_telemetry(&self) {
-        if let Some(tel) = &self.telemetry {
-            let base = self.telemetry_base;
-            tel.with(|t| {
-                t.set(base, self.len as u64);
-                t.set(base + 1, self.kicks);
-            });
-        }
+    /// Visits this filter's telemetry counters in their fixed order.
+    pub fn counters(&self, f: &mut dyn FnMut(&'static str, CounterKind, u64)) {
+        f("cuckoo.occupancy", CounterKind::Gauge, self.len as u64);
+        f("cuckoo.kicks", CounterKind::Counter, self.kicks);
     }
 
     fn fingerprint(key: u64) -> Fingerprint {
@@ -188,13 +139,7 @@ impl CuckooFilter {
         let fp = Self::fingerprint(key);
         let i1 = self.index1(key);
         let i2 = self.index2(i1, fp);
-        let hit = self.buckets[i1].contains(&fp) || self.buckets[i2].contains(&fp);
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &self.tracer {
-            let stage = if hit { "cuckoo.hit" } else { "cuckoo.miss" };
-            tr.with(|s| s.instant(stage, self.trace_site, key));
-        }
-        hit
+        self.buckets[i1].contains(&fp) || self.buckets[i2].contains(&fp)
     }
 
     /// Removes one copy of `key`'s fingerprint. Returns whether a

@@ -1,5 +1,6 @@
 //! The IOMMU-side redirection table (§IV-F).
 
+use wsg_sim::telemetry::CounterKind;
 use wsg_sim::HashIndex;
 
 use crate::addr::Vpn;
@@ -54,18 +55,6 @@ pub struct RedirectionTable {
     tail: usize,
     hits: u64,
     misses: u64,
-    #[cfg(feature = "audit")]
-    auditor: Option<wsg_sim::audit::AuditHandle>,
-    #[cfg(feature = "audit")]
-    audit_site: u64,
-    #[cfg(feature = "trace")]
-    tracer: Option<wsg_sim::trace::TraceHandle>,
-    #[cfg(feature = "trace")]
-    trace_site: u64,
-    #[cfg(feature = "telemetry")]
-    telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
-    #[cfg(feature = "telemetry")]
-    telemetry_base: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -93,94 +82,32 @@ impl RedirectionTable {
             tail: NIL,
             hits: 0,
             misses: 0,
-            #[cfg(feature = "audit")]
-            auditor: None,
-            #[cfg(feature = "audit")]
-            audit_site: 0,
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "trace")]
-            trace_site: 0,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-            #[cfg(feature = "telemetry")]
-            telemetry_base: 0,
         }
     }
 
-    /// Attaches an auditor observing entry creation and removal under
-    /// instance id `site`.
-    #[cfg(feature = "audit")]
-    pub fn set_auditor(&mut self, auditor: wsg_sim::audit::AuditHandle, site: u64) {
-        self.auditor = Some(auditor);
-        self.audit_site = site;
+    /// Visits this table's telemetry counters in their fixed order.
+    pub fn counters(&self, f: &mut dyn FnMut(&'static str, CounterKind, u64)) {
+        f("redir.hits", CounterKind::Counter, self.hits);
+        f("redir.misses", CounterKind::Counter, self.misses);
+        f("redir.occupancy", CounterKind::Gauge, self.len() as u64);
     }
 
-    /// Attaches a tracer recording lookup outcomes and insertions under
-    /// instance id `site`.
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(&mut self, tracer: wsg_sim::trace::TraceHandle, site: u64) {
-        self.tracer = Some(tracer);
-        self.trace_site = site;
-    }
-
-    /// Attaches the telemetry flight recorder, registering this table's
-    /// lookup and occupancy metrics under instance id `site` (optionally
-    /// tagged with a wafer tile for heatmap exports).
-    #[cfg(feature = "telemetry")]
-    pub fn set_telemetry(
-        &mut self,
-        telemetry: &wsg_sim::telemetry::TelemetryHandle,
-        site: u64,
-        tile: Option<(u16, u16)>,
-    ) {
-        use wsg_sim::telemetry::CounterKind::{Counter, Gauge};
-        self.telemetry_base = telemetry.with(|t| {
-            let base = t.register("redir.hits", site, tile, Counter);
-            t.register("redir.misses", site, tile, Counter);
-            t.register("redir.occupancy", site, tile, Gauge);
-            base
-        });
-        self.telemetry = Some(telemetry.clone());
-    }
-
-    /// Publishes current cumulative counters into the attached recorder (a
-    /// no-op without one). The engine calls this at each epoch boundary.
-    #[cfg(feature = "telemetry")]
-    pub fn publish_telemetry(&self) {
-        if let Some(tel) = &self.telemetry {
-            let base = self.telemetry_base;
-            tel.with(|t| {
-                t.set(base, self.hits());
-                t.set(base + 1, self.misses());
-                t.set(base + 2, self.len() as u64);
-            });
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    fn trace_event(&self, stage: &'static str, vpn: Vpn) {
-        if let Some(tr) = &self.tracer {
-            tr.with(|s| s.instant(stage, self.trace_site, vpn.0));
-        }
-    }
-
-    #[cfg(feature = "audit")]
-    fn audit_fill(&self) {
-        if let Some(a) = &self.auditor {
-            let site =
-                wsg_sim::audit::Site::new(wsg_sim::audit::SiteKind::Redirection, self.audit_site);
-            a.with(|au| au.on_fill(site, self.index.len(), self.capacity));
-        }
-    }
-
-    #[cfg(feature = "audit")]
-    fn audit_evict(&self) {
-        if let Some(a) = &self.auditor {
-            let site =
-                wsg_sim::audit::Site::new(wsg_sim::audit::SiteKind::Redirection, self.audit_site);
-            a.with(|au| au.on_evict(site, self.index.len()));
-        }
+    /// Debug-build conservation check after an entry was created or
+    /// removed: every live arena node is indexed exactly once, and the
+    /// table stays within capacity.
+    #[inline]
+    fn check_entries(&self) {
+        debug_assert!(
+            self.index.len() <= self.capacity,
+            "redirection table: occupancy {} exceeds capacity {}",
+            self.index.len(),
+            self.capacity
+        );
+        debug_assert_eq!(
+            self.arena.len() - self.free.len(),
+            self.index.len(),
+            "redirection table: live nodes diverged from the index (entries lost or duplicated)"
+        );
     }
 
     /// Detaches node `i` from the recency list (it keeps its arena slot).
@@ -235,8 +162,7 @@ impl RedirectionTable {
         };
         self.index.insert(vpn.0, i);
         self.push_front(i);
-        #[cfg(feature = "audit")]
-        self.audit_fill();
+        self.check_entries();
     }
 
     /// Removes the least-recently-used entry.
@@ -248,8 +174,7 @@ impl RedirectionTable {
         self.unlink(i);
         self.index.remove(self.arena[i].vpn.0);
         self.free.push(i);
-        #[cfg(feature = "audit")]
-        self.audit_evict();
+        self.check_entries();
     }
 
     /// Records that `gpm` now holds the translation for `vpn`, evicting the
@@ -259,8 +184,6 @@ impl RedirectionTable {
             self.evict_lru();
         }
         self.touch(vpn, gpm);
-        #[cfg(feature = "trace")]
-        self.trace_event("redir.insert", vpn);
     }
 
     /// Looks up `vpn`, refreshing its LRU position on hit. Returns the
@@ -270,14 +193,10 @@ impl RedirectionTable {
             Some(gpm) => {
                 self.hits += 1;
                 self.touch(vpn, gpm);
-                #[cfg(feature = "trace")]
-                self.trace_event("redir.hit", vpn);
                 Some(gpm)
             }
             None => {
                 self.misses += 1;
-                #[cfg(feature = "trace")]
-                self.trace_event("redir.miss", vpn);
                 None
             }
         }
@@ -295,8 +214,7 @@ impl RedirectionTable {
             Some(i) => {
                 self.unlink(i);
                 self.free.push(i);
-                #[cfg(feature = "audit")]
-                self.audit_evict();
+                self.check_entries();
                 true
             }
             None => false,
@@ -448,6 +366,48 @@ mod tests {
             rt.arena.len() <= rt.capacity(),
             "freed slots must recycle, arena has {}",
             rt.arena.len()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds capacity")]
+    #[cfg(debug_assertions)]
+    fn over_capacity_fill_is_caught() {
+        let mut rt = RedirectionTable::new(4);
+        for v in 0..3 {
+            rt.insert(Vpn(v), 0);
+        }
+        // Corrupt the bound below the live entries.
+        rt.capacity = 1;
+        rt.insert(Vpn(9), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "entries lost or duplicated")]
+    #[cfg(debug_assertions)]
+    fn lost_entry_is_caught_at_the_next_fill() {
+        let mut rt = RedirectionTable::new(4);
+        rt.insert(Vpn(1), 0);
+        // Corrupt the index: a live node loses its entry.
+        rt.index.remove(1);
+        rt.insert(Vpn(2), 0);
+    }
+
+    #[test]
+    fn counters_visit_in_registration_order() {
+        let mut rt = RedirectionTable::new(4);
+        rt.insert(Vpn(1), 0);
+        rt.lookup(Vpn(1));
+        rt.lookup(Vpn(2));
+        let mut seen = Vec::new();
+        rt.counters(&mut |name, _, v| seen.push((name, v)));
+        assert_eq!(
+            seen,
+            vec![
+                ("redir.hits", 1),
+                ("redir.misses", 1),
+                ("redir.occupancy", 1)
+            ]
         );
     }
 }

@@ -1,5 +1,6 @@
 //! Set-associative translation lookaside buffers.
 
+use wsg_sim::telemetry::CounterKind;
 use wsg_sim::Cycle;
 
 use crate::addr::{Pfn, Vpn};
@@ -92,22 +93,13 @@ pub struct Tlb {
     /// delivery attribution — Fig 16's "proactive" category and the
     /// prefetch-accuracy statistic).
     prefetched: Vec<u64>,
+    /// Valid entries, counted from fills and evictions; debug builds check
+    /// it against the valid planes at every fill and eviction.
+    len: usize,
     tick: u64,
     hits: u64,
     misses: u64,
     prefetched_hits: u64,
-    #[cfg(feature = "audit")]
-    auditor: Option<wsg_sim::audit::AuditHandle>,
-    #[cfg(feature = "audit")]
-    audit_site: u64,
-    #[cfg(feature = "trace")]
-    tracer: Option<wsg_sim::trace::TraceHandle>,
-    #[cfg(feature = "trace")]
-    trace_site: u64,
-    #[cfg(feature = "telemetry")]
-    telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
-    #[cfg(feature = "telemetry")]
-    telemetry_base: usize,
 }
 
 impl Tlb {
@@ -129,95 +121,40 @@ impl Tlb {
             stamps: vec![0; cfg.entries()],
             valid: vec![0; cfg.sets],
             prefetched: vec![0; cfg.sets],
+            len: 0,
             tick: 0,
             hits: 0,
             misses: 0,
             prefetched_hits: 0,
-            #[cfg(feature = "audit")]
-            auditor: None,
-            #[cfg(feature = "audit")]
-            audit_site: 0,
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "trace")]
-            trace_site: 0,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-            #[cfg(feature = "telemetry")]
-            telemetry_base: 0,
         }
     }
 
-    /// Attaches an auditor observing fills and evictions under instance id
-    /// `site`.
-    #[cfg(feature = "audit")]
-    pub fn set_auditor(&mut self, auditor: wsg_sim::audit::AuditHandle, site: u64) {
-        self.auditor = Some(auditor);
-        self.audit_site = site;
+    /// Visits this TLB's telemetry counters in their fixed order.
+    pub fn counters(&self, f: &mut dyn FnMut(&'static str, CounterKind, u64)) {
+        f("tlb.hits", CounterKind::Counter, self.hits);
+        f("tlb.misses", CounterKind::Counter, self.misses);
+        f("tlb.occupancy", CounterKind::Gauge, self.len as u64);
     }
 
-    /// Attaches a tracer recording lookup outcomes under instance id `site`.
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(&mut self, tracer: wsg_sim::trace::TraceHandle, site: u64) {
-        self.tracer = Some(tracer);
-        self.trace_site = site;
-    }
-
-    /// Attaches the telemetry flight recorder, registering this TLB's
-    /// counters under instance id `site` (optionally tagged with a wafer
-    /// tile for heatmap exports).
-    #[cfg(feature = "telemetry")]
-    pub fn set_telemetry(
-        &mut self,
-        telemetry: &wsg_sim::telemetry::TelemetryHandle,
-        site: u64,
-        tile: Option<(u16, u16)>,
-    ) {
-        use wsg_sim::telemetry::CounterKind::{Counter, Gauge};
-        self.telemetry_base = telemetry.with(|t| {
-            let base = t.register("tlb.hits", site, tile, Counter);
-            t.register("tlb.misses", site, tile, Counter);
-            t.register("tlb.occupancy", site, tile, Gauge);
-            base
-        });
-        self.telemetry = Some(telemetry.clone());
-    }
-
-    /// Publishes current cumulative counters into the attached recorder (a
-    /// no-op without one). The engine calls this at each epoch boundary.
-    #[cfg(feature = "telemetry")]
-    pub fn publish_telemetry(&self) {
-        if let Some(tel) = &self.telemetry {
-            let base = self.telemetry_base;
-            tel.with(|t| {
-                t.set(base, self.hits);
-                t.set(base + 1, self.misses);
-                t.set(base + 2, self.occupancy() as u64);
-            });
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    fn trace_lookup(&self, stage: &'static str, vpn: Vpn) {
-        if let Some(tr) = &self.tracer {
-            tr.with(|s| s.instant(stage, self.trace_site, vpn.0));
-        }
-    }
-
-    #[cfg(feature = "audit")]
-    fn audit_fill(&self) {
-        if let Some(a) = &self.auditor {
-            let site = wsg_sim::audit::Site::new(wsg_sim::audit::SiteKind::Tlb, self.audit_site);
-            a.with(|au| au.on_fill(site, self.occupancy(), self.cfg.entries()));
-        }
-    }
-
-    #[cfg(feature = "audit")]
-    fn audit_evict(&self, occupancy: usize) {
-        if let Some(a) = &self.auditor {
-            let site = wsg_sim::audit::Site::new(wsg_sim::audit::SiteKind::Tlb, self.audit_site);
-            a.with(|au| au.on_evict(site, occupancy));
-        }
+    /// Debug-build conservation check after a fill or eviction: the entry
+    /// count kept from fills and evictions must match the valid planes (an
+    /// entry was lost or duplicated otherwise) and stay within capacity.
+    #[inline]
+    fn check_occupancy(&self) {
+        debug_assert!(
+            self.len <= self.cfg.entries(),
+            "tlb: occupancy {} exceeds capacity {}",
+            self.len,
+            self.cfg.entries()
+        );
+        debug_assert_eq!(
+            self.len,
+            self.valid
+                .iter()
+                .map(|m| m.count_ones() as usize)
+                .sum::<usize>(),
+            "tlb: entry count diverged from the valid entries (entries lost or duplicated)"
+        );
     }
 
     /// The configuration.
@@ -269,14 +206,10 @@ impl Tlb {
                 if was_prefetched {
                     self.prefetched_hits += 1;
                 }
-                #[cfg(feature = "trace")]
-                self.trace_lookup("tlb.hit", vpn);
                 Some((self.pfns[idx], was_prefetched))
             }
             None => {
                 self.misses += 1;
-                #[cfg(feature = "trace")]
-                self.trace_lookup("tlb.miss", vpn);
                 None
             }
         }
@@ -357,8 +290,8 @@ impl Tlb {
         if free != 0 {
             let way = free.trailing_zeros() as usize;
             self.write_entry(set, way, vpn, pfn, tick, prefetched);
-            #[cfg(feature = "audit")]
-            self.audit_fill();
+            self.len += 1;
+            self.check_occupancy();
             return None;
         }
         // Every way is valid: replace the set's LRU entry — the first way
@@ -373,34 +306,27 @@ impl Tlb {
         }
         let evicted = (self.vpns[start + victim], self.pfns[start + victim]);
         self.write_entry(set, victim, vpn, pfn, tick, prefetched);
-        #[cfg(feature = "audit")]
-        {
-            self.audit_evict(self.occupancy() - 1);
-            self.audit_fill();
-        }
+        self.check_occupancy();
         Some(evicted)
     }
 
     /// Invalidates `vpn`; returns whether it was present.
     pub fn invalidate(&mut self, vpn: Vpn) -> bool {
         let set = self.set_of(vpn);
-        let hit = match self.find_way(set, vpn) {
+        match self.find_way(set, vpn) {
             Some(way) => {
                 self.valid[set] &= !(1 << way);
+                self.len -= 1;
+                self.check_occupancy();
                 true
             }
             None => false,
-        };
-        #[cfg(feature = "audit")]
-        if hit {
-            self.audit_evict(self.occupancy());
         }
-        hit
     }
 
     /// Number of valid entries.
     pub fn occupancy(&self) -> usize {
-        self.valid.iter().map(|m| m.count_ones() as usize).sum()
+        self.len
     }
 
     /// Lifetime hits.
@@ -539,5 +465,34 @@ mod tests {
         // 33rd fill evicts the LRU (VPN 0).
         let evicted = t.fill(Vpn(100), Pfn(100), false).unwrap();
         assert_eq!(evicted.0, Vpn(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "entries lost or duplicated")]
+    #[cfg(debug_assertions)]
+    fn phantom_entry_is_caught_at_the_next_fill() {
+        let mut t = tiny();
+        t.fill(Vpn(0), Pfn(0), false);
+        // Corrupt the valid plane: an entry appears from nowhere.
+        t.valid[1] |= 1;
+        t.fill(Vpn(2), Pfn(2), false);
+    }
+
+    #[test]
+    fn counters_visit_in_registration_order() {
+        let mut t = tiny();
+        t.lookup(Vpn(0));
+        t.fill(Vpn(0), Pfn(0), false);
+        t.lookup(Vpn(0));
+        let mut seen = Vec::new();
+        t.counters(&mut |name, kind, v| seen.push((name, kind, v)));
+        assert_eq!(
+            seen,
+            vec![
+                ("tlb.hits", CounterKind::Counter, 1),
+                ("tlb.misses", CounterKind::Counter, 1),
+                ("tlb.occupancy", CounterKind::Gauge, 1),
+            ]
+        );
     }
 }

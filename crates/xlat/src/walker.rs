@@ -2,6 +2,8 @@
 
 use std::collections::VecDeque;
 
+use wsg_sim::telemetry::CounterKind;
+
 /// The outcome of submitting a request to a [`WalkerPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitResult {
@@ -52,20 +54,11 @@ pub struct WalkerPool<T> {
     kept: VecDeque<T>,
     started: u64,
     queued: u64,
+    /// Lifetime count of requests that left the PW-queue (promoted to a
+    /// walker or drained by a revisit).
+    dequeued: u64,
     rejected: u64,
     coalesced: u64,
-    #[cfg(feature = "audit")]
-    auditor: Option<wsg_sim::audit::AuditHandle>,
-    #[cfg(feature = "audit")]
-    audit_site: u64,
-    #[cfg(feature = "trace")]
-    tracer: Option<wsg_sim::trace::TraceHandle>,
-    #[cfg(feature = "trace")]
-    trace_site: u64,
-    #[cfg(feature = "telemetry")]
-    telemetry: Option<wsg_sim::telemetry::TelemetryHandle>,
-    #[cfg(feature = "telemetry")]
-    telemetry_base: usize,
 }
 
 impl<T> WalkerPool<T> {
@@ -89,99 +82,37 @@ impl<T> WalkerPool<T> {
             kept: VecDeque::with_capacity(presize),
             started: 0,
             queued: 0,
+            dequeued: 0,
             rejected: 0,
             coalesced: 0,
-            #[cfg(feature = "audit")]
-            auditor: None,
-            #[cfg(feature = "audit")]
-            audit_site: 0,
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "trace")]
-            trace_site: 0,
-            #[cfg(feature = "telemetry")]
-            telemetry: None,
-            #[cfg(feature = "telemetry")]
-            telemetry_base: 0,
         }
     }
 
-    /// Attaches an auditor observing PW-queue occupancy under instance id
-    /// `site`.
-    #[cfg(feature = "audit")]
-    pub fn set_auditor(&mut self, auditor: wsg_sim::audit::AuditHandle, site: u64) {
-        self.auditor = Some(auditor);
-        self.audit_site = site;
+    /// Visits this pool's telemetry counters in their fixed order.
+    pub fn counters(&self, f: &mut dyn FnMut(&'static str, CounterKind, u64)) {
+        f("walkers.busy", CounterKind::Gauge, self.busy as u64);
+        f("walkers.queue", CounterKind::Gauge, self.queue.len() as u64);
+        f("walkers.started", CounterKind::Counter, self.started);
+        f("walkers.coalesced", CounterKind::Counter, self.coalesced);
+        f("walkers.rejected", CounterKind::Counter, self.rejected);
     }
 
-    /// Attaches a tracer recording submit outcomes and queue promotions
-    /// under instance id `site`.
-    #[cfg(feature = "trace")]
-    pub fn set_tracer(&mut self, tracer: wsg_sim::trace::TraceHandle, site: u64) {
-        self.tracer = Some(tracer);
-        self.trace_site = site;
-    }
-
-    /// Attaches the telemetry flight recorder, registering this pool's
-    /// load and throughput metrics under instance id `site` (optionally
-    /// tagged with a wafer tile for heatmap exports).
-    #[cfg(feature = "telemetry")]
-    pub fn set_telemetry(
-        &mut self,
-        telemetry: &wsg_sim::telemetry::TelemetryHandle,
-        site: u64,
-        tile: Option<(u16, u16)>,
-    ) {
-        use wsg_sim::telemetry::CounterKind::{Counter, Gauge};
-        self.telemetry_base = telemetry.with(|t| {
-            let base = t.register("walkers.busy", site, tile, Gauge);
-            t.register("walkers.queue", site, tile, Gauge);
-            t.register("walkers.started", site, tile, Counter);
-            t.register("walkers.coalesced", site, tile, Counter);
-            t.register("walkers.rejected", site, tile, Counter);
-            base
-        });
-        self.telemetry = Some(telemetry.clone());
-    }
-
-    /// Publishes current load and cumulative counters into the attached
-    /// recorder (a no-op without one). The engine calls this at each epoch
-    /// boundary.
-    #[cfg(feature = "telemetry")]
-    pub fn publish_telemetry(&self) {
-        if let Some(tel) = &self.telemetry {
-            let base = self.telemetry_base;
-            tel.with(|t| {
-                t.set(base, self.busy as u64);
-                t.set(base + 1, self.queue.len() as u64);
-                t.set(base + 2, self.started);
-                t.set(base + 3, self.coalesced);
-                t.set(base + 4, self.rejected);
-            });
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    fn trace_event(&self, stage: &'static str, arg: u64) {
-        if let Some(tr) = &self.tracer {
-            tr.with(|s| s.instant(stage, self.trace_site, arg));
-        }
-    }
-
-    #[cfg(feature = "audit")]
-    fn audit_queue_fill(&self) {
-        if let Some(a) = &self.auditor {
-            let site = wsg_sim::audit::Site::new(wsg_sim::audit::SiteKind::Walker, self.audit_site);
-            a.with(|au| au.on_fill(site, self.queue.len(), self.queue_capacity));
-        }
-    }
-
-    #[cfg(feature = "audit")]
-    fn audit_queue_evict(&self, occupancy: usize) {
-        if let Some(a) = &self.auditor {
-            let site = wsg_sim::audit::Site::new(wsg_sim::audit::SiteKind::Walker, self.audit_site);
-            a.with(|au| au.on_evict(site, occupancy));
-        }
+    /// Debug-build conservation check after the PW-queue changed: every
+    /// queued request is still queued or has left exactly once, and the
+    /// queue stays within capacity.
+    #[inline]
+    fn check_queue(&self) {
+        debug_assert!(
+            self.queue.len() <= self.queue_capacity,
+            "walker PW-queue: occupancy {} exceeds capacity {}",
+            self.queue.len(),
+            self.queue_capacity
+        );
+        debug_assert_eq!(
+            self.queued,
+            self.dequeued + self.queue.len() as u64,
+            "walker PW-queue: entries lost or duplicated"
+        );
     }
 
     /// Submits a request. See [`SubmitResult`] for the possible outcomes;
@@ -193,21 +124,14 @@ impl<T> WalkerPool<T> {
         if self.busy < self.walkers {
             self.busy += 1;
             self.started += 1;
-            #[cfg(feature = "trace")]
-            self.trace_event("walk.start", self.busy as u64);
             SubmitResult::Started
         } else if self.queue.len() < self.queue_capacity {
             self.queue.push_back(token);
             self.queued += 1;
-            #[cfg(feature = "audit")]
-            self.audit_queue_fill();
-            #[cfg(feature = "trace")]
-            self.trace_event("walk.queue", self.queue.len() as u64);
+            self.check_queue();
             SubmitResult::Queued
         } else {
             self.rejected += 1;
-            #[cfg(feature = "trace")]
-            self.trace_event("walk.reject", self.queue.len() as u64);
             SubmitResult::Rejected
         }
     }
@@ -226,10 +150,8 @@ impl<T> WalkerPool<T> {
                 // The freed walker immediately picks up the next request;
                 // `busy` stays unchanged.
                 self.started += 1;
-                #[cfg(feature = "audit")]
-                self.audit_queue_evict(self.queue.len());
-                #[cfg(feature = "trace")]
-                self.trace_event("walk.promote", self.queue.len() as u64);
+                self.dequeued += 1;
+                self.check_queue();
                 Some(next)
             }
             None => {
@@ -269,12 +191,8 @@ impl<T> WalkerPool<T> {
         std::mem::swap(&mut self.queue, &mut self.kept);
         let n = out.len() - start;
         self.coalesced += n as u64;
-        #[cfg(feature = "audit")]
-        for i in 0..n {
-            // One evict per drained request, with the intermediate occupancy
-            // each removal would have left.
-            self.audit_queue_evict(self.queue.len() + n - 1 - i);
-        }
+        self.dequeued += n as u64;
+        self.check_queue();
         n
     }
 
@@ -411,5 +329,38 @@ mod tests {
         assert_eq!(p.started(), 2);
         assert_eq!(p.queued(), 1);
         assert_eq!(p.rejected(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "entries lost or duplicated")]
+    #[cfg(debug_assertions)]
+    fn lost_queue_entry_is_caught_at_the_next_dequeue() {
+        let mut p: WalkerPool<u32> = WalkerPool::new(1, 4);
+        p.submit(1);
+        p.submit(2);
+        p.submit(3);
+        // Corrupt the PW-queue: a queued request vanishes.
+        p.queue.pop_back();
+        p.finish();
+    }
+
+    #[test]
+    fn counters_visit_in_registration_order() {
+        let mut p: WalkerPool<u32> = WalkerPool::new(1, 1);
+        p.submit(1);
+        p.submit(2);
+        p.submit(3);
+        let mut seen = Vec::new();
+        p.counters(&mut |name, _, v| seen.push((name, v)));
+        assert_eq!(
+            seen,
+            vec![
+                ("walkers.busy", 1),
+                ("walkers.queue", 1),
+                ("walkers.started", 1),
+                ("walkers.coalesced", 0),
+                ("walkers.rejected", 1),
+            ]
+        );
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! * **brace depth** and **paren/bracket depth** at the start of the line,
 //! * the **item path** (`mod`/`impl`/`fn`/`struct`/... nesting, rendered as
-//!   `Simulation::set_tracer`), so diagnostics can name the enclosing item
-//!   and rules can be sanctioned per scope instead of per line,
+//!   `Simulation::run`), so diagnostics can name the enclosing item
+//!   and rules can be allowed per scope instead of per line,
 //! * whether the line belongs to a `#[cfg(test)]` region (no rules apply).
 //!
 //! It also parses the two allow pragmas:
@@ -17,9 +17,7 @@
 //!   line, or (from a comment block) the next code line below it.
 //! * `// lint:allow-module(<rule>): <justification>` — covers every line
 //!   from the pragma to the end of the enclosing brace scope (the whole
-//!   file when written at the top level). This is how the sanctioned
-//!   shared-mutability sinks (`crates/sim/src/{audit,trace,telemetry}.rs`)
-//!   opt out of rule d7 wholesale.
+//!   file when written at the top level).
 //!
 //! Rule d9 (`stale-allow`) audits both forms: an allow that never
 //! suppresses a hit, or that lacks the `:` justification suffix, is itself
@@ -296,7 +294,7 @@ pub enum ItemKind {
 #[derive(Clone, Debug)]
 pub struct ItemSpan {
     pub kind: ItemKind,
-    /// Full `::`-joined path (`Simulation::set_tracer`).
+    /// Full `::`-joined path (`Simulation::run`).
     pub path: String,
     /// 1-based line of the opening `{`.
     pub start_line: usize,

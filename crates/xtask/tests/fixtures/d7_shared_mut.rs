@@ -49,8 +49,8 @@ pub fn doc_only() -> &'static str {
 }
 
 /// A justified allow suppresses the hit.
-pub struct Sanctioned {
-    // lint:allow(shared-mut): fixture exercise of the sanctioned-sink shape.
+pub struct Allowed {
+    // lint:allow(shared-mut): fixture exercise of a justified allow.
     pub handle: std::rc::Rc<std::cell::RefCell<u64>>,
 }
 

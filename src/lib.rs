@@ -44,13 +44,10 @@ pub use wsg_xlat as xlat;
 
 /// The most commonly used types, importable with one `use`.
 pub mod prelude {
-    #[cfg(feature = "telemetry")]
-    pub use hdpat::experiments::run_telemetry;
-    #[cfg(all(feature = "telemetry", feature = "trace"))]
-    pub use hdpat::experiments::run_telemetry_traced;
-    #[cfg(feature = "trace")]
-    pub use hdpat::experiments::run_traced;
-    pub use hdpat::experiments::{run, run_all, run_with_baseline, RunCache, RunConfig, SweepCtx};
+    pub use hdpat::experiments::{
+        run, run_all, run_observed, run_telemetry, run_telemetry_traced, run_traced,
+        run_with_baseline, RunCache, RunConfig, SweepCtx,
+    };
     pub use hdpat::policy::{HdpatConfig, PolicyKind};
     pub use hdpat::{Metrics, Resolution, Simulation};
     pub use wsg_gpu::{GpuPreset, SystemConfig, WaferLayout};

@@ -5,22 +5,20 @@
 //!   unit scale, seed 42: the 128-bit FNV-1a of
 //!   `Metrics::to_deterministic_string`. The catalog reaches the route,
 //!   concentric, distributed, Trans-FW and IOMMU-TLB paths that the fig14
-//!   golden skips. Checked in every build.
+//!   golden skips.
 //! * `table` lines — every table of `hdpat-sim figure all --scale unit`,
 //!   hashed as the exact text `hdpat-sim figure <name> --scale unit`
-//!   prints. Checked in every build.
+//!   prints.
 //! * `trace` lines — the Chrome-trace JSON of SPMV, KM and RELU under
-//!   naive and HDPAT (the points ci.sh exports artifacts for). Checked only
-//!   when the `trace` feature is compiled in.
+//!   naive and HDPAT (the points ci.sh exports artifacts for).
 //! * `timeline` and `heatmap` lines — the CSV artifacts `hdpat-sim
 //!   timeline` and `hdpat-sim heatmap` write for the same six points at
-//!   the default sampling interval. Checked only when the `telemetry`
-//!   feature is compiled in.
+//!   the default sampling interval.
 //!
-//! A deliberate model change re-blesses the file with
-//! `WSG_BLESS=1 cargo test --test golden_digests` (add `--features trace`
-//! or `--features telemetry` for the feature-gated lines); each build
-//! rewrites only the lines it computes.
+//! Every run here also exercises the structures' debug-build invariant
+//! checks (occupancy bounds, entry and link conservation). A deliberate
+//! model change re-blesses the file with
+//! `WSG_BLESS=1 cargo test --test golden_digests`.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -32,7 +30,6 @@ use wsg_bench::report::render;
 const SEED: u64 = 42;
 
 /// The benchmark × policy points whose artifacts ci.sh exports.
-#[cfg(any(feature = "trace", feature = "telemetry"))]
 fn artifact_points() -> Vec<(BenchmarkId, &'static str, RunConfig)> {
     let mut points = Vec::new();
     for b in [BenchmarkId::Spmv, BenchmarkId::Km, BenchmarkId::Relu] {
@@ -80,7 +77,6 @@ fn table_lines() -> Vec<String> {
 }
 
 /// One `trace <bench> <policy> <hash>` line per traced point.
-#[cfg(feature = "trace")]
 fn trace_lines() -> Vec<String> {
     artifact_points()
         .into_iter()
@@ -93,7 +89,6 @@ fn trace_lines() -> Vec<String> {
 
 /// The `timeline` and `heatmap` lines of every artifact point, sampled
 /// every 10,000 cycles like `hdpat-sim timeline` and `heatmap` by default.
-#[cfg(feature = "telemetry")]
 fn telemetry_lines() -> (Vec<String>, Vec<String>) {
     let (mut timelines, mut heatmaps) = (Vec::new(), Vec::new());
     for (b, token, cfg) in artifact_points() {
@@ -166,13 +161,11 @@ fn every_figure_table_matches_its_golden_digest() {
     check("table", table_lines());
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn traced_points_match_their_golden_digests() {
     check("trace", trace_lines());
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn telemetry_artifacts_match_their_golden_digests() {
     let (timelines, heatmaps) = telemetry_lines();

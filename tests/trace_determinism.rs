@@ -3,8 +3,6 @@
 //! trace itself must be as deterministic as the run it observed — two traced
 //! runs of the same `(benchmark, seed)` serialize to byte-identical JSON.
 
-#![cfg(feature = "trace")]
-
 use hdpat_wafer::prelude::*;
 
 fn point(bench: BenchmarkId, seed: u64) -> RunConfig {
@@ -47,19 +45,6 @@ fn remote_spans_reconcile_with_remote_rtt() {
     // One "remote" span per recorded round trip, covering the same interval.
     assert_eq!(remote.count, metrics.remote_rtt.count());
     assert_eq!(remote.sum as f64, metrics.remote_rtt.sum());
-}
-
-#[test]
-fn sweep_results_unchanged_with_trace_compiled_in() {
-    // The sweep runner never attaches a tracer; merely compiling the feature
-    // in must not reach its fingerprints or results (extends the
-    // tests/sweep_determinism.rs contract to the trace build).
-    let cfg = point(BenchmarkId::Km, 7);
-    let swept = SweepCtx::serial().run(&cfg);
-    assert_eq!(
-        swept.to_deterministic_string(),
-        run(&cfg).to_deterministic_string()
-    );
 }
 
 #[test]
