@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI gate for the HDPAT reproduction. Ordered cheapest-first so fast failures
-# come fast: formatting, clippy, the determinism lint pass with its JSON
-# artifact (DESIGN.md §8.1/§13), rustdoc (warnings denied) + doctests, then
-# the tier-1 build + tests (which include the golden digests of every run
-# point, figure table, trace, timeline and heatmap, the trace and telemetry
+# come fast: formatting, clippy with the determinism rules of the root
+# clippy.toml and [workspace.lints] (DESIGN.md §8.1), rustdoc (warnings
+# denied) + doctests, then the tier-1 build + tests (which include the
+# golden digests of every run point, figure table, trace, timeline and
+# heatmap, the trace and telemetry
 # determinism gates of DESIGN.md §10, and the structures' debug-build
 # invariant checks), the full workspace suite, the release-build
 # equivalence proptests and golden digests with and without debug
@@ -18,73 +19,14 @@
 # the perf-trajectory gate (DESIGN.md §11/§16): fig14 must stay
 # byte-identical to the pre-PR-4 golden run, and the median serial events/s
 # of three runs must stay within 10% of the committed BENCH_PR9.json point.
-# `./ci.sh pgo` runs the opt-in profile-guided-optimization lane instead
-# (see below).
 set -euo pipefail
 cd "$(dirname "$0")"
-
-# Opt-in PGO lane (DESIGN.md §16): `./ci.sh pgo` builds the bench binary
-# with -Cprofile-generate, trains it on the fig14 bench sweep (golden-
-# checked, so the training run is also a correctness run), merges the raw
-# profiles with llvm-profdata, rebuilds with -Cprofile-use, and re-checks
-# the golden plus emits a perf artifact. It needs an llvm-profdata matching
-# the active rustc's LLVM (rustup's llvm-tools component, or
-# WSG_LLVM_PROFDATA=/path/to/llvm-profdata); an older system LLVM cannot
-# read the instrumented binary's .profraw format and fails the merge — the
-# lane diagnoses that instead of silently passing.
-if [[ "${1:-}" == "pgo" ]]; then
-  mkdir -p target/ci
-  profdata="${WSG_LLVM_PROFDATA:-}"
-  if [[ -z "$profdata" ]]; then
-    sysroot="$(rustc --print sysroot)"
-    for cand in "$sysroot"/lib/rustlib/*/bin/llvm-profdata; do
-      [[ -x "$cand" ]] && profdata="$cand" && break
-    done
-  fi
-  if [[ -z "$profdata" ]]; then
-    profdata="$(command -v llvm-profdata || true)"
-  fi
-  if [[ -z "$profdata" ]]; then
-    echo "pgo: no llvm-profdata found (install rustup's llvm-tools or set WSG_LLVM_PROFDATA)" >&2
-    exit 2
-  fi
-  echo "== pgo: instrumented build (-Cprofile-generate)"
-  profdir="$PWD/target/pgo-profiles"
-  rm -rf "$profdir"
-  RUSTFLAGS="-Cprofile-generate=$profdir" cargo build --release -q -p wsg-bench
-  echo "== pgo: training run (fig14 bench sweep, golden-checked)"
-  ./target/release/hdpat-sim figure fig14 --scale bench --no-cache \
-      > target/ci/fig14_pgo_train.txt
-  cmp tests/golden/fig14_bench.txt target/ci/fig14_pgo_train.txt
-  echo "== pgo: merging profiles with $profdata"
-  if ! "$profdata" merge -o "$profdir/merged.profdata" "$profdir"; then
-    echo "pgo: $profdata cannot read this rustc's .profraw format;" >&2
-    echo "pgo: use the llvm-profdata matching rustc's LLVM (rustup component add llvm-tools)" >&2
-    exit 2
-  fi
-  echo "== pgo: optimized rebuild (-Cprofile-use) + golden re-check"
-  RUSTFLAGS="-Cprofile-use=$profdir/merged.profdata" cargo build --release -q -p wsg-bench
-  ./target/release/hdpat-sim figure fig14 --scale bench --no-cache \
-      --perf-out target/ci/BENCH_PGO.json > target/ci/fig14_pgo.txt
-  cmp tests/golden/fig14_bench.txt target/ci/fig14_pgo.txt
-  cat target/ci/BENCH_PGO.json
-  # Leave the default (uninstrumented) binary in place.
-  cargo build --release -q -p wsg-bench
-  echo "PGO lane green."
-  exit 0
-fi
 
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
-echo "== cargo clippy (workspace, -D warnings)"
+echo "== cargo clippy + determinism rules (clippy.toml, [workspace.lints], -D warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
-
-echo "== determinism lint (cargo run -p xtask -- lint --json)"
-mkdir -p target/ci
-cargo run -p xtask -q -- lint --json > target/ci/lint.json
-# The JSON artifact must agree with the exit status: zero diagnostics.
-grep -q '"violations": 0,' target/ci/lint.json
 
 echo "== rustdoc (workspace, -D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -259,53 +259,6 @@ fn bench_event_queue_measured_mix(c: &mut Criterion) {
     });
 }
 
-/// Index-based vs handle-based component dispatch: the same counter bump
-/// routed through a plain pre-sized slab (`Vec<Comp>` + usize index, the
-/// engine's layout after the PR-9 rework) and through per-component
-/// `Rc<RefCell<..>>` handles (the layout the rework removed from the hot
-/// path; still the right tool at the d7 observability-sink boundary).
-fn bench_dispatch_indexing(c: &mut Criterion) {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    struct Comp {
-        hits: u64,
-        stamp: u64,
-    }
-    const N: usize = 48;
-    let mut g = c.benchmark_group("dispatch");
-    g.bench_function("slab_index", |b| {
-        let mut comps: Vec<Comp> = (0..N).map(|_| Comp { hits: 0, stamp: 0 }).collect();
-        let mut i = 0usize;
-        let mut t = 0u64;
-        b.iter(|| {
-            i = (i + 17) % N;
-            t += 1;
-            let comp = &mut comps[i];
-            comp.hits += 1;
-            comp.stamp = t;
-            black_box(comp.hits);
-        });
-    });
-    g.bench_function("rc_refcell_handle", |b| {
-        let comps: Vec<Rc<RefCell<Comp>>> = (0..N)
-            .map(|_| Rc::new(RefCell::new(Comp { hits: 0, stamp: 0 })))
-            .collect();
-        let handles: Vec<Rc<RefCell<Comp>>> = comps.iter().map(Rc::clone).collect();
-        let mut i = 0usize;
-        let mut t = 0u64;
-        b.iter(|| {
-            i = (i + 17) % N;
-            t += 1;
-            let mut comp = handles[i].borrow_mut();
-            comp.hits += 1;
-            comp.stamp = t;
-            black_box(comp.hits);
-        });
-    });
-    g.finish();
-}
-
 fn bench_page_table(c: &mut Criterion) {
     let mut g = c.benchmark_group("page_table");
     g.bench_function("translate_hit", |b| {
@@ -368,7 +321,6 @@ criterion_group!(
     bench_tlb_soa_probe,
     bench_event_queue_batch,
     bench_event_queue_measured_mix,
-    bench_dispatch_indexing,
     bench_page_table,
     bench_workload_gen
 );

@@ -339,7 +339,7 @@ fn cmd_trace(b: BenchmarkId, scale: Scale, seed: u64) {
     let mut ops = 0u64;
     let mut reads = 0u64;
     let mut remote = 0u64;
-    let mut pages = std::collections::HashSet::new();
+    let mut pages = std::collections::BTreeSet::new();
     let mut near = 0u64;
     let mut pairs = 0u64;
     for (i, wg) in wgs.iter().enumerate() {
@@ -480,9 +480,10 @@ fn sweep_summary(ctx: &SweepCtx) -> String {
 }
 
 fn cmd_figure(ctx: &SweepCtx, name: &str, scale: Scale, perf_out: Option<&str>) {
-    // lint:allow(wallclock): host-side throughput measurement for the
-    // `--perf-out` artifact; the deterministic figure text on stdout never
-    // depends on it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-side throughput measurement for the `--perf-out` artifact; the deterministic figure text on stdout never depends on it"
+    )]
     let wall_start = std::time::Instant::now();
     let all = figures::all(ctx, scale);
     let mut matched = false;
@@ -608,8 +609,10 @@ fn cmd_replay(
             std::process::exit(2);
         }
     };
-    // lint:allow(wallclock): host-side latency measurement for the
-    // `--stats-out` artifact; the deterministic digest never depends on it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-side latency measurement for the `--stats-out` artifact; the deterministic digest never depends on it"
+    )]
     let wall_start = std::time::Instant::now();
     let timed = match socket {
         Some(path) => replay_over_socket(&mix, path, shutdown),

@@ -621,6 +621,10 @@ pub fn tab1_config() -> Table {
             cfg.gpm.hbm.bytes_per_cycle / 1000.0
         ),
     ]);
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "link bandwidth is a positive config constant"
+    )]
     t.row(vec![
         "Mesh Network".into(),
         format!(

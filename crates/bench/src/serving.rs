@@ -123,8 +123,10 @@ pub fn replay_batch(mix: &str, config: DaemonConfig) -> std::io::Result<Vec<Stri
 /// [`replay_batch`], with each response line stamped with its arrival
 /// offset for [`latency_report`].
 pub fn replay_batch_timed(mix: &str, config: DaemonConfig) -> std::io::Result<Vec<TimedLine>> {
-    // lint:allow(wallclock): client-side latency observation of a replay;
-    // feeds the stderr latency table only, never a deterministic artifact.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "client-side latency observation of a replay; feeds the stderr latency table only, never a deterministic artifact"
+    )]
     let started = std::time::Instant::now();
     let daemon = Daemon::new(config)?;
     let out = CollectWriter::default();
@@ -176,8 +178,10 @@ pub fn replay_socket_timed(
 ) -> std::io::Result<Vec<TimedLine>> {
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
-    // lint:allow(wallclock): client-side latency observation of a replay;
-    // feeds the stderr latency table only, never a deterministic artifact.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "client-side latency observation of a replay; feeds the stderr latency table only, never a deterministic artifact"
+    )]
     let started = std::time::Instant::now();
     let stream = UnixStream::connect(socket)?;
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -358,6 +362,10 @@ pub fn latency_report(timed: &[TimedLine]) -> String {
         if count == 0 && *name != "all" {
             continue;
         }
+        #[expect(
+            clippy::cast_sign_loss,
+            reason = "a mean of unsigned latencies is non-negative"
+        )]
         let mean = hist.mean().round() as u64;
         out.push_str(&format!(
             "{name:<10} {count:>6} {mean:>12} {:>12} {:>12} {:>12}\n",

@@ -263,8 +263,10 @@ impl DiskCache {
     /// bookkeeping for eviction ordering only — it never reaches simulation
     /// state or any deterministic output.
     fn touch(&self, entry: &Path) {
-        // lint:allow(wallclock): LRU access stamp for cache eviction; the
-        // reading orders evictions and never feeds model state or artifacts.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "LRU access stamp for cache eviction; the reading orders evictions and never feeds model state or artifacts"
+        )]
         let nanos = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos())
@@ -332,8 +334,10 @@ fn stamp_path(entry: &Path) -> PathBuf {
 /// file's own mtime, and if even that is unreadable, "now" — so the entry
 /// sorts as the newest rather than the oldest.
 fn fallback_stamp(meta: &fs::Metadata) -> u128 {
-    // lint:allow(wallclock): same role as `touch` — harness-side LRU
-    // ordering only, never fed into simulation state or artifacts.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "same role as `touch`: harness-side LRU ordering only, never fed into simulation state or artifacts"
+    )]
     let now = std::time::SystemTime::now();
     meta.modified()
         .unwrap_or(now)

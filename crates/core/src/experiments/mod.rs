@@ -351,7 +351,10 @@ impl SweepCtx {
         self.progress = Some(Progress {
             total: AtomicU64::new(0),
             done: AtomicU64::new(0),
-            // lint:allow(wallclock): progress display only (see Progress).
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "progress display only (see Progress)"
+            )]
             started: std::time::Instant::now(),
         });
         self

@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn vpns_spread_over_the_whole_ring() {
         let (_, m) = map(2, true);
-        let mut seen: std::collections::HashSet<u32> = Default::default();
+        let mut seen: std::collections::BTreeSet<u32> = Default::default();
         for vpn in 0..1000u64 {
             seen.insert(m.aux_gpm(Vpn(vpn), 2));
         }

@@ -952,6 +952,23 @@ mod tests {
         m
     }
 
+    /// Rule d10 (DESIGN.md §8.1): the host-side fields never reach the
+    /// deterministic string, so two runs that differ only in event count
+    /// or wall time serialize byte-identically.
+    #[test]
+    fn deterministic_string_ignores_host_fields() {
+        let host = populated_metrics();
+        assert!(host.sim_events != 0 && host.host_wall_nanos != 0);
+        assert_ne!(host.sim_events, host.host_wall_nanos);
+        let mut zeroed = host.clone();
+        zeroed.sim_events = 0;
+        zeroed.host_wall_nanos = 0;
+        assert_eq!(
+            host.to_deterministic_string(),
+            zeroed.to_deterministic_string()
+        );
+    }
+
     #[test]
     fn cache_text_round_trips_exactly() {
         let m = populated_metrics();

@@ -15,9 +15,10 @@
 //! **Determinism contract.** Everything here is wall-clock flavored and
 //! *never* feeds simulation state, [`crate::metrics::Metrics`], or any
 //! deterministic artifact: run outputs are byte-identical with the layer on
-//! or off (ci.sh ops lane), and xtask rule d10 bans ops-style field names
-//! (`*_nanos`, `*_us`, `queue_wait*`, `selfprof*`, `stage_latency`) from
-//! `Metrics::to_deterministic_string`.
+//! or off (ci.sh ops lane), and no host-side field (`sim_events`,
+//! `host_wall_nanos`, `stage_latency`) appears in
+//! `Metrics::to_deterministic_string` (rule d10, pinned by unit tests in
+//! `metrics.rs` and by `tests/trace_determinism.rs`).
 //!
 //! Two accumulation scopes exist on purpose:
 //!
@@ -471,7 +472,11 @@ impl OpsLog {
     /// the given order; write errors are swallowed (observability must
     /// never take the serving path down).
     pub fn event(&self, ev: &str, fields: &[(&str, Json)]) {
-        let t_ms = std::time::SystemTime::now() // lint:allow(wallclock): ops-log timestamps annotate the serving timeline; they never reach simulation state or any deterministic artifact
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "ops-log timestamps annotate the serving timeline; they never reach simulation state or any deterministic artifact"
+        )]
+        let t_ms = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);

@@ -201,9 +201,12 @@ impl SchedState {
             Some(j) => j,
             None => unreachable!("picked client's queue emptied under the lock"),
         };
-        // lint:allow(wallclock): schedule stamp for queue-wait latency; ops
-        // observability only, never reaches simulation state.
-        job.scheduled = Some(Instant::now());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "schedule stamp for queue-wait latency; ops observability only, never reaches simulation state"
+        )]
+        let scheduled = Instant::now();
+        job.scheduled = Some(scheduled);
         Some((best, job))
     }
 
@@ -317,9 +320,10 @@ impl Shared {
         enqueued: Instant,
         scheduled: Option<Instant>,
     ) {
-        // lint:allow(wallclock): request-lifecycle completion stamp; feeds
-        // only the ops registry and ops log, never simulation state or any
-        // deterministic artifact.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "request-lifecycle completion stamp; feeds only the ops registry and ops log, never simulation state or any deterministic artifact"
+        )]
         let now = Instant::now();
         let queue_wait_us = micros_between(enqueued, scheduled.unwrap_or(now));
         let service_us = scheduled.map_or(0, |s| micros_between(s, now));
@@ -738,8 +742,10 @@ impl Shared {
     }
 
     fn handle_submit(&self, cid: u64, submit: Submit) -> Flow {
-        // lint:allow(wallclock): enqueue stamp for queue-wait latency; ops
-        // observability only, never reaches simulation state.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "enqueue stamp for queue-wait latency; ops observability only, never reaches simulation state"
+        )]
         let enqueued = Instant::now();
         let accepted = {
             let mut st = lock(&self.state);
@@ -1023,8 +1029,10 @@ impl Daemon {
             ops: OpsRegistry::new(),
             ops_log,
             workers: jobs as u64,
-            // lint:allow(wallclock): daemon start stamp for the uptime gauge;
-            // ops observability only, never reaches simulation state.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "daemon start stamp for the uptime gauge; ops observability only, never reaches simulation state"
+            )]
             started: Instant::now(),
         });
         shared.log_event(

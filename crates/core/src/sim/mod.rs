@@ -458,10 +458,10 @@ impl<O: Observer> Simulation<O> {
     ///
     /// As [`Simulation::run`].
     pub fn run_observed(mut self) -> (Metrics, O) {
-        // lint:allow(wallclock): events-per-second accounting only; the
-        // reading lands in `Metrics::host_wall_nanos`, which is excluded
-        // from the deterministic serialization, and never feeds back into
-        // the model.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "events-per-second accounting only; the reading lands in `Metrics::host_wall_nanos`, which is excluded from the deterministic serialization, and never feeds back into the model"
+        )]
         let wall_start = std::time::Instant::now();
         // Batched dispatch (DESIGN.md §16): drain one whole calendar bucket
         // per iteration instead of popping per event, amortizing the queue's
@@ -476,13 +476,21 @@ impl<O: Observer> Simulation<O> {
         let mut prof = crate::ops::SelfProf::default();
         loop {
             let timed = prof.batches % SELFPROF_PERIOD == 0;
-            let d0 = timed.then(std::time::Instant::now); // lint:allow(wallclock): sampled phase timer, ops registry only
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "sampled phase timer, ops registry only"
+            )]
+            let d0 = timed.then(std::time::Instant::now);
             let drained = self.queue.drain_bucket(&mut batch);
             if drained == 0 {
                 break;
             }
             let h0 = d0.map(|d0| {
-                let h0 = std::time::Instant::now(); // lint:allow(wallclock): sampled phase timer, ops registry only
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "sampled phase timer, ops registry only"
+                )]
+                let h0 = std::time::Instant::now();
                 prof.dispatch_nanos += (h0 - d0).as_nanos() as u64;
                 h0
             });

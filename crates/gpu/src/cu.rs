@@ -155,8 +155,10 @@ impl CuPipeline {
             self.outstanding < self.max_outstanding,
             "issue beyond outstanding limit"
         );
-        // lint:allow(unwrap): panicking here is the documented contract —
-        // callers must gate on `next_issue` first.
+        #[expect(
+            clippy::expect_used,
+            reason = "panicking here is the documented contract: callers must gate on `next_issue` first"
+        )]
         let op = self.pending.pop_front().expect("no pending op to issue");
         self.outstanding += 1;
         self.issued += 1;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 //! Wafer-scale GPU hardware model: wafer geometry, GPM configuration
 //! presets, compute-unit issue pipelines, and address-space placement.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 //! Cache and DRAM models for the wafer-scale GPU.
 //!

@@ -2,7 +2,7 @@
 //! against simple reference models.
 
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use wsg_mem::{CacheConfig, Hbm, HbmConfig, Mshr, MshrOutcome, SetAssocCache};
 
 proptest! {
@@ -22,7 +22,7 @@ proptest! {
             hit_latency: 1,
         });
         // Reference: per-set LRU queues of block numbers (front = LRU).
-        let mut model: HashMap<usize, VecDeque<u64>> = HashMap::new();
+        let mut model: BTreeMap<usize, VecDeque<u64>> = BTreeMap::new();
         for &addr in &addrs {
             let block = addr / line;
             let set = (block as usize) % sets;
@@ -66,7 +66,7 @@ proptest! {
     #[test]
     fn mshr_conserves_waiters(ops in proptest::collection::vec((0u64..16, any::<bool>()), 1..200)) {
         let mut mshr: Mshr<usize> = Mshr::new(4);
-        let mut outstanding: HashSet<u64> = HashSet::new();
+        let mut outstanding: BTreeSet<u64> = BTreeSet::new();
         let mut registered = 0usize;
         let mut returned = 0usize;
         for (i, &(block, is_complete)) in ops.iter().enumerate() {

@@ -63,6 +63,10 @@ impl Coord {
     ///
     /// Returns a value that increases monotonically as one walks the ring
     /// clockwise starting from the tile directly above the center.
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "each branch's guard bounds its offset to 0..8r, so no cast sees a negative value"
+    )]
     pub fn ring_position(self, center: Coord) -> u32 {
         let dx = self.x as i32 - center.x as i32;
         let dy = self.y as i32 - center.y as i32;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 //! 2-D mesh network-on-chip model for the wafer-scale GPU.
 //!

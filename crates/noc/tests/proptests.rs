@@ -69,7 +69,7 @@ proptest! {
     #[test]
     fn rings_partition_the_wafer(w in 1u16..10, h in 1u16..10, cx in 0u16..10, cy in 0u16..10) {
         let center = Coord::new(cx.min(w - 1), cy.min(h - 1));
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let max_r = (w.max(h)) as u32;
         for r in 1..=max_r {
             for tile in ring_tiles(center, r, w, h) {

@@ -139,6 +139,10 @@ pub mod strategy {
                 type Value = $t;
                 fn sample(&self, runner: &mut TestRunner) -> $t {
                     assert!(self.start < self.end, "empty strategy range");
+                    #[expect(
+                        clippy::cast_sign_loss,
+                        reason = "start < end is asserted, so the span is positive"
+                    )]
                     let span = (self.end as i128 - self.start as i128) as u64;
                     (self.start as i128 + runner.below(span) as i128) as $t
                 }
@@ -222,8 +226,7 @@ pub mod arbitrary {
 pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRunner;
-    use std::collections::HashSet;
-    use std::hash::Hash;
+    use std::collections::BTreeSet;
     use std::ops::Range;
 
     /// Strategy for `Vec`s with lengths drawn from `len`.
@@ -248,33 +251,35 @@ pub mod collection {
         }
     }
 
-    /// Strategy for `HashSet`s with target sizes drawn from `len`.
+    /// Strategy for `BTreeSet`s with target sizes drawn from `len`. A
+    /// `BTreeSet` iterates in key order, so a test that walks the set sees
+    /// the same sequence for the same seed in every process.
     #[derive(Debug, Clone)]
-    pub struct HashSetStrategy<S> {
+    pub struct BTreeSetStrategy<S> {
         element: S,
         len: Range<usize>,
     }
 
-    /// `proptest::collection::hash_set(element, len_range)`.
-    pub fn hash_set<S>(element: S, len: Range<usize>) -> HashSetStrategy<S>
+    /// `proptest::collection::btree_set(element, len_range)`.
+    pub fn btree_set<S>(element: S, len: Range<usize>) -> BTreeSetStrategy<S>
     where
         S: Strategy,
-        S::Value: Eq + Hash,
+        S::Value: Ord,
     {
         assert!(len.start < len.end, "empty length range");
-        HashSetStrategy { element, len }
+        BTreeSetStrategy { element, len }
     }
 
-    impl<S> Strategy for HashSetStrategy<S>
+    impl<S> Strategy for BTreeSetStrategy<S>
     where
         S: Strategy,
-        S::Value: Eq + Hash,
+        S::Value: Ord,
     {
-        type Value = HashSet<S::Value>;
-        fn sample(&self, runner: &mut TestRunner) -> HashSet<S::Value> {
+        type Value = BTreeSet<S::Value>;
+        fn sample(&self, runner: &mut TestRunner) -> BTreeSet<S::Value> {
             let span = (self.len.end - self.len.start) as u64;
             let n = self.len.start + runner.below(span) as usize;
-            let mut out = HashSet::with_capacity(n);
+            let mut out = BTreeSet::new();
             // Bounded attempts: a narrow element domain may not hold `n`
             // distinct values.
             let mut attempts = 0usize;
@@ -397,12 +402,12 @@ mod tests {
     }
 
     #[test]
-    fn vec_and_hash_set_respect_lengths() {
+    fn vec_and_btree_set_respect_lengths() {
         let mut r = TestRunner::deterministic("lens", 0);
         for _ in 0..50 {
             let v = crate::collection::vec(0u64..10, 2..6).sample(&mut r);
             assert!((2..6).contains(&v.len()));
-            let s = crate::collection::hash_set(0u64..1000, 1..9).sample(&mut r);
+            let s = crate::collection::btree_set(0u64..1000, 1..9).sample(&mut r);
             assert!(s.len() < 9 && !s.is_empty());
         }
     }

@@ -6,10 +6,9 @@
 //! `std::collections::HashMap` would be O(1) but seeds its hasher from
 //! process entropy (`RandomState`), so *iteration order* varies run to run —
 //! exactly the nondeterminism lint rule d1 exists to keep out of observable
-//! output, and rule d6 now rejects the type outright in simulator crates.
+//! output, and rule d6 (DESIGN.md §8.1) rejects the type outright.
 //!
-//! [`HashIndex`] is the sanctioned replacement (and the one file exempt from
-//! rule d6): an open-addressing table with
+//! [`HashIndex`] is the sanctioned replacement: an open-addressing table with
 //!
 //! * a **fixed seed** — the hash of a key is the same in every process, every
 //!   run, on every host; the table layout is a pure function of the operation

@@ -11,7 +11,7 @@
 //! computes or where its result lands.
 //!
 //! This file is the one sanctioned thread-spawning site in the workspace:
-//! the determinism lint's `wallclock`/ambient-entropy rule (d2) flags
+//! clippy's `disallowed_methods` (rule d2, DESIGN.md §8.1) flags
 //! `thread::spawn` / `thread::scope` / `available_parallelism` everywhere
 //! else, because ad-hoc concurrency is the easiest way to let scheduling
 //! nondeterminism leak into model state. See DESIGN.md §9.
@@ -26,6 +26,11 @@
 //! // Input order is preserved regardless of the worker count:
 //! assert_eq!(squares, pool::run_indexed(1, 8, |i| i * i));
 //! ```
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the sweep pool is the one sanctioned thread site; results return in input order, so scheduling never reaches them"
+)]
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

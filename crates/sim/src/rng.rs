@@ -202,6 +202,10 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `n` is zero.
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "x >= 1 on both branches: exp(u * hn) with u * hn >= 0, and (1 + u * hn * a)^(1 / a) >= 1 for either sign of a"
+    )]
     pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
         assert!(n > 0, "zipf needs a non-empty domain");
         // Rejection-free approximate inverse transform (Gray et al. style).

@@ -260,6 +260,10 @@ impl LogHistogram {
         if self.count == 0 {
             return 0;
         }
+        #[expect(
+            clippy::cast_sign_loss,
+            reason = "q is clamped to [0, 1], so the product is non-negative"
+        )]
         let want = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
         let want = want.max(1);
         let mut seen = 0u64;

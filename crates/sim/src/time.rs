@@ -36,9 +36,10 @@ pub fn serialization_cycles(bytes: u64, bytes_per_cycle: f64) -> Cycle {
         return 0;
     }
     debug_assert!(bytes_per_cycle > 0.0, "bandwidth must be positive");
-    // lint:allow(float-cycle): bandwidth configs are fractional (bytes per
-    // cycle); this ceil is the one sanctioned float->Cycle conversion, and
-    // its inputs are small enough that f64 rounding is exact.
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "bandwidth configs are fractional (bytes per cycle); this ceil is the one sanctioned float->Cycle conversion, and its inputs are small enough that f64 rounding is exact"
+    )]
     let cycles = (bytes as f64 / bytes_per_cycle).ceil() as Cycle;
     cycles.max(1)
 }

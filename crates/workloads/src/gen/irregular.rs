@@ -130,7 +130,7 @@ pub fn spmv(
 mod tests {
     use super::*;
     use crate::catalog::{BenchmarkId, Scale};
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     use wsg_xlat::PageSize;
 
     fn setup(id: BenchmarkId) -> (WorkloadConfig, AddressSpace, SimRng) {
@@ -161,7 +161,7 @@ mod tests {
         let wgs = pr(&cfg, &mut space, &mut rng);
         let ranks = space.buffers().find(|b| b.name == "pr_ranks").unwrap();
         let ps = space.page_size();
-        let mut page_counts: HashMap<u64, u64> = HashMap::new();
+        let mut page_counts: BTreeMap<u64, u64> = BTreeMap::new();
         for op in wgs.iter().flat_map(|w| &w.ops) {
             let vpn = ps.vpn_of(op.vaddr);
             if op.is_read && ranks.contains(vpn) {
@@ -185,7 +185,7 @@ mod tests {
         let wgs = spmv(&cfg, &mut space, &mut rng);
         let x = space.buffers().find(|b| b.name == "spmv_x").unwrap();
         let ps = space.page_size();
-        let pages: std::collections::HashSet<u64> = wgs
+        let pages: std::collections::BTreeSet<u64> = wgs
             .iter()
             .flat_map(|w| &w.ops)
             .filter(|o| x.contains(ps.vpn_of(o.vaddr)))

@@ -21,6 +21,10 @@ pub fn mm(
     let a = alloc_bytes(space, "mm_a", third);
     let b = alloc_bytes(space, "mm_b", third);
     let c = alloc_bytes(space, "mm_c", cfg.footprint_bytes / 4);
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "the square root of a workgroup count is non-negative"
+    )]
     let grid = (cfg.workgroups as f64).sqrt().ceil() as u64;
     let ps = space.page_size();
     let row_pitch = (a.len_bytes(ps) / grid.max(1)).max(LINE) & !(LINE - 1);
@@ -202,7 +206,7 @@ mod tests {
         assert!(cfg.iterations >= 2);
         let wgs = fws(&cfg, &mut space, &mut rng);
         let ps = space.page_size();
-        let pivot_vpns: std::collections::HashSet<u64> = wgs[0]
+        let pivot_vpns: std::collections::BTreeSet<u64> = wgs[0]
             .ops
             .iter()
             .step_by(3) // pivot reads are every third op

@@ -2,7 +2,7 @@
 //! pattern class Table II / §V-A assigns to it. These are the properties
 //! the simulator results depend on, tested directly on the traces.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use wsg_gpu::AddressSpace;
 use wsg_workloads::{generate, BenchmarkId, Scale};
 use wsg_xlat::PageSize;
@@ -26,7 +26,7 @@ fn stats(id: BenchmarkId) -> TraceStats {
     let ps = space.page_size();
     let mut ops = 0u64;
     let mut switches = 0u64;
-    let mut pages: HashMap<u64, u64> = HashMap::new();
+    let mut pages: BTreeMap<u64, u64> = BTreeMap::new();
     let mut cross = 0u64;
     let n = wgs.len() as u64;
     for (i, wg) in wgs.iter().enumerate() {
@@ -135,12 +135,12 @@ fn footprints_scale_with_config() {
     for id in [BenchmarkId::Mt, BenchmarkId::Relu, BenchmarkId::Spmv] {
         let mut su = AddressSpace::new(PageSize::Size4K, 48);
         let mut sb = AddressSpace::new(PageSize::Size4K, 48);
-        let unit: HashSet<u64> = generate(id, Scale::Unit, &mut su, 1)
+        let unit: BTreeSet<u64> = generate(id, Scale::Unit, &mut su, 1)
             .iter()
             .flat_map(|w| w.ops.iter())
             .map(|o| PageSize::Size4K.vpn_of(o.vaddr).0)
             .collect();
-        let bench: HashSet<u64> = generate(id, Scale::Bench, &mut sb, 1)
+        let bench: BTreeSet<u64> = generate(id, Scale::Bench, &mut sb, 1)
             .iter()
             .flat_map(|w| w.ops.iter())
             .map(|o| PageSize::Size4K.vpn_of(o.vaddr).0)
@@ -165,7 +165,7 @@ fn page_size_changes_vpns_not_bytes() {
         t.iter()
             .flat_map(|w| w.ops.iter())
             .map(|o| ps.vpn_of(o.vaddr).0)
-            .collect::<HashSet<_>>()
+            .collect::<BTreeSet<_>>()
             .len()
     };
     let p4 = pages(&t4, PageSize::Size4K);

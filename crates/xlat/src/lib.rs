@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 //! Address-translation structures for the wafer-scale GPU.
 //!

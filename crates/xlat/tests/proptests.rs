@@ -2,7 +2,7 @@
 //! reference models.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use wsg_xlat::{
     CuckooFilter, PageTable, Pfn, RedirectionTable, SubmitResult, Tlb, TlbConfig, Vpn, WalkerPool,
 };
@@ -10,7 +10,7 @@ use wsg_xlat::{
 proptest! {
     /// Cuckoo filters never produce false negatives for resident keys.
     #[test]
-    fn cuckoo_has_no_false_negatives(keys in proptest::collection::hash_set(0u64..1_000_000, 1..500)) {
+    fn cuckoo_has_no_false_negatives(keys in proptest::collection::btree_set(0u64..1_000_000, 1..500)) {
         let mut f = CuckooFilter::with_capacity(keys.len() * 4);
         let mut inserted = Vec::new();
         for &k in &keys {
@@ -27,7 +27,7 @@ proptest! {
     /// collisions with *other* resident keys, which we avoid by removing
     /// everything).
     #[test]
-    fn cuckoo_remove_all_empties_filter(keys in proptest::collection::hash_set(0u64..100_000, 1..200)) {
+    fn cuckoo_remove_all_empties_filter(keys in proptest::collection::btree_set(0u64..100_000, 1..200)) {
         let mut f = CuckooFilter::with_capacity(keys.len() * 4);
         let inserted: Vec<u64> = keys.iter().copied().filter(|&k| f.insert(k)).collect();
         for &k in &inserted {
@@ -46,7 +46,7 @@ proptest! {
     fn tlb_matches_reference_within_capacity(ops in proptest::collection::vec((0u64..16, 0u64..1000, any::<bool>()), 1..200)) {
         // 1 set x 16 ways: a working set of <=16 VPNs never evicts.
         let mut tlb = Tlb::new(TlbConfig { sets: 1, ways: 16, latency: 1, mshrs: 0 });
-        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for &(vpn, pfn, invalidate) in &ops {
             if invalidate {
                 let was = model.remove(&vpn).is_some();
@@ -81,7 +81,7 @@ proptest! {
         let cap = 8;
         let mut rt = RedirectionTable::new(cap);
         let mut order: Vec<u64> = Vec::new(); // front = LRU
-        let mut vals: HashMap<u64, u32> = HashMap::new();
+        let mut vals: BTreeMap<u64, u32> = BTreeMap::new();
         for &(vpn, gpm, is_lookup) in &ops {
             if is_lookup {
                 let expect = vals.get(&vpn).copied();

@@ -36,8 +36,10 @@ fn main() {
         ("barre", PolicyKind::Barre),
     ];
 
-    // lint:allow(wallclock): host-side progress timing only; never feeds the
-    // model.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-side progress timing only; never feeds the model"
+    )]
     let t0 = Instant::now();
     // One batched sweep: per benchmark, the Naive baseline followed by every
     // policy variant. Results come back in input order regardless of worker
