@@ -694,6 +694,149 @@ pub fn tab3_area_power() -> Table {
     t
 }
 
+/// The benchmark subset the two extension ablations run over.
+const ABLATION_BENCHES: [BenchmarkId; 6] = [
+    BenchmarkId::Spmv,
+    BenchmarkId::Pr,
+    BenchmarkId::Mm,
+    BenchmarkId::Fir,
+    BenchmarkId::Bt,
+    BenchmarkId::Relu,
+];
+
+fn gmean_speedup(ctx: &SweepCtx, cfg: HdpatConfig, scale: Scale) -> f64 {
+    let points: Vec<RunConfig> = ABLATION_BENCHES
+        .iter()
+        .flat_map(|&b| {
+            [
+                RunConfig::new(b, scale, PolicyKind::Naive),
+                RunConfig::new(b, scale, PolicyKind::Hdpat(cfg)),
+            ]
+        })
+        .collect();
+    let results = ctx.sweep(&points);
+    let speeds: Vec<f64> = results
+        .chunks(2)
+        .map(|pair| pair[1].speedup_vs(&pair[0]))
+        .collect();
+    wsg_sim::stats::geo_mean(&speeds).expect("positive speedups")
+}
+
+/// Design-choice ablation.
+pub fn abl_design_choices(ctx: &SweepCtx, scale: Scale) -> Table {
+    let base_cfg = HdpatConfig::paper_default();
+    let mut t = Table::new(vec!["variant", "gmean-speedup"]);
+    for (name, rotation) in [("rotation on (default)", true), ("rotation off", false)] {
+        let s = gmean_speedup(
+            ctx,
+            HdpatConfig {
+                rotation,
+                ..base_cfg
+            },
+            scale,
+        );
+        t.row(vec![name.to_string(), ratio(s)]);
+    }
+    for c in 1..=3u32 {
+        let s = gmean_speedup(
+            ctx,
+            HdpatConfig {
+                caching_layers: c,
+                ..base_cfg
+            },
+            scale,
+        );
+        t.row(vec![format!("C = {c} caching layers"), ratio(s)]);
+    }
+    for thr in [1u32, 2, 4, 8] {
+        let s = gmean_speedup(
+            ctx,
+            HdpatConfig {
+                push_threshold: thr,
+                ..base_cfg
+            },
+            scale,
+        );
+        t.row(vec![format!("push threshold = {thr}"), ratio(s)]);
+    }
+    for (name, revisit) in [("revisit on (default)", true), ("revisit off", false)] {
+        let s = gmean_speedup(
+            ctx,
+            HdpatConfig {
+                queue_revisit: revisit,
+                ..base_cfg
+            },
+            scale,
+        );
+        t.row(vec![name.to_string(), ratio(s)]);
+    }
+    t
+}
+
+const MIGRATION_BENCHES: [BenchmarkId; 6] = [
+    BenchmarkId::Spmv,
+    BenchmarkId::Pr,
+    BenchmarkId::Mm,
+    BenchmarkId::Fir,
+    BenchmarkId::Relu,
+    BenchmarkId::Km,
+];
+
+fn run_maybe_migrating(cfg: &RunConfig, migration: Option<hdpat::MigrationConfig>) -> Metrics {
+    let sim = hdpat::Simulation::new(
+        cfg.system.clone(),
+        cfg.policy,
+        cfg.benchmark,
+        cfg.scale,
+        cfg.seed,
+    );
+    match migration {
+        Some(m) => sim.with_migration(m).run(),
+        None => sim.run(),
+    }
+}
+
+/// Page migration extension.
+pub fn abl_migration(_ctx: &SweepCtx, scale: Scale) -> Table {
+    let mig = hdpat::MigrationConfig::default_streak();
+    let mut t = Table::new(vec![
+        "bench",
+        "baseline+migration",
+        "HDPAT",
+        "HDPAT+migration",
+        "pages-migrated",
+    ]);
+    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 3];
+    for b in MIGRATION_BENCHES {
+        let base_cfg = RunConfig::new(b, scale, PolicyKind::Naive);
+        let base = run_maybe_migrating(&base_cfg, None);
+        let base_mig = run_maybe_migrating(&base_cfg, Some(mig));
+        let hd_cfg = RunConfig::new(b, scale, PolicyKind::hdpat());
+        let hd = run_maybe_migrating(&hd_cfg, None);
+        let hd_mig = run_maybe_migrating(&hd_cfg, Some(mig));
+        let s = [
+            base_mig.speedup_vs(&base),
+            hd.speedup_vs(&base),
+            hd_mig.speedup_vs(&base),
+        ];
+        for (c, v) in cols.iter_mut().zip(s) {
+            c.push(v);
+        }
+        t.row(vec![
+            b.to_string(),
+            ratio(s[0]),
+            ratio(s[1]),
+            ratio(s[2]),
+            hd_mig.pages_migrated.to_string(),
+        ]);
+    }
+    let mut gm = vec!["GMEAN".to_string()];
+    gm.extend(cols.iter().map(|c| gmean_cell(c)));
+    gm.push(String::new());
+    t.row(gm);
+    t
+}
+
 /// A figure or table regenerator bound to its sweep context and scale.
 pub type Figure<'a> = Box<dyn Fn() -> Table + 'a>;
 
@@ -736,5 +879,10 @@ pub fn all(ctx: &SweepCtx, scale: Scale) -> Vec<(&'static str, Figure<'_>)> {
         ("tab1", Box::new(tab1_config)),
         ("tab2", Box::new(tab2_workloads)),
         ("tab3", Box::new(tab3_area_power)),
+        (
+            "abl_design_choices",
+            Box::new(move || abl_design_choices(ctx, scale)),
+        ),
+        ("abl_migration", Box::new(move || abl_migration(ctx, scale))),
     ]
 }
