@@ -9,7 +9,8 @@
 # invariant checks), the full workspace suite, the release-build
 # equivalence proptests and golden digests with and without debug
 # assertions, the timeline/heatmap artifacts byte-identical across --jobs,
-# the EXPERIMENTS.md and PROTOCOL.md drift gates (DESIGN.md §9, §14), the
+# the EXPERIMENTS.md drift gate over every figure-registry table and the
+# PROTOCOL.md drift gate (DESIGN.md §9, §14), the
 # serve lane (DESIGN.md §14: batch and socket replays of the
 # fig14 request mix must digest byte-identically, with the warm pass
 # answered entirely from the persistent run cache, plus cross-process cache
@@ -70,7 +71,9 @@ for b in SPMV KM RELU; do
   done
 done
 
-echo "== EXPERIMENTS.md drift gate (regen-experiments --check)"
+# Regenerates every entry of the figure registry (wsg_bench::figures::all)
+# at bench scale and fails if any generated table in EXPERIMENTS.md differs.
+echo "== EXPERIMENTS.md drift gate (regen-experiments --check: every figure-registry table)"
 cargo run --release -q -p wsg-bench --bin hdpat-sim -- regen-experiments --scale bench --check
 
 echo "== PROTOCOL.md drift gate (regen-protocol --check)"

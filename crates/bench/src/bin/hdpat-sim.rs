@@ -11,7 +11,7 @@
 //! hdpat-sim trace SPMV --out t.json       # request-lifecycle trace
 //! hdpat-sim timeline SPMV --out t.csv     # epoch-sampled counter timeline
 //! hdpat-sim heatmap SPMV --out h.csv      # per-tile activity heatmap
-//! hdpat-sim regen-experiments             # rewrite EXPERIMENTS.md tables
+//! hdpat-sim regen-experiments             # rewrite every EXPERIMENTS.md table
 //! hdpat-sim regen-experiments --check     # CI doc drift gate
 //! hdpat-sim serve --socket /tmp/h.sock    # simulation daemon (PROTOCOL.md)
 //! hdpat-sim emit-mix fig14 --out mix.ndj  # record the fig14 request mix
@@ -63,7 +63,7 @@ fn parse_scale(s: &str) -> Option<Scale> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  hdpat-sim list\n  hdpat-sim run <BENCH> <POLICY> [--scale unit|bench|full] [--seed N]\n  hdpat-sim compare <BENCH> [--scale ...] [--jobs N] [--no-cache] [--progress]\n  hdpat-sim figure <figNN|tabN|all> [--scale ...] [--jobs N] [--no-cache] [--progress] [--perf-out FILE]\n  hdpat-sim trace <BENCH> [--scale ...] [--seed N] [--out FILE] [--policy P]\n  hdpat-sim timeline <BENCH> --out FILE [--interval N] [--format csv|json|perfetto] [--policy P] [--scale ...] [--seed N]\n  hdpat-sim heatmap <BENCH> --out FILE [--interval N] [--policy P] [--scale ...] [--seed N]\n  hdpat-sim regen-experiments [--scale ...] [--jobs N] [--check] [--path FILE]\n  hdpat-sim serve (--socket PATH | --stdio) [--jobs N] [--cache-dir DIR] [--cache-budget BYTES] [--ops-log FILE] [--metrics-out FILE] [--metrics-interval SECS]\n  hdpat-sim replay <MIX> [--socket PATH] [--shutdown] [--out FILE] [--stats-out FILE] [--jobs N] [--cache-dir DIR] [--cache-budget BYTES]\n  hdpat-sim emit-mix fig14 [--scale ...] [--seed N] [--out FILE]\n  hdpat-sim regen-protocol [--check] [--path FILE]\n\nsweep commands also accept --cache-dir DIR [--cache-budget BYTES] for the\npersistent cross-process run cache (DESIGN.md \u{a7}14)."
+        "usage:\n  hdpat-sim list\n  hdpat-sim run <BENCH> <POLICY> [--scale unit|bench|full] [--seed N]\n  hdpat-sim compare <BENCH> [--scale ...] [--jobs N] [--no-cache] [--progress]\n  hdpat-sim figure <NAME|all> [--scale ...] [--jobs N] [--no-cache] [--progress] [--perf-out FILE]\n  hdpat-sim trace <BENCH> [--scale ...] [--seed N] [--out FILE] [--policy P]\n  hdpat-sim timeline <BENCH> --out FILE [--interval N] [--format csv|json|perfetto] [--policy P] [--scale ...] [--seed N]\n  hdpat-sim heatmap <BENCH> --out FILE [--interval N] [--policy P] [--scale ...] [--seed N]\n  hdpat-sim regen-experiments [--scale ...] [--jobs N] [--check] [--path FILE]\n  hdpat-sim serve (--socket PATH | --stdio) [--jobs N] [--cache-dir DIR] [--cache-budget BYTES] [--ops-log FILE] [--metrics-out FILE] [--metrics-interval SECS]\n  hdpat-sim replay <MIX> [--socket PATH] [--shutdown] [--out FILE] [--stats-out FILE] [--jobs N] [--cache-dir DIR] [--cache-budget BYTES]\n  hdpat-sim emit-mix fig14 [--scale ...] [--seed N] [--out FILE]\n  hdpat-sim regen-protocol [--check] [--path FILE]\n\nsweep commands also accept --cache-dir DIR [--cache-budget BYTES] for the\npersistent cross-process run cache (DESIGN.md \u{a7}14)."
     );
     std::process::exit(2);
 }
@@ -494,7 +494,8 @@ fn cmd_figure(ctx: &SweepCtx, name: &str, scale: Scale, perf_out: Option<&str>) 
         }
     }
     if !matched {
-        eprintln!("unknown figure `{name}`; try fig02..fig22, tab1..tab3, or `all`");
+        let names: Vec<&str> = all.iter().map(|(n, _)| *n).collect();
+        eprintln!("unknown figure `{name}`; try {} or `all`", names.join(", "));
         std::process::exit(2);
     }
     let (hits, misses) = ctx.cache_stats();

@@ -1,6 +1,8 @@
-//! One function per paper table/figure. Each returns a [`Table`] whose rows
-//! mirror what the paper plots, so bench targets print them and integration
-//! tests assert on their shape.
+//! One function per paper table/figure and per extension ablation, all
+//! registered by name in [`all`]. Each returns a [`Table`] whose rows mirror
+//! what the paper plots, so `hdpat-sim figure <name>|all` prints them,
+//! `hdpat-sim regen-experiments` writes them into EXPERIMENTS.md, and
+//! integration tests assert on their shape.
 //!
 //! Every figure takes a [`SweepCtx`] and submits its simulation points as
 //! one batch through [`SweepCtx::sweep`]: unique points run across the
@@ -12,7 +14,7 @@
 
 use hdpat::experiments::{RunConfig, SweepCtx};
 use hdpat::policy::{HdpatConfig, PolicyKind};
-use hdpat::Metrics;
+use hdpat::{Metrics, MigrationConfig};
 use wsg_gpu::{GpuPreset, IommuConfig, SystemConfig, WaferLayout};
 use wsg_workloads::{BenchmarkId, Scale};
 use wsg_xlat::PageSize;
@@ -694,8 +696,9 @@ pub fn tab3_area_power() -> Table {
     t
 }
 
-/// The benchmark subset the two extension ablations run over.
-const ABLATION_BENCHES: [BenchmarkId; 6] = [
+/// The benchmarks [`abl_design_choices`] averages over: a subset spanning
+/// the suite's pattern classes.
+const DESIGN_BENCHES: [BenchmarkId; 6] = [
     BenchmarkId::Spmv,
     BenchmarkId::Pr,
     BenchmarkId::Mm,
@@ -704,75 +707,68 @@ const ABLATION_BENCHES: [BenchmarkId; 6] = [
     BenchmarkId::Relu,
 ];
 
-fn gmean_speedup(ctx: &SweepCtx, cfg: HdpatConfig, scale: Scale) -> f64 {
-    let points: Vec<RunConfig> = ABLATION_BENCHES
-        .iter()
-        .flat_map(|&b| {
-            [
-                RunConfig::new(b, scale, PolicyKind::Naive),
-                RunConfig::new(b, scale, PolicyKind::Hdpat(cfg)),
-            ]
-        })
-        .collect();
-    let results = ctx.sweep(&points);
-    let speeds: Vec<f64> = results
-        .chunks(2)
-        .map(|pair| pair[1].speedup_vs(&pair[0]))
-        .collect();
-    wsg_sim::stats::geo_mean(&speeds).expect("positive speedups")
-}
-
-/// Design-choice ablation.
+/// Extension ablation of HDPAT's design knobs beyond Fig 15: rotation
+/// (§IV-E), the number of concentric caching layers `C` (§IV-C), the
+/// selective-push threshold and PW-queue revisit (§IV-F). Each row is the
+/// geometric-mean speedup over the baseline across SPMV, PR, MM, FIR, BT
+/// and RELU.
 pub fn abl_design_choices(ctx: &SweepCtx, scale: Scale) -> Table {
-    let base_cfg = HdpatConfig::paper_default();
+    let base = HdpatConfig::paper_default();
+    let mut variants = vec![
+        ("rotation on (default)".to_string(), base),
+        (
+            "rotation off".to_string(),
+            HdpatConfig {
+                rotation: false,
+                ..base
+            },
+        ),
+    ];
+    variants.extend((1..=3).map(|c| {
+        let cfg = HdpatConfig {
+            caching_layers: c,
+            ..base
+        };
+        (format!("C = {c} caching layers"), cfg)
+    }));
+    variants.extend([1, 2, 4, 8].map(|thr| {
+        let cfg = HdpatConfig {
+            push_threshold: thr,
+            ..base
+        };
+        (format!("push threshold = {thr}"), cfg)
+    }));
+    variants.push(("revisit on (default)".to_string(), base));
+    variants.push((
+        "revisit off".to_string(),
+        HdpatConfig {
+            queue_revisit: false,
+            ..base
+        },
+    ));
+    // The baselines first, then one run per (variant, benchmark), all in
+    // one batch; the run cache folds the variants equal to the default.
+    let mut points: Vec<RunConfig> = DESIGN_BENCHES
+        .map(|b| RunConfig::new(b, scale, PolicyKind::Naive))
+        .to_vec();
+    for (_, cfg) in &variants {
+        points.extend(DESIGN_BENCHES.map(|b| RunConfig::new(b, scale, PolicyKind::Hdpat(*cfg))));
+    }
+    let results = ctx.sweep(&points);
+    let (bases, runs) = results.split_at(DESIGN_BENCHES.len());
     let mut t = Table::new(vec!["variant", "gmean-speedup"]);
-    for (name, rotation) in [("rotation on (default)", true), ("rotation off", false)] {
-        let s = gmean_speedup(
-            ctx,
-            HdpatConfig {
-                rotation,
-                ..base_cfg
-            },
-            scale,
-        );
-        t.row(vec![name.to_string(), ratio(s)]);
-    }
-    for c in 1..=3u32 {
-        let s = gmean_speedup(
-            ctx,
-            HdpatConfig {
-                caching_layers: c,
-                ..base_cfg
-            },
-            scale,
-        );
-        t.row(vec![format!("C = {c} caching layers"), ratio(s)]);
-    }
-    for thr in [1u32, 2, 4, 8] {
-        let s = gmean_speedup(
-            ctx,
-            HdpatConfig {
-                push_threshold: thr,
-                ..base_cfg
-            },
-            scale,
-        );
-        t.row(vec![format!("push threshold = {thr}"), ratio(s)]);
-    }
-    for (name, revisit) in [("revisit on (default)", true), ("revisit off", false)] {
-        let s = gmean_speedup(
-            ctx,
-            HdpatConfig {
-                queue_revisit: revisit,
-                ..base_cfg
-            },
-            scale,
-        );
-        t.row(vec![name.to_string(), ratio(s)]);
+    for ((name, _), chunk) in variants.iter().zip(runs.chunks(DESIGN_BENCHES.len())) {
+        let speeds: Vec<f64> = chunk
+            .iter()
+            .zip(bases)
+            .map(|(m, base)| m.speedup_vs(base))
+            .collect();
+        t.row(vec![name.clone(), gmean_cell(&speeds)]);
     }
     t
 }
 
+/// The benchmarks [`abl_migration`] runs.
 const MIGRATION_BENCHES: [BenchmarkId; 6] = [
     BenchmarkId::Spmv,
     BenchmarkId::Pr,
@@ -782,23 +778,26 @@ const MIGRATION_BENCHES: [BenchmarkId; 6] = [
     BenchmarkId::Km,
 ];
 
-fn run_maybe_migrating(cfg: &RunConfig, migration: Option<hdpat::MigrationConfig>) -> Metrics {
-    let sim = hdpat::Simulation::new(
-        cfg.system.clone(),
-        cfg.policy,
-        cfg.benchmark,
-        cfg.scale,
-        cfg.seed,
-    );
-    match migration {
-        Some(m) => sim.with_migration(m).run(),
-        None => sim.run(),
-    }
-}
-
-/// Page migration extension.
-pub fn abl_migration(_ctx: &SweepCtx, scale: Scale) -> Table {
-    let mig = hdpat::MigrationConfig::default_streak();
+/// Extension study: streak-based page migration (the paper's named
+/// future-work direction, [`MigrationConfig`]) composed with the baseline
+/// and with HDPAT, normalized to the plain baseline, plus the pages HDPAT
+/// with migration moved.
+pub fn abl_migration(ctx: &SweepCtx, scale: Scale) -> Table {
+    let mig = MigrationConfig::default_streak();
+    let points: Vec<RunConfig> = MIGRATION_BENCHES
+        .into_iter()
+        .flat_map(|b| {
+            let base = RunConfig::new(b, scale, PolicyKind::Naive);
+            let hd = RunConfig::new(b, scale, PolicyKind::hdpat());
+            [
+                base.clone(),
+                base.with_migration(mig),
+                hd.clone(),
+                hd.with_migration(mig),
+            ]
+        })
+        .collect();
+    let results = ctx.sweep(&points);
     let mut t = Table::new(vec![
         "bench",
         "baseline+migration",
@@ -807,28 +806,15 @@ pub fn abl_migration(_ctx: &SweepCtx, scale: Scale) -> Table {
         "pages-migrated",
     ]);
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for b in MIGRATION_BENCHES {
-        let base_cfg = RunConfig::new(b, scale, PolicyKind::Naive);
-        let base = run_maybe_migrating(&base_cfg, None);
-        let base_mig = run_maybe_migrating(&base_cfg, Some(mig));
-        let hd_cfg = RunConfig::new(b, scale, PolicyKind::hdpat());
-        let hd = run_maybe_migrating(&hd_cfg, None);
-        let hd_mig = run_maybe_migrating(&hd_cfg, Some(mig));
-        let s = [
-            base_mig.speedup_vs(&base),
-            hd.speedup_vs(&base),
-            hd_mig.speedup_vs(&base),
-        ];
-        for (c, v) in cols.iter_mut().zip(s) {
-            c.push(v);
+    for (b, chunk) in MIGRATION_BENCHES.into_iter().zip(results.chunks(4)) {
+        let mut row = vec![b.to_string()];
+        for (col, m) in cols.iter_mut().zip(&chunk[1..]) {
+            let s = m.speedup_vs(&chunk[0]);
+            col.push(s);
+            row.push(ratio(s));
         }
-        t.row(vec![
-            b.to_string(),
-            ratio(s[0]),
-            ratio(s[1]),
-            ratio(s[2]),
-            hd_mig.pages_migrated.to_string(),
-        ]);
+        row.push(chunk[3].pages_migrated.to_string());
+        t.row(row);
     }
     let mut gm = vec!["GMEAN".to_string()];
     gm.extend(cols.iter().map(|c| gmean_cell(c)));
@@ -840,8 +826,10 @@ pub fn abl_migration(_ctx: &SweepCtx, scale: Scale) -> Table {
 /// A figure or table regenerator bound to its sweep context and scale.
 pub type Figure<'a> = Box<dyn Fn() -> Table + 'a>;
 
-/// Every paper figure and table by name, in `hdpat-sim figure all` order.
-/// An entry runs its sweep only when called.
+/// Every paper figure and table, then the two extension ablations, by name
+/// in `hdpat-sim figure all` order. This is the one way to produce a figure:
+/// the CLI, the EXPERIMENTS.md blocks and the golden table digests all read
+/// it. An entry runs its sweep only when called.
 pub fn all(ctx: &SweepCtx, scale: Scale) -> Vec<(&'static str, Figure<'_>)> {
     vec![
         ("fig02", Box::new(move || fig02_headroom(ctx, scale))),

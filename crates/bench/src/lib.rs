@@ -3,40 +3,16 @@
 //! Benchmark harness regenerating every table and figure of the HDPAT
 //! paper.
 //!
-//! Each `benches/figXX_*.rs` target is a thin wrapper around a function in
-//! [`figures`]; the functions return plain row data so integration tests can
-//! assert on the *shape* of each result (who wins, by roughly what factor)
-//! while the bench binaries print the same rows the paper plots.
-//!
-//! Scale control: the `WSG_SCALE` environment variable selects `unit`
-//! (seconds, smoke-test quality) or `bench` (the default; minutes,
-//! reproduction quality) for all figure benches. `WSG_JOBS` caps the sweep
-//! worker count (default: the host's available parallelism) — it changes
-//! wall-clock time only, never a byte of output.
+//! [`figures::all`] is the one registry of figures and tables. Each entry
+//! wraps a function in [`figures`] that returns plain row data, so
+//! integration tests can assert on the *shape* of each result (who wins, by
+//! roughly what factor) while `hdpat-sim figure <name>|all --scale
+//! unit|bench|full --jobs N` prints the rows the paper plots and
+//! `hdpat-sim regen-experiments` writes them into EXPERIMENTS.md
+//! ([`regen`]). `--jobs` changes wall-clock time only, never a byte of
+//! output.
 
 pub mod figures;
 pub mod regen;
 pub mod report;
 pub mod serving;
-
-use hdpat::experiments::SweepCtx;
-use wsg_workloads::Scale;
-
-/// The scale figure benches run at: `WSG_SCALE=unit|bench|full`
-/// (default `bench`).
-pub fn scale_from_env() -> Scale {
-    match std::env::var("WSG_SCALE").as_deref() {
-        Ok("unit") => Scale::Unit,
-        Ok("full") => Scale::Full,
-        _ => Scale::Bench,
-    }
-}
-
-/// A sweep context sized by `WSG_JOBS` (default: available parallelism),
-/// used by every figure bench target.
-pub fn ctx_from_env() -> SweepCtx {
-    match std::env::var("WSG_JOBS").ok().and_then(|j| j.parse().ok()) {
-        Some(jobs) => SweepCtx::new(jobs),
-        None => SweepCtx::auto(),
-    }
-}

@@ -9,28 +9,30 @@
 //! <!-- /generated:fig14 -->
 //! ```
 //!
-//! `hdpat-sim regen-experiments` re-runs the backing sweeps and splices the
-//! fresh Markdown between the markers, so the measured numbers in the doc
-//! are a build artifact instead of hand-edited text; `--check` (the CI doc
-//! drift gate, see ci.sh) verifies a regeneration changes nothing. Only the
-//! marked blocks are touched — the surrounding prose (paper claims,
-//! verdicts, caveats) stays hand-written.
+//! Every entry of the figure registry ([`figures::all`]) has one such pair,
+//! named after the entry. `hdpat-sim regen-experiments` re-runs the backing
+//! sweeps and splices the fresh Markdown between the markers, so the
+//! measured numbers in the doc are a build artifact instead of hand-edited
+//! text; `--check` (the CI doc drift gate, see ci.sh) verifies a
+//! regeneration changes nothing. Only the marked blocks are touched — the
+//! surrounding prose (paper claims, verdicts, caveats) stays hand-written
+//! and cites measured numbers by the row they sit in.
 
 use hdpat::experiments::SweepCtx;
 use wsg_workloads::Scale;
 
 use crate::figures;
 
-/// The generated blocks, in document order: `(marker id, Markdown body)`.
+/// One generated block per [`figures::all`] entry, in registry order:
+/// `(marker id, Markdown body)`, the id being the entry's name.
 ///
-/// The backing sweeps share `ctx`'s run cache, so the Naive baseline column
-/// and the HDPAT runs are simulated once across all blocks.
+/// The backing sweeps share `ctx`'s run cache, so a point common to several
+/// figures (most prominently the Naive baseline) is simulated once.
 pub fn blocks(ctx: &SweepCtx, scale: Scale) -> Vec<(&'static str, String)> {
-    vec![
-        ("fig14", figures::fig14_overall(ctx, scale).to_markdown()),
-        ("fig15", figures::fig15_ablation(ctx, scale).to_markdown()),
-        ("fig16", figures::fig16_breakdown(ctx, scale).to_markdown()),
-    ]
+    figures::all(ctx, scale)
+        .into_iter()
+        .map(|(name, table)| (name, table().to_markdown()))
+        .collect()
 }
 
 /// Replaces the body between `<!-- generated:id -->` and
@@ -101,6 +103,17 @@ mod tests {
         assert!(splice(unterminated, "fig14", "x\n")
             .unwrap_err()
             .contains("/generated:fig14"));
+    }
+
+    #[test]
+    fn experiments_md_has_markers_for_every_registry_entry() {
+        let doc = include_str!("../../../EXPERIMENTS.md");
+        let ctx = SweepCtx::serial();
+        for (name, _) in figures::all(&ctx, Scale::Unit) {
+            if let Err(e) = splice(doc, name, "") {
+                panic!("EXPERIMENTS.md: {e}");
+            }
+        }
     }
 
     #[test]

@@ -132,7 +132,7 @@ pub fn render(figure: &str, caption: &str, table: &Table) -> String {
     format!("==== {figure} ====\n{caption}\n\n{}\n", table.to_text())
 }
 
-/// Prints a figure banner plus the table, used by every bench target.
+/// Prints a figure banner plus the table (`hdpat-sim figure`).
 pub fn emit(figure: &str, caption: &str, table: &Table) {
     print!("{}", render(figure, caption, table));
 }

@@ -562,13 +562,14 @@ mod tests {
             .unwrap()
             .len();
         let budgeted = DiskCache::open(&dir, Some(entry_bytes * 2 + entry_bytes / 2)).unwrap();
-        let tick = || std::thread::sleep(std::time::Duration::from_millis(5));
-        tick();
         budgeted.insert("fp-b", &sample_metrics(2));
         // fp-b loses its sidecar (crash between entry write and stamp
         // refresh, stray cleanup, ...).
         fs::remove_file(dir.join(format!("{}.atime", fnv128_hex("fp-b")))).unwrap();
-        tick();
+        // Stamp fp-a explicitly old. The sidecar holds nanoseconds while the
+        // kernel takes fp-b's fallback mtime from a coarser clock, so sleeps
+        // between the writes would not order the two reliably.
+        fs::write(dir.join(format!("{}.atime", fnv128_hex("fp-a"))), b"777\n").unwrap();
         // Overflow the budget: the oldest entry by actual age is fp-a, and
         // that is what must go — not the unstamped-but-newer fp-b.
         budgeted.insert("fp-c", &sample_metrics(3));

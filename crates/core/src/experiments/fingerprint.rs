@@ -29,6 +29,12 @@
 //!   paper-baseline config; it failing means the contract changed and the
 //!   version must be bumped (which orphans old disk-cache entries — by
 //!   design).
+//! * An optional extension field renders as a trailing `|name=…` segment
+//!   only when it is set. A config that leaves it unset keeps the exact
+//!   string it had before the field existed, so adding such a field needs
+//!   no version bump and orphans no disk-cache entry. `RunConfig::migration`
+//!   is the one such field: a migrating point must not share a key with its
+//!   plain twin.
 //!
 //! `f64` parameters render with Rust's shortest-roundtrip formatting, which
 //! is injective (distinct values → distinct text), so equality of rendering
@@ -43,6 +49,7 @@ use wsg_workloads::Scale;
 use wsg_xlat::TlbConfig;
 
 use super::RunConfig;
+use crate::migration::MigrationConfig;
 use crate::policy::{HdpatConfig, PolicyKind};
 
 /// Version token prefixed to every fingerprint. Bump when the rendering
@@ -59,6 +66,7 @@ pub fn fingerprint(cfg: &RunConfig) -> String {
         benchmark,
         scale,
         seed,
+        migration,
     } = cfg;
     let mut s = String::with_capacity(512);
     s.push_str(FINGERPRINT_VERSION);
@@ -72,6 +80,16 @@ pub fn fingerprint(cfg: &RunConfig) -> String {
         benchmark.info().abbr,
         scale_token(*scale)
     );
+    if let Some(MigrationConfig {
+        streak_threshold,
+        install_latency,
+    }) = migration
+    {
+        let _ = write!(
+            s,
+            "|migration=streak:{streak_threshold},install:{install_latency}"
+        );
+    }
     s
 }
 
@@ -312,6 +330,22 @@ mod tests {
         fps.sort();
         fps.dedup();
         assert_eq!(fps.len(), before);
+    }
+
+    #[test]
+    fn migration_is_rendered_only_when_set() {
+        let plain = RunConfig::new(BenchmarkId::Relu, Scale::Unit, PolicyKind::Naive);
+        assert!(!plain.fingerprint().contains("migration"));
+        let migrating = plain.clone().with_migration(MigrationConfig::default());
+        assert_eq!(
+            migrating.fingerprint(),
+            format!("{}|migration=streak:16,install:200", plain.fingerprint())
+        );
+        let eager = plain.clone().with_migration(MigrationConfig {
+            streak_threshold: 4,
+            ..MigrationConfig::default()
+        });
+        assert_ne!(migrating.fingerprint(), eager.fingerprint());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Experiment runners used by the examples, tests, and the figure benches:
+//! Experiment runners used by the examples, tests, and the figure registry:
 //! the one-call [`run`] plus the deterministic parallel sweep API
 //! ([`SweepCtx`], [`RunCache`]) that deduplicates and fans independent
 //! points across worker threads without changing a single output byte, and
@@ -56,6 +56,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::metrics::Metrics;
+use crate::migration::MigrationConfig;
 use crate::policy::PolicyKind;
 use crate::sim::Simulation;
 
@@ -73,6 +74,9 @@ pub struct RunConfig {
     /// Workload generator seed (the default 42 is used throughout the
     /// reproduction for determinism).
     pub seed: u64,
+    /// The page-migration extension (see [`crate::migration`]); `None`, the
+    /// default, runs without it.
+    pub migration: Option<MigrationConfig>,
 }
 
 impl RunConfig {
@@ -88,6 +92,7 @@ impl RunConfig {
             benchmark,
             scale,
             seed: 42,
+            migration: None,
         }
     }
 
@@ -100,6 +105,7 @@ impl RunConfig {
             benchmark,
             scale,
             seed: 42,
+            migration: None,
         }
     }
 
@@ -114,6 +120,13 @@ impl RunConfig {
     /// Replaces the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self
+    }
+
+    /// Enables the streak-based page-migration extension, which composes
+    /// with any translation policy.
+    pub fn with_migration(mut self, migration: MigrationConfig) -> Self {
+        self.migration = Some(migration);
         self
     }
 
@@ -149,14 +162,7 @@ impl RunConfig {
 /// assert!(m.ops_completed > 0);
 /// ```
 pub fn run(cfg: &RunConfig) -> Metrics {
-    Simulation::new(
-        cfg.system.clone(),
-        cfg.policy,
-        cfg.benchmark,
-        cfg.scale,
-        cfg.seed,
-    )
-    .run()
+    run_observed(cfg, ()).0
 }
 
 /// Runs one experiment point like [`run`], reporting to `obs`; returns the
@@ -165,7 +171,11 @@ pub fn run_observed<O: Observer>(cfg: &RunConfig, obs: O) -> (Metrics, O) {
     let system = cfg.system.clone();
     let mut space = AddressSpace::new(system.page_size, system.gpm_count() as u32);
     let traces = wsg_workloads::generate(cfg.benchmark, cfg.scale, &mut space, cfg.seed);
-    Simulation::observed(system, cfg.policy, space, traces, obs).run_observed()
+    let sim = Simulation::observed(system, cfg.policy, space, traces, obs);
+    match cfg.migration {
+        Some(m) => sim.with_migration(m).run_observed(),
+        None => sim.run_observed(),
+    }
 }
 
 /// Folds a trace sink's per-stage latency distributions into `metrics`.
@@ -604,6 +614,17 @@ mod tests {
         let again = ctx.run(&aes);
         assert!(Arc::ptr_eq(&again, &out[1]));
         assert_eq!(ctx.cache_stats(), (2, 2));
+    }
+
+    #[test]
+    fn sweep_keeps_a_migrating_point_apart_from_its_plain_twin() {
+        let plain = RunConfig::new(BenchmarkId::Relu, Scale::Unit, PolicyKind::Naive);
+        let migrating = plain.clone().with_migration(MigrationConfig::default());
+        let ctx = SweepCtx::serial();
+        let out = ctx.sweep(&[plain, migrating]);
+        assert_eq!(ctx.cache_stats(), (0, 2), "both points simulate");
+        assert_eq!(out[0].pages_migrated, 0);
+        assert!(out[1].pages_migrated > 0);
     }
 
     #[test]

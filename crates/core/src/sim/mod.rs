@@ -424,8 +424,9 @@ impl<O: Observer> Simulation<O> {
     }
 
     /// Enables the streak-based page-migration extension (see
-    /// [`crate::migration`]). Composes with any translation policy.
-    pub fn with_migration(mut self, cfg: MigrationConfig) -> Self {
+    /// [`crate::migration`]); reached through
+    /// [`crate::experiments::RunConfig::with_migration`].
+    pub(crate) fn with_migration(mut self, cfg: MigrationConfig) -> Self {
         self.migration = Some(cfg);
         self
     }

@@ -57,7 +57,7 @@ pub struct BenchmarkInfo {
 pub enum Scale {
     /// Tiny configuration for unit/integration tests (sub-second sims).
     Unit,
-    /// The default experiment scale used by the figure benches: preserves
+    /// The default experiment scale used by the figures: preserves
     /// the paper's relative workgroup/footprint ratios at ~1/64 size.
     Bench,
     /// The paper's full Table II configuration (slow; hours of simulation).

@@ -264,3 +264,29 @@ fn tables_render() {
     let t3 = figures::tab3_area_power();
     assert!(t3.to_csv().contains("redirection-table-1024"));
 }
+
+#[test]
+fn abl_design_choices_revisit_matters() {
+    let t = figures::abl_design_choices(ctx(), Scale::Unit);
+    assert_eq!(t.rows.len(), 11, "one row per design variant");
+    let on = parse_ratio(&gmean_row(&t, "revisit on (default)")[1]);
+    let off = parse_ratio(&gmean_row(&t, "revisit off")[1]);
+    assert!(
+        off < on,
+        "revisit off ({off}) must lose to revisit on ({on})"
+    );
+}
+
+#[test]
+fn abl_migration_moves_relu_pages() {
+    let t = figures::abl_migration(ctx(), Scale::Unit);
+    assert_eq!(t.rows.len(), 7, "6 benchmarks + GMEAN");
+    let relu = gmean_row(&t, "RELU");
+    let col = t
+        .headers
+        .iter()
+        .position(|h| h == "pages-migrated")
+        .unwrap();
+    let moved: u64 = relu[col].parse().unwrap();
+    assert!(moved > 0, "HDPAT+migration migrated no RELU pages");
+}

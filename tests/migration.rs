@@ -1,12 +1,12 @@
 //! Integration tests for the page-migration extension.
 
 use hdpat::experiments::{run, RunConfig};
-use hdpat::{MigrationConfig, Simulation};
+use hdpat::MigrationConfig;
 use hdpat_wafer::prelude::*;
 
-fn sim(b: BenchmarkId, p: PolicyKind) -> Simulation {
-    let cfg = RunConfig::new(b, Scale::Unit, p);
-    Simulation::new(cfg.system.clone(), p, b, Scale::Unit, cfg.seed)
+/// Runs `b` under `p` at unit scale with page migration enabled.
+fn migrating(b: BenchmarkId, p: PolicyKind, migration: MigrationConfig) -> Metrics {
+    run(&RunConfig::new(b, Scale::Unit, p).with_migration(migration))
 }
 
 #[test]
@@ -16,9 +16,11 @@ fn migration_completes_all_work() {
         Scale::Unit,
         PolicyKind::Naive,
     ));
-    let migrated = sim(BenchmarkId::Relu, PolicyKind::Naive)
-        .with_migration(MigrationConfig::default_streak())
-        .run();
+    let migrated = migrating(
+        BenchmarkId::Relu,
+        PolicyKind::Naive,
+        MigrationConfig::default_streak(),
+    );
     assert_eq!(
         migrated.ops_completed, plain.ops_completed,
         "migration must not lose or duplicate ops"
@@ -30,12 +32,14 @@ fn migration_completes_all_work() {
 fn migration_actually_migrates_on_sole_consumer_workloads() {
     // RELU: each page has exactly one (remote) consumer after round-robin
     // dispatch — the ideal migration target.
-    let m = sim(BenchmarkId::Relu, PolicyKind::Naive)
-        .with_migration(MigrationConfig {
+    let m = migrating(
+        BenchmarkId::Relu,
+        PolicyKind::Naive,
+        MigrationConfig {
             streak_threshold: 4,
             install_latency: 100,
-        })
-        .run();
+        },
+    );
     assert!(m.pages_migrated > 0, "no pages migrated");
 }
 
@@ -51,9 +55,11 @@ fn migration_is_off_by_default() {
 
 #[test]
 fn migration_composes_with_hdpat() {
-    let m = sim(BenchmarkId::Spmv, PolicyKind::hdpat())
-        .with_migration(MigrationConfig::default_streak())
-        .run();
+    let m = migrating(
+        BenchmarkId::Spmv,
+        PolicyKind::hdpat(),
+        MigrationConfig::default_streak(),
+    );
     assert!(m.ops_completed > 0);
     // HDPAT mechanisms still operate alongside migration.
     assert!(m.resolution.total() > 0);
@@ -61,12 +67,16 @@ fn migration_composes_with_hdpat() {
 
 #[test]
 fn migration_is_deterministic() {
-    let a = sim(BenchmarkId::Km, PolicyKind::hdpat())
-        .with_migration(MigrationConfig::default_streak())
-        .run();
-    let b = sim(BenchmarkId::Km, PolicyKind::hdpat())
-        .with_migration(MigrationConfig::default_streak())
-        .run();
+    let a = migrating(
+        BenchmarkId::Km,
+        PolicyKind::hdpat(),
+        MigrationConfig::default_streak(),
+    );
+    let b = migrating(
+        BenchmarkId::Km,
+        PolicyKind::hdpat(),
+        MigrationConfig::default_streak(),
+    );
     assert_eq!(a.total_cycles, b.total_cycles);
     assert_eq!(a.pages_migrated, b.pages_migrated);
 }
@@ -75,12 +85,16 @@ fn migration_is_deterministic() {
 fn hot_shared_pages_do_not_migrate() {
     // PR's rank pages are shared by every GPM: streaks keep resetting, so
     // few (if any) of them should migrate relative to the page population.
-    let m = sim(BenchmarkId::Pr, PolicyKind::Naive)
-        .with_migration(MigrationConfig::default_streak())
-        .run();
-    let relu = sim(BenchmarkId::Relu, PolicyKind::Naive)
-        .with_migration(MigrationConfig::default_streak())
-        .run();
+    let m = migrating(
+        BenchmarkId::Pr,
+        PolicyKind::Naive,
+        MigrationConfig::default_streak(),
+    );
+    let relu = migrating(
+        BenchmarkId::Relu,
+        PolicyKind::Naive,
+        MigrationConfig::default_streak(),
+    );
     assert!(
         relu.pages_migrated >= m.pages_migrated,
         "sole-consumer RELU ({}) should migrate at least as much as shared PR ({})",
