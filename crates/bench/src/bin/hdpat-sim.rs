@@ -35,11 +35,12 @@
 
 use std::path::{Path, PathBuf};
 
-use hdpat::experiments::{run, DiskCache, RunConfig, SweepCtx};
+use hdpat::experiments::{run, run_observed, DiskCache, RunConfig, SweepCtx};
 use hdpat::policy::PolicyKind;
 use hdpat::serve::{Daemon, DaemonConfig};
 use wsg_bench::report::{emit, Table};
 use wsg_bench::{figures, regen, serving};
+use wsg_sim::{telemetry::TelemetrySink, trace::TraceSink};
 use wsg_workloads::{BenchmarkId, Scale};
 
 fn parse_benchmark(s: &str) -> Option<BenchmarkId> {
@@ -387,7 +388,8 @@ fn cmd_trace(b: BenchmarkId, scale: Scale, seed: u64) {
 /// trace-event JSON (loadable in Perfetto / `chrome://tracing`), and prints
 /// the per-stage latency table as CSV on stdout.
 fn cmd_trace_run(b: BenchmarkId, p: PolicyKind, scale: Scale, seed: u64, out: &str) {
-    let (m, sink) = hdpat::experiments::run_traced(&RunConfig::new(b, scale, p).with_seed(seed));
+    let cfg = RunConfig::new(b, scale, p).with_seed(seed);
+    let (m, sink) = run_observed(&cfg, TraceSink::new());
     if let Err(e) = std::fs::write(out, sink.to_chrome_json()) {
         eprintln!("trace: cannot write {out}: {e}");
         std::process::exit(2);
@@ -418,7 +420,7 @@ fn cmd_timeline(
     let cfg = RunConfig::new(b, scale, p).with_seed(seed);
     let (metrics, body) = match format {
         "csv" | "json" => {
-            let (m, sink) = hdpat::experiments::run_telemetry(&cfg, interval);
+            let (m, sink) = run_observed(&cfg, TelemetrySink::new(interval));
             let body = if format == "csv" {
                 sink.to_csv()
             } else {
@@ -427,7 +429,8 @@ fn cmd_timeline(
             (m, body)
         }
         "perfetto" => {
-            let (m, tel, trc) = hdpat::experiments::run_telemetry_traced(&cfg, interval);
+            let obs = (TelemetrySink::new(interval), TraceSink::new());
+            let (m, (tel, trc)) = run_observed(&cfg, obs);
             (m, tel.merge_chrome_json(&trc.to_chrome_json()))
         }
         _ => {
@@ -449,7 +452,7 @@ fn cmd_timeline(
 /// activity heatmap (`metric,x,y,value` CSV, whole-run totals) to `out`.
 fn cmd_heatmap(b: BenchmarkId, p: PolicyKind, scale: Scale, seed: u64, interval: u64, out: &str) {
     let cfg = RunConfig::new(b, scale, p).with_seed(seed);
-    let (metrics, sink) = hdpat::experiments::run_telemetry(&cfg, interval);
+    let (metrics, sink) = run_observed(&cfg, TelemetrySink::new(interval));
     let Some(hm) = sink.heatmap() else {
         eprintln!("heatmap: simulation registered no spatial grid");
         std::process::exit(2);

@@ -12,9 +12,7 @@ pub use diskcache::{fnv128_hex, DiskCache, DiskCacheStats};
 pub use fingerprint::FINGERPRINT_VERSION;
 
 use wsg_gpu::{AddressSpace, SystemConfig};
-use wsg_sim::telemetry::TelemetrySink;
-use wsg_sim::trace::TraceSink;
-use wsg_sim::{Cycle, Observer};
+use wsg_sim::Observer;
 use wsg_workloads::{BenchmarkId, Scale};
 
 /// Divides the capacity of every translation/cache structure by the same
@@ -167,6 +165,28 @@ pub fn run(cfg: &RunConfig) -> Metrics {
 
 /// Runs one experiment point like [`run`], reporting to `obs`; returns the
 /// metrics together with the observer.
+///
+/// `obs` is a [`wsg_sim::trace::TraceSink`] (request-lifecycle spans and
+/// per-stage latency statistics), a [`wsg_sim::telemetry::TelemetrySink`]
+/// (epoch-sampled counters), or a `(TelemetrySink, TraceSink)` pair that
+/// puts both on one simulated clock. Observation is purely passive: the
+/// metrics' deterministic serialization is byte-identical to a plain
+/// [`run`] of the same point (`tests/trace_determinism.rs`,
+/// `tests/telemetry_determinism.rs`).
+///
+/// # Example
+///
+/// ```
+/// use hdpat::experiments::{run_observed, RunConfig};
+/// use hdpat::policy::PolicyKind;
+/// use wsg_sim::trace::TraceSink;
+/// use wsg_workloads::{BenchmarkId, Scale};
+///
+/// let cfg = RunConfig::new(BenchmarkId::Relu, Scale::Unit, PolicyKind::hdpat());
+/// let (m, sink) = run_observed(&cfg, TraceSink::new());
+/// assert!(m.ops_completed > 0);
+/// assert!(sink.stage_summary().contains_key("xlat"));
+/// ```
 pub fn run_observed<O: Observer>(cfg: &RunConfig, obs: O) -> (Metrics, O) {
     let system = cfg.system.clone();
     let mut space = AddressSpace::new(system.page_size, system.gpm_count() as u32);
@@ -176,55 +196,6 @@ pub fn run_observed<O: Observer>(cfg: &RunConfig, obs: O) -> (Metrics, O) {
         Some(m) => sim.with_migration(m).run_observed(),
         None => sim.run_observed(),
     }
-}
-
-/// Folds a trace sink's per-stage latency distributions into `metrics`.
-fn fold_stages(metrics: &mut Metrics, sink: &TraceSink) {
-    metrics.stage_latency = sink
-        .stage_summary()
-        .into_iter()
-        .map(|(stage, stats)| (stage.to_string(), stats))
-        .collect();
-}
-
-/// Runs one experiment point like [`run`] with a request-lifecycle trace
-/// sink observing the whole run. Returns the metrics (with
-/// `stage_latency` populated) together with the filled sink.
-///
-/// Tracing is purely observational: the metrics' deterministic serialization
-/// is byte-identical to an untraced [`run`] of the same point
-/// (`tests/trace_determinism.rs`).
-pub fn run_traced(cfg: &RunConfig) -> (Metrics, TraceSink) {
-    let (mut metrics, sink) = run_observed(cfg, TraceSink::new());
-    fold_stages(&mut metrics, &sink);
-    (metrics, sink)
-}
-
-/// Runs one experiment point like [`run`] with the telemetry flight
-/// recorder sampling every `sample_interval` cycles. Returns the metrics
-/// together with the filled registry, ready for the CSV / JSON /
-/// Perfetto-counter and heatmap exports.
-///
-/// Telemetry is purely observational: the metrics' deterministic
-/// serialization is byte-identical to a plain [`run`] of the same point,
-/// and the sink's exports are byte-identical across hosts and `--jobs`
-/// values (`tests/telemetry_determinism.rs`).
-pub fn run_telemetry(cfg: &RunConfig, sample_interval: Cycle) -> (Metrics, TelemetrySink) {
-    run_observed(cfg, TelemetrySink::new(sample_interval))
-}
-
-/// Runs one experiment point with both the request-lifecycle tracer and the
-/// telemetry flight recorder observing it, so span events and counter
-/// tracks share one simulated clock. Feed both sinks to
-/// [`TelemetrySink::merge_chrome_json`] for a single Perfetto document.
-pub fn run_telemetry_traced(
-    cfg: &RunConfig,
-    sample_interval: Cycle,
-) -> (Metrics, TelemetrySink, TraceSink) {
-    let obs = (TelemetrySink::new(sample_interval), TraceSink::new());
-    let (mut metrics, (tel, trc)) = run_observed(cfg, obs);
-    fold_stages(&mut metrics, &trc);
-    (metrics, tel, trc)
 }
 
 /// Keyed in-memory cache of completed runs: [`RunConfig::fingerprint`] →

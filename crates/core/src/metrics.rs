@@ -136,16 +136,9 @@ pub struct Metrics {
     /// byte-comparable across engine revisions that schedule differently.
     pub sim_events: u64,
     /// Host wall-clock nanoseconds spent inside `Simulation::run`.
-    /// Host-dependent by nature, so — like `stage_latency` — deliberately
-    /// excluded from [`Metrics::to_deterministic_string`].
+    /// Host-dependent by nature, so deliberately excluded from
+    /// [`Metrics::to_deterministic_string`].
     pub host_wall_nanos: u64,
-
-    /// Per-stage latency distributions folded from a traced run's sink,
-    /// sorted by stage name (empty otherwise). Deliberately excluded
-    /// from [`Metrics::to_deterministic_string`], which must stay
-    /// byte-identical whether or not a tracer was attached; render with
-    /// [`Metrics::stage_latency_string`].
-    pub stage_latency: Vec<(String, wsg_sim::trace::StageStats)>,
 }
 
 impl Metrics {
@@ -185,25 +178,7 @@ impl Metrics {
             pages_migrated: 0,
             sim_events: 0,
             host_wall_nanos: 0,
-            stage_latency: Vec::new(),
         }
-    }
-
-    /// Renders the per-stage latency table (populated by a traced run) in a
-    /// stable text form: one line per stage in name order, all values exact
-    /// integers. Kept separate from [`Metrics::to_deterministic_string`] so
-    /// the determinism contract is unaffected by tracing.
-    pub fn stage_latency_string(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        for (stage, st) in &self.stage_latency {
-            let _ = writeln!(
-                s,
-                "{stage}: count={} sum={} p50={} p95={} p99={} min={} max={}",
-                st.count, st.sum, st.p50, st.p95, st.p99, st.min, st.max
-            );
-        }
-        s
     }
 
     /// Records a resolved remote translation.
@@ -331,8 +306,7 @@ impl Metrics {
     /// shortest-representation approximate.
     ///
     /// `sim_events` and `host_wall_nanos` are included (a cache hit reports
-    /// the original run's event count and host cost); the trace-only
-    /// `stage_latency` table is not — cached runs never carry trace data.
+    /// the original run's event count and host cost).
     ///
     /// The first line pins the codec shape (`metrics-codec v1`) and the
     /// measurement contract ([`METRICS_CONTRACT_VERSION`]); decoding rejects
@@ -500,7 +474,6 @@ impl Metrics {
             pages_migrated,
             sim_events,
             host_wall_nanos,
-            stage_latency: Vec::new(),
         })
     }
 }
@@ -842,65 +815,6 @@ mod tests {
         m.prefetches_issued = 100;
         m.prefetches_used = 65;
         assert!((m.prefetch_accuracy() - 0.65).abs() < 1e-12);
-    }
-
-    /// `stage_latency_string` is the only rendered view of trace-fed stage
-    /// stats, so its exact shape (line per stage, declaration order of the
-    /// sorted vector, integer fields) is pinned here.
-    mod stage_latency {
-        use super::super::*;
-        use wsg_sim::trace::StageStats;
-
-        #[test]
-        fn empty_stage_latency_renders_as_empty_string() {
-            let m = Metrics::new(1, 100);
-            assert_eq!(m.stage_latency_string(), "");
-        }
-
-        #[test]
-        fn single_stage_line_pins_the_exact_format() {
-            let mut m = Metrics::new(1, 100);
-            m.stage_latency = vec![(
-                "walk".to_string(),
-                StageStats::from_durations(vec![4, 2, 6]),
-            )];
-            assert_eq!(
-                m.stage_latency_string(),
-                "walk: count=3 sum=12 p50=4 p95=6 p99=6 min=2 max=6\n"
-            );
-        }
-
-        #[test]
-        fn stages_render_one_line_each_in_vector_order() {
-            let mut m = Metrics::new(1, 100);
-            m.stage_latency = vec![
-                ("issue".to_string(), StageStats::from_durations(vec![1])),
-                ("walk".to_string(), StageStats::from_durations(vec![2, 2])),
-            ];
-            let s = m.stage_latency_string();
-            let lines: Vec<&str> = s.lines().collect();
-            assert_eq!(lines.len(), 2);
-            assert!(lines[0].starts_with("issue: count=1 "));
-            assert!(lines[1].starts_with("walk: count=2 "));
-        }
-
-        #[test]
-        fn single_sample_stage_collapses_every_percentile() {
-            let st = StageStats::from_durations(vec![42]);
-            assert_eq!((st.p50, st.p95, st.p99), (42, 42, 42));
-            assert_eq!((st.min, st.max, st.count, st.sum), (42, 42, 1, 42));
-        }
-
-        #[test]
-        fn tie_heavy_stage_percentiles_sit_on_the_mode() {
-            // Nine 5s and one 1: every nearest-rank percentile above p10
-            // lands on the repeated value.
-            let mut d = vec![5u64; 9];
-            d.push(1);
-            let st = StageStats::from_durations(d);
-            assert_eq!((st.p50, st.p95, st.p99), (5, 5, 5));
-            assert_eq!((st.min, st.max), (1, 5));
-        }
     }
 
     /// Builds a metrics value with every field populated and some

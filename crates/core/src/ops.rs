@@ -16,7 +16,7 @@
 //! *never* feeds simulation state, [`crate::metrics::Metrics`], or any
 //! deterministic artifact: run outputs are byte-identical with the layer on
 //! or off (ci.sh ops lane), and no host-side field (`sim_events`,
-//! `host_wall_nanos`, `stage_latency`) appears in
+//! `host_wall_nanos`) appears in
 //! `Metrics::to_deterministic_string` (rule d10, pinned by unit tests in
 //! `metrics.rs` and by `tests/trace_determinism.rs`).
 //!
@@ -31,7 +31,7 @@
 //!   every snapshot includes them.
 
 use std::io::{self, Write as _};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -168,6 +168,8 @@ pub struct GaugeSample {
     pub queue_depth_per_client: Vec<(u64, u64)>,
     /// Jobs picked and executing on workers.
     pub inflight: u64,
+    /// Runs completed since the daemon started.
+    pub completed: u64,
     /// Pool worker threads.
     pub workers: u64,
     /// Workers currently executing a job (`workers - busy` are idle).
@@ -185,6 +187,8 @@ pub struct GaugeSample {
 /// Point-in-time view of the persistent disk cache.
 #[derive(Debug, Clone)]
 pub struct DiskGauges {
+    /// Cache directory.
+    pub dir: PathBuf,
     /// Entries currently on disk.
     pub entries: u64,
     /// Bytes of entry files currently on disk.

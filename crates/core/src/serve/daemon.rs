@@ -346,7 +346,7 @@ impl Shared {
     /// Samples the serving gauges: scheduler state under the lock, then the
     /// cache views (the disk occupancy scan happens outside the lock).
     fn gauge_sample(&self) -> GaugeSample {
-        let (clients, queued, queue_depth_per_client, inflight, reorder_buffered) = {
+        let (clients, queued, queue_depth_per_client, inflight, completed, reorder_buffered) = {
             let st = lock(&self.state);
             let mut depth = Vec::with_capacity(st.clients.len());
             let mut reorder = 0u64;
@@ -359,10 +359,12 @@ impl Shared {
                 st.queued(),
                 depth,
                 st.running,
+                st.completed,
                 reorder,
             )
         };
         let disk = self.disk.as_ref().map(|d| DiskGauges {
+            dir: d.dir().to_path_buf(),
             entries: d.len() as u64,
             resident_bytes: d.resident_bytes(),
             budget: d.budget(),
@@ -373,33 +375,13 @@ impl Shared {
             queued,
             queue_depth_per_client,
             inflight,
+            completed,
             workers: self.workers,
             workers_busy: inflight,
             reorder_buffered,
             uptime_seconds: self.started.elapsed().as_secs(),
             memory_entries: self.mem.len() as u64,
             disk,
-        }
-    }
-
-    /// The extended `status` reply members.
-    fn status_report(&self) -> proto::StatusReport {
-        let st = lock(&self.state);
-        let mut queue_depth = Vec::with_capacity(st.clients.len());
-        let mut reorder_buffered = 0u64;
-        for (&cid, c) in &st.clients {
-            queue_depth.push((cid, c.queue.len() as u64));
-            reorder_buffered += c.ready.len() as u64;
-        }
-        proto::StatusReport {
-            queued: st.queued(),
-            running: st.running,
-            completed: st.completed,
-            clients: st.clients.len() as u64,
-            queue_depth,
-            workers: self.workers,
-            reorder_buffered,
-            uptime_seconds: self.started.elapsed().as_secs(),
         }
     }
 
@@ -701,23 +683,14 @@ impl Shared {
         match request {
             Request::Submit(submit) => self.handle_submit(cid, submit),
             Request::Status => {
-                let line = proto::status_line(&self.status_report());
+                let line = proto::status_line(&self.gauge_sample());
                 if let Some(w) = self.writer_of(cid) {
                     Self::write_now(&w, &line);
                 }
                 Flow::Continue
             }
             Request::CacheStats => {
-                let line = proto::cache_stats_line(
-                    self.mem.len() as u64,
-                    self.disk.as_ref().map(|d| proto::DiskReport {
-                        dir: d.dir(),
-                        entries: d.len() as u64,
-                        resident_bytes: d.resident_bytes(),
-                        budget: d.budget(),
-                        stats: d.stats(),
-                    }),
-                );
+                let line = proto::cache_stats_line(&self.gauge_sample());
                 if let Some(w) = self.writer_of(cid) {
                     Self::write_now(&w, &line);
                 }

@@ -22,6 +22,7 @@ use wsg_workloads::{BenchmarkId, Scale};
 use super::json::Json;
 use crate::experiments::RunConfig;
 use crate::metrics::Metrics;
+use crate::ops::{DiskGauges, GaugeSample};
 use crate::policy::PolicyKind;
 
 /// Stable error codes carried by `{"type":"error"}` responses.
@@ -391,33 +392,12 @@ pub fn error_line(id: Option<&str>, code: &str, message: &str) -> String {
     .to_line()
 }
 
-/// Everything a `{"type":"status"}` reply reports. The original four
-/// members (`queued`/`running`/`completed`/`clients`) are scheduling state;
-/// the rest are the serving gauges an operator needs at a glance.
-#[derive(Debug, Clone, Default)]
-pub struct StatusReport {
-    /// Jobs waiting in per-client queues (total queue depth).
-    pub queued: u64,
-    /// Jobs executing on pool workers (in-flight).
-    pub running: u64,
-    /// Runs completed since start.
-    pub completed: u64,
-    /// Connected clients.
-    pub clients: u64,
-    /// `(client id, queued jobs)` per connected client, ascending by id.
-    pub queue_depth: Vec<(u64, u64)>,
-    /// Pool worker threads (`workers - running` are idle).
-    pub workers: u64,
-    /// Completed results parked in per-client reorder buffers.
-    pub reorder_buffered: u64,
-    /// Whole seconds since the daemon started.
-    pub uptime_seconds: u64,
-}
-
-/// The `{"type":"status"}` line answering a status request.
-pub fn status_line(report: &StatusReport) -> String {
-    let depth = report
-        .queue_depth
+/// The `{"type":"status"}` line answering a status request: the scheduling
+/// state (`queued`/`running`/`completed`/`clients`) first, then the serving
+/// gauges an operator needs at a glance.
+pub fn status_line(g: &GaugeSample) -> String {
+    let depth = g
+        .queue_depth_per_client
         .iter()
         .map(|&(client, depth)| {
             Json::Obj(vec![
@@ -428,34 +408,16 @@ pub fn status_line(report: &StatusReport) -> String {
         .collect();
     Json::Obj(vec![
         ("type".into(), Json::Str("status".into())),
-        ("queued".into(), Json::U64(report.queued)),
-        ("running".into(), Json::U64(report.running)),
-        ("completed".into(), Json::U64(report.completed)),
-        ("clients".into(), Json::U64(report.clients)),
+        ("queued".into(), Json::U64(g.queued)),
+        ("running".into(), Json::U64(g.inflight)),
+        ("completed".into(), Json::U64(g.completed)),
+        ("clients".into(), Json::U64(g.clients)),
         ("queue_depth".into(), Json::Arr(depth)),
-        ("workers".into(), Json::U64(report.workers)),
-        (
-            "reorder_buffered".into(),
-            Json::U64(report.reorder_buffered),
-        ),
-        ("uptime_seconds".into(), Json::U64(report.uptime_seconds)),
+        ("workers".into(), Json::U64(g.workers)),
+        ("reorder_buffered".into(), Json::U64(g.reorder_buffered)),
+        ("uptime_seconds".into(), Json::U64(g.uptime_seconds)),
     ])
     .to_line()
-}
-
-/// Disk-store state reported by [`cache_stats_line`].
-#[derive(Debug, Clone)]
-pub struct DiskReport<'a> {
-    /// Cache directory.
-    pub dir: &'a std::path::Path,
-    /// Entries currently on disk.
-    pub entries: u64,
-    /// Bytes of entry files currently on disk.
-    pub resident_bytes: u64,
-    /// Configured `--cache-budget`, if any.
-    pub budget: Option<u64>,
-    /// Lifetime hit/miss/write/eviction counters.
-    pub stats: crate::experiments::DiskCacheStats,
 }
 
 /// The `{"type":"cache-stats"}` line: in-memory entry count plus the disk
@@ -463,13 +425,13 @@ pub struct DiskReport<'a> {
 /// budget expose `--cache-budget` pressure, not just hit rates. All disk
 /// members are zero/null, with `"disk":false`, when the daemon runs
 /// without a cache directory.
-pub fn cache_stats_line(memory_entries: u64, disk: Option<DiskReport<'_>>) -> String {
+pub fn cache_stats_line(g: &GaugeSample) -> String {
     let mut members = vec![
         ("type".into(), Json::Str("cache-stats".into())),
-        ("memory_entries".into(), Json::U64(memory_entries)),
-        ("disk".into(), Json::Bool(disk.is_some())),
+        ("memory_entries".into(), Json::U64(g.memory_entries)),
+        ("disk".into(), Json::Bool(g.disk.is_some())),
     ];
-    let (dir, entries, resident, budget, stats) = match disk {
+    let (dir, entries, resident, budget, stats) = match &g.disk {
         Some(d) => (
             Json::Str(d.dir.display().to_string()),
             d.entries,
@@ -596,16 +558,7 @@ pub fn protocol_examples() -> String {
          in-order release, and daemon uptime.",
         &[
             Json::Obj(vec![("op".into(), Json::Str("status".into()))]).to_line(),
-            status_line(&StatusReport {
-                queued: 3,
-                running: 2,
-                completed: 17,
-                clients: 2,
-                queue_depth: vec![(1, 2), (2, 1)],
-                workers: 4,
-                reorder_buffered: 1,
-                uptime_seconds: 86,
-            }),
+            status_line(&example_gauges()),
         ],
     );
     section(
@@ -637,22 +590,7 @@ pub fn protocol_examples() -> String {
          the daemon runs without `--cache-dir`.",
         &[
             Json::Obj(vec![("op".into(), Json::Str("cache-stats".into()))]).to_line(),
-            cache_stats_line(
-                12,
-                Some(DiskReport {
-                    dir: std::path::Path::new("/var/cache/hdpat"),
-                    entries: 70,
-                    resident_bytes: 191_362,
-                    budget: Some(1_048_576),
-                    stats: crate::experiments::DiskCacheStats {
-                        hits: 58,
-                        misses: 12,
-                        writes: 12,
-                        evictions: 0,
-                        discarded: 0,
-                    },
-                }),
-            ),
+            cache_stats_line(&example_gauges()),
         ],
     );
     section(
@@ -718,12 +656,43 @@ pub fn protocol_examples() -> String {
     s
 }
 
+/// The daemon state behind PROTOCOL.md's `status`, `cache-stats` and
+/// `metrics` examples: two clients, 70 disk entries after 58 hits and 12
+/// simulations.
+fn example_gauges() -> GaugeSample {
+    GaugeSample {
+        clients: 2,
+        queued: 3,
+        queue_depth_per_client: vec![(1, 2), (2, 1)],
+        inflight: 2,
+        completed: 17,
+        workers: 4,
+        workers_busy: 2,
+        reorder_buffered: 1,
+        uptime_seconds: 86,
+        memory_entries: 12,
+        disk: Some(DiskGauges {
+            dir: "/var/cache/hdpat".into(),
+            entries: 70,
+            resident_bytes: 191_362,
+            budget: Some(1_048_576),
+            stats: crate::experiments::DiskCacheStats {
+                hits: 58,
+                misses: 12,
+                writes: 12,
+                evictions: 0,
+                discarded: 0,
+            },
+        }),
+    }
+}
+
 /// A deterministic `metrics` reply for PROTOCOL.md, built through the real
 /// snapshot path: 70 submits resolving to 58 disk hits and 12 simulations,
 /// with plausible fixed latencies. Engine counters read the process-global
 /// sink, which is untouched (all zero) in a `regen-protocol` invocation.
 fn example_metrics_line() -> String {
-    use crate::ops::{DiskGauges, GaugeSample, OpsRegistry, Tier};
+    use crate::ops::{OpsRegistry, Tier};
     let reg = OpsRegistry::new();
     for _ in 0..70 {
         reg.record_submit();
@@ -739,30 +708,7 @@ fn example_metrics_line() -> String {
             180_055 + 4_000 * i,
         );
     }
-    let gauges = GaugeSample {
-        clients: 2,
-        queued: 3,
-        queue_depth_per_client: vec![(1, 2), (2, 1)],
-        inflight: 2,
-        workers: 4,
-        workers_busy: 2,
-        reorder_buffered: 1,
-        uptime_seconds: 86,
-        memory_entries: 12,
-        disk: Some(DiskGauges {
-            entries: 70,
-            resident_bytes: 191_362,
-            budget: Some(1_048_576),
-            stats: crate::experiments::DiskCacheStats {
-                hits: 58,
-                misses: 12,
-                writes: 12,
-                evictions: 0,
-                discarded: 0,
-            },
-        }),
-    };
-    reg.snapshot_json(&gauges).to_line()
+    reg.snapshot_json(&example_gauges()).to_line()
 }
 
 #[cfg(test)]
@@ -885,17 +831,17 @@ mod tests {
             result_line("q1", Source::Disk, "hdpat-rc-v2|...", &m),
             progress_line("q1", "started"),
             error_line(None, codes::BAD_REQUEST, "x"),
-            status_line(&StatusReport {
+            status_line(&GaugeSample {
                 queued: 1,
-                running: 2,
+                inflight: 2,
                 completed: 3,
                 clients: 4,
-                queue_depth: vec![(1, 1)],
+                queue_depth_per_client: vec![(1, 1)],
                 workers: 2,
-                reorder_buffered: 0,
                 uptime_seconds: 5,
+                ..GaugeSample::default()
             }),
-            cache_stats_line(0, None),
+            cache_stats_line(&GaugeSample::default()),
             cancelled_line("q1"),
             shutdown_ack_line(0),
             example_metrics_line(),
@@ -907,15 +853,16 @@ mod tests {
 
     #[test]
     fn status_and_cache_stats_carry_ops_members() {
-        let status = Json::parse(&status_line(&StatusReport {
+        let status = Json::parse(&status_line(&GaugeSample {
             queued: 3,
-            running: 2,
+            inflight: 2,
             completed: 17,
             clients: 2,
-            queue_depth: vec![(1, 2), (2, 1)],
+            queue_depth_per_client: vec![(1, 2), (2, 1)],
             workers: 4,
             reorder_buffered: 1,
             uptime_seconds: 9,
+            ..GaugeSample::default()
         }))
         .unwrap();
         assert_eq!(status.get("workers").and_then(Json::as_u64), Some(4));
@@ -933,10 +880,10 @@ mod tests {
             other => unreachable!("queue_depth must be an array, got {other:?}"),
         }
 
-        let cs = Json::parse(&cache_stats_line(
-            1,
-            Some(DiskReport {
-                dir: std::path::Path::new("/tmp/c"),
+        let cs = Json::parse(&cache_stats_line(&GaugeSample {
+            memory_entries: 1,
+            disk: Some(DiskGauges {
+                dir: "/tmp/c".into(),
                 entries: 3,
                 resident_bytes: 9000,
                 budget: Some(10_000),
@@ -948,7 +895,8 @@ mod tests {
                     discarded: 0,
                 },
             }),
-        ))
+            ..GaugeSample::default()
+        }))
         .unwrap();
         assert_eq!(
             cs.get("disk_resident_bytes").and_then(Json::as_u64),
@@ -960,7 +908,7 @@ mod tests {
         );
         assert_eq!(cs.get("disk_evictions").and_then(Json::as_u64), Some(4));
         // Without a disk store the occupancy members are zero/null.
-        let bare = Json::parse(&cache_stats_line(0, None)).unwrap();
+        let bare = Json::parse(&cache_stats_line(&GaugeSample::default())).unwrap();
         assert_eq!(
             bare.get("disk_resident_bytes").and_then(Json::as_u64),
             Some(0)

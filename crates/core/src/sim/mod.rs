@@ -194,10 +194,6 @@ pub struct Simulation<O: Observer = ()> {
     /// around each [`wsg_xlat::WalkerPool::drain_matching_into`] call so the
     /// hot dispatch path never allocates for coalesced walks.
     pub(crate) walk_scratch: Vec<ReqId>,
-    /// `WSG_TRACE_REQ` debug hook (a request's issue serial), resolved once
-    /// at construction so the dispatch loop never touches the process
-    /// environment per event.
-    pub(crate) trace_req: Option<u32>,
     /// Optional page-migration extension (see [`crate::migration`]).
     pub(crate) migration: Option<MigrationConfig>,
     /// Dynamic home overrides for migrated pages (checked before the static
@@ -384,9 +380,6 @@ impl<O: Observer> Simulation<O> {
             chains,
             last_iommu_vpn: None,
             walk_scratch: Vec::new(),
-            trace_req: std::env::var("WSG_TRACE_REQ")
-                .ok()
-                .and_then(|v| v.parse().ok()),
             migration: None,
             home_override: HashIndex::new(),
             access_streak: HashIndex::new(),
@@ -588,11 +581,6 @@ impl<O: Observer> Simulation<O> {
     /// took in [`Simulation::schedule`].
     fn dispatch(&mut self, t: Cycle, ev: Event) {
         let req = Self::event_req(&ev);
-        if let Some(target) = self.trace_req {
-            if req.map(|r| self.reqs[r].serial) == Some(target) {
-                eprintln!("TRACE t={t} {ev:?}");
-            }
-        }
         if O::ENABLED {
             // Epochs are sampled lazily off the event stream rather than via
             // scheduled events: the queue's sequence numbers and popped count

@@ -16,8 +16,8 @@ use wsg_sim::Cycle;
 use wsg_xlat::Vpn;
 
 /// Index into the request table. Slots are reused once a request retires,
-/// so an id names a request only while the request holds a pin; traces and
-/// `WSG_TRACE_REQ` name requests by [`Request::serial`] instead.
+/// so an id names a request only while the request holds a pin; traces name
+/// requests by [`Request::serial`] instead.
 pub(crate) type ReqId = u32;
 
 /// The value of a lifecycle stamp whose event has not happened yet.
@@ -31,7 +31,7 @@ pub(crate) struct Request {
     /// Places this request's id is stored, plus one until its `DataDone`
     /// has been handled.
     pins: u16,
-    /// Issue order, from 0 — the id traces and `WSG_TRACE_REQ` use.
+    /// Issue order, from 0 — the id traces use.
     pub serial: u32,
     pub vaddr: u64,
     pub vpn: Vpn,

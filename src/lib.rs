@@ -45,12 +45,12 @@ pub use wsg_xlat as xlat;
 /// The most commonly used types, importable with one `use`.
 pub mod prelude {
     pub use hdpat::experiments::{
-        run, run_all, run_observed, run_telemetry, run_telemetry_traced, run_traced,
-        run_with_baseline, RunCache, RunConfig, SweepCtx,
+        run, run_all, run_observed, run_with_baseline, RunCache, RunConfig, SweepCtx,
     };
     pub use hdpat::policy::{HdpatConfig, PolicyKind};
     pub use hdpat::{Metrics, Resolution, Simulation};
     pub use wsg_gpu::{GpuPreset, SystemConfig, WaferLayout};
+    pub use wsg_sim::{telemetry::TelemetrySink, trace::TraceSink};
     pub use wsg_workloads::{BenchmarkId, Scale};
     pub use wsg_xlat::PageSize;
 }

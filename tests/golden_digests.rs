@@ -81,7 +81,7 @@ fn trace_lines() -> Vec<String> {
     artifact_points()
         .into_iter()
         .map(|(b, token, cfg)| {
-            let (_, sink) = run_traced(&cfg);
+            let (_, sink) = run_observed(&cfg, TraceSink::new());
             format!("trace {b} {token} {}", fnv128_hex(&sink.to_chrome_json()))
         })
         .collect()
@@ -92,7 +92,7 @@ fn trace_lines() -> Vec<String> {
 fn telemetry_lines() -> (Vec<String>, Vec<String>) {
     let (mut timelines, mut heatmaps) = (Vec::new(), Vec::new());
     for (b, token, cfg) in artifact_points() {
-        let (_, sink) = run_telemetry(&cfg, 10_000);
+        let (_, sink) = run_observed(&cfg, TelemetrySink::new(10_000));
         let heatmap = sink.heatmap().expect("mesh registered no spatial grid");
         timelines.push(format!(
             "timeline {b} {token} {}",
@@ -117,7 +117,12 @@ fn check(kind: &str, fresh: Vec<String>) {
     let path = golden_path();
     let text = std::fs::read_to_string(&path).unwrap_or_default();
     let prefix = format!("{kind} ");
-    if std::env::var_os("WSG_BLESS").is_some() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "re-blessing is a deliberate developer action outside cargo test's arguments"
+    )]
+    let bless = std::env::var_os("WSG_BLESS").is_some();
+    if bless {
         // Replace this kind's block in place (append it if absent), keeping
         // every other line where it is.
         let mut out = Vec::new();

@@ -18,7 +18,7 @@ fn point(bench: BenchmarkId, seed: u64) -> RunConfig {
 fn telemetry_does_not_change_metrics() {
     let cfg = point(BenchmarkId::Km, 7);
     let plain = run(&cfg).to_deterministic_string();
-    let (recorded, sink) = run_telemetry(&cfg, INTERVAL);
+    let (recorded, sink) = run_observed(&cfg, TelemetrySink::new(INTERVAL));
     assert!(!sink.is_empty(), "recorded run registered no counters");
     assert_eq!(
         plain,
@@ -30,8 +30,8 @@ fn telemetry_does_not_change_metrics() {
 #[test]
 fn recorded_runs_export_byte_identical_artifacts() {
     let cfg = point(BenchmarkId::Spmv, 11);
-    let (_, a) = run_telemetry(&cfg, INTERVAL);
-    let (_, b) = run_telemetry(&cfg, INTERVAL);
+    let (_, a) = run_observed(&cfg, TelemetrySink::new(INTERVAL));
+    let (_, b) = run_observed(&cfg, TelemetrySink::new(INTERVAL));
     assert!(a.to_csv().lines().count() > 1, "timeline CSV is empty");
     assert_eq!(a.to_csv(), b.to_csv(), "same-seed timelines differ");
     assert_eq!(a.to_json(), b.to_json());
@@ -49,7 +49,7 @@ fn timelines_cover_each_benchmark_policy_pair() {
     for bench in [BenchmarkId::Spmv, BenchmarkId::Km, BenchmarkId::Relu] {
         for policy in [PolicyKind::Naive, PolicyKind::hdpat()] {
             let cfg = RunConfig::new(bench, Scale::Unit, policy).with_seed(42);
-            let (m, sink) = run_telemetry(&cfg, INTERVAL);
+            let (m, sink) = run_observed(&cfg, TelemetrySink::new(INTERVAL));
             assert!(m.total_cycles > 0);
             let csv = sink.to_csv();
             assert!(
@@ -76,11 +76,11 @@ fn timelines_cover_each_benchmark_policy_pair() {
 #[test]
 fn sample_interval_changes_resolution_not_totals() {
     let cfg = point(BenchmarkId::Km, 7);
-    let (_, fine) = run_telemetry(&cfg, 500);
-    let (_, coarse) = run_telemetry(&cfg, 50_000);
+    let (_, fine) = run_observed(&cfg, TelemetrySink::new(500));
+    let (_, coarse) = run_observed(&cfg, TelemetrySink::new(50_000));
     // Same counters registered, same whole-run totals, different epochs.
     assert_eq!(fine.len(), coarse.len());
-    let total = |s: &hdpat_wafer::sim::telemetry::TelemetrySink, name: &str| -> u64 {
+    let total = |s: &TelemetrySink, name: &str| -> u64 {
         s.to_csv()
             .lines()
             .filter(|l| l.starts_with(name))

@@ -4,6 +4,7 @@
 //! runs of the same `(benchmark, seed)` serialize to byte-identical JSON.
 
 use hdpat_wafer::prelude::*;
+use wsg_sim::trace::SpanKind;
 
 fn point(bench: BenchmarkId, seed: u64) -> RunConfig {
     RunConfig::new(bench, Scale::Unit, PolicyKind::hdpat()).with_seed(seed)
@@ -13,7 +14,7 @@ fn point(bench: BenchmarkId, seed: u64) -> RunConfig {
 fn tracing_does_not_change_metrics() {
     let cfg = point(BenchmarkId::Km, 7);
     let plain = run(&cfg).to_deterministic_string();
-    let (traced, sink) = run_traced(&cfg);
+    let (traced, sink) = run_observed(&cfg, TraceSink::new());
     assert!(!sink.is_empty(), "traced run recorded no events");
     assert_eq!(
         plain,
@@ -25,8 +26,8 @@ fn tracing_does_not_change_metrics() {
 #[test]
 fn traced_runs_serialize_byte_identical_json() {
     let cfg = point(BenchmarkId::Spmv, 11);
-    let (_, a) = run_traced(&cfg);
-    let (_, b) = run_traced(&cfg);
+    let (_, a) = run_observed(&cfg, TraceSink::new());
+    let (_, b) = run_observed(&cfg, TraceSink::new());
     assert!(!a.is_empty());
     assert_eq!(
         a.to_chrome_json(),
@@ -39,7 +40,7 @@ fn traced_runs_serialize_byte_identical_json() {
 #[test]
 fn remote_spans_reconcile_with_remote_rtt() {
     let cfg = point(BenchmarkId::Km, 7);
-    let (metrics, sink) = run_traced(&cfg);
+    let (metrics, sink) = run_observed(&cfg, TraceSink::new());
     let summary = sink.stage_summary();
     let remote = summary.get("remote").expect("remote spans recorded");
     // One "remote" span per recorded round trip, covering the same interval.
@@ -47,27 +48,40 @@ fn remote_spans_reconcile_with_remote_rtt() {
     assert_eq!(remote.sum as f64, metrics.remote_rtt.sum());
 }
 
+/// One request's whole lifecycle is the sink's events carrying its issue
+/// serial, and the Chrome trace gives them a track of their own.
 #[test]
-fn stage_latency_is_folded_into_metrics() {
+fn one_request_is_one_chrome_track() {
     let cfg = point(BenchmarkId::Km, 7);
-    let (metrics, sink) = run_traced(&cfg);
-    assert!(!metrics.stage_latency.is_empty());
-    // The fold is exactly the sink's summary, in stage-name order.
-    let from_sink: Vec<String> = sink.stage_summary().keys().map(|k| k.to_string()).collect();
-    let folded: Vec<String> = metrics
-        .stage_latency
+    let (_, sink) = run_observed(&cfg, TraceSink::new());
+    let n = sink
+        .events()
         .iter()
-        .map(|(stage, _)| stage.clone())
-        .collect();
-    assert_eq!(folded, from_sink);
-    // Every delivered translation closes an "xlat" span; the rendering
-    // covers it (instants like "issue" are counted in the sink only).
-    assert!(metrics.stage_latency_string().contains("xlat: count="));
-    // Untraced runs leave the field empty, and the deterministic string
-    // never mentions it (the determinism contract surface is unchanged).
-    let plain = run(&cfg);
-    assert!(plain.stage_latency.is_empty());
-    assert!(!plain.to_deterministic_string().contains("stage"));
+        .find(|e| e.stage == "remote")
+        .expect("KM resolves some translation remotely")
+        .req;
+    let mine: Vec<_> = sink.events().iter().filter(|e| e.req == n).collect();
+    assert_eq!(
+        mine[0].stage, "issue",
+        "request {n} does not begin at issue"
+    );
+    assert_eq!(mine[0].kind, SpanKind::Instant);
+    assert!(
+        mine.iter()
+            .any(|e| e.stage == "xlat" && e.kind == SpanKind::Complete),
+        "request {n} has no xlat span"
+    );
+    let json = sink.to_chrome_json();
+    let body = json
+        .strip_prefix("{\"traceEvents\":[")
+        .and_then(|j| j.strip_suffix("]}"))
+        .expect("Chrome trace envelope");
+    let rendered: Vec<&str> = body.split(",{\"name\":").collect();
+    assert_eq!(rendered.len(), sink.len());
+    let track = format!("\"tid\":{n},");
+    for (ev, text) in sink.events().iter().zip(rendered) {
+        assert_eq!(ev.req == n, text.contains(&track), "{text}");
+    }
 }
 
 #[test]
@@ -79,7 +93,7 @@ fn iommu_stage_spans_share_the_iommu_walker_site_on_wide_presets() {
     let (gpms, cus) = (sys.gpm_count() as u64, u64::from(sys.gpm.cus));
     assert!(cus > 64, "MI300 must exercise the widened L1-TLB stride");
     let cfg = RunConfig::new(BenchmarkId::Spmv, Scale::Unit, PolicyKind::Naive).with_system(sys);
-    let (_, sink) = run_traced(&cfg);
+    let (_, sink) = run_observed(&cfg, TraceSink::new());
     let iommu_site = gpms * 8 + gpms * cus;
     let stage_sites: Vec<u64> = sink
         .events()
