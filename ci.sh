@@ -103,6 +103,8 @@ cmp target/ci/replay_batch.txt target/ci/replay_socket.txt
 # ...and the warm run must be answered entirely from the persistent store.
 grep -q '"disk": 70' target/ci/replay_socket_stats.json
 grep -q '"simulated": 0' target/ci/replay_socket_stats.json
+# Recency lives in each entry's own mtime: the store holds no sidecar files.
+test -z "$(find target/ci/servecache -name '*.atime')"
 
 echo "== cross-process run-cache reuse (figure fig14 from the daemon's store)"
 ./target/release/hdpat-sim figure fig14 --scale unit > target/ci/fig14_unit_ref.txt
@@ -134,6 +136,8 @@ grep -q '"schema":3' target/ci/metrics.json
 grep -q '"submitted":70' target/ci/metrics.json
 grep -q '"completed":70' target/ci/metrics.json
 grep -q '"disk":{"count":70' target/ci/metrics.json
+# ...the disk gauge's one-scan occupancy sees all 70 entries...
+grep -q '"disk":{"entries":70,' target/ci/metrics.json
 # ...and the ops log carries one enqueue/schedule/complete per request.
 test "$(grep -c '"ev":"enqueue"' target/ci/ops.jsonl)" -eq 70
 test "$(grep -c '"ev":"schedule"' target/ci/ops.jsonl)" -eq 70

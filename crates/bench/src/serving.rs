@@ -152,24 +152,11 @@ fn elapsed_us(started: std::time::Instant) -> u64 {
 /// reads responses until every submit is answered. With `shutdown`, a
 /// `{"op":"shutdown"}` follows the mix and the read continues to the ack
 /// (drained daemons exit afterwards). Returns every received line,
-/// shutdown-ack included.
+/// shutdown-ack included, each stamped with its arrival offset for
+/// [`latency_report`].
 ///
 /// The mix must be submit-only: the reader counts one `result`/`error`
 /// response per request line.
-#[cfg(unix)]
-pub fn replay_socket(
-    mix: &str,
-    socket: &std::path::Path,
-    shutdown: bool,
-) -> std::io::Result<Vec<String>> {
-    Ok(replay_socket_timed(mix, socket, shutdown)?
-        .into_iter()
-        .map(|(line, _)| line)
-        .collect())
-}
-
-/// [`replay_socket`], with each response line stamped with its arrival
-/// offset for [`latency_report`].
 #[cfg(unix)]
 pub fn replay_socket_timed(
     mix: &str,

@@ -3,24 +3,25 @@
 //!
 //! # Layout
 //!
-//! One directory, two files per entry:
+//! One directory, one file per entry: `<hash>.run` holds a small header
+//! (format version, metrics contract version, the **full fingerprint** for
+//! collision detection, payload length, checksum) followed by the exact
+//! [`Metrics::to_cache_text`] payload. `<hash>` is the 128-bit FNV-1a of the
+//! fingerprint in hex, so keys of unbounded length map to fixed-size file
+//! names.
 //!
-//! * `<hash>.run` — the entry itself: a small header (format version,
-//!   metrics contract version, the **full fingerprint** for collision
-//!   detection, payload length, checksum) followed by the exact
-//!   [`Metrics::to_cache_text`] payload. `<hash>` is the 128-bit FNV-1a of
-//!   the fingerprint in hex, so keys of unbounded length map to fixed-size
-//!   file names.
-//! * `<hash>.atime` — a sidecar access stamp (nanoseconds since the Unix
-//!   epoch as text), refreshed on every hit and write. Filesystem atime is
-//!   unreliable (`noatime`/`relatime` mounts), so the cache keeps its own.
+//! An entry's recency is its own mtime: every write and every hit stamps it
+//! with [`File::set_modified`]. Filesystem atime is unreliable
+//! (`noatime`/`relatime` mounts), so the cache sets the stamp itself; the
+//! entry bytes never change after the write. `.atime` sidecar files left by
+//! older builds are ignored.
 //!
 //! # Guarantees
 //!
 //! * **Corruption can never surface as wrong results.** Every read
 //!   re-verifies the header, the embedded fingerprint, the payload checksum,
 //!   and the full metrics parse; any failure is a miss and the damaged entry
-//!   is deleted. `tests/disk_cache.rs` truncates and corrupts entries to
+//!   is deleted. The tests of this module truncate and corrupt entries to
 //!   prove it.
 //! * **Writes are atomic.** Entries are written to a temp file and
 //!   `rename`d into place, so a concurrent reader sees the old entry, no
@@ -29,14 +30,16 @@
 //!   [`crate::metrics::METRICS_CONTRACT_VERSION`]; bumping it (or the
 //!   fingerprint version, which changes the key) invalidates stale entries.
 //! * **Bounded.** With a size budget configured, every insert evicts
-//!   least-recently-used entries (by sidecar stamp) until the cache fits.
+//!   least-recently-used entries (by mtime, ties by file name) until the
+//!   cache fits.
 //!
 //! See DESIGN.md §14 and OPERATIONS.md for the operational contract.
 
-use std::fs;
-use std::io::Write as _;
+use std::fs::{self, File};
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::SystemTime;
 
 use crate::metrics::{Metrics, METRICS_CONTRACT_VERSION};
 
@@ -164,21 +167,13 @@ impl DiskCache {
         }
     }
 
-    /// Number of entries currently on disk.
-    pub fn len(&self) -> usize {
-        self.entries().len()
-    }
-
-    /// Total bytes of entry files currently on disk — the quantity the
-    /// `--cache-budget` evictor compares against its budget. Scans the
-    /// directory, so call it on demand (status/metrics paths), not per hit.
-    pub fn resident_bytes(&self) -> u64 {
-        self.entries().iter().map(|(_, size, _)| *size).sum()
-    }
-
-    /// True when no entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// `(entries, bytes)` currently on disk; the bytes are the quantity the
+    /// `--cache-budget` evictor compares against its budget. One directory
+    /// scan, so call it on demand (status/metrics paths), not per hit.
+    pub fn occupancy(&self) -> (u64, u64) {
+        let entries = self.entries();
+        let bytes = entries.iter().map(|(_, size, _)| size).sum();
+        (entries.len() as u64, bytes)
     }
 
     /// Looks up the metrics cached for `fingerprint`. Any validation failure
@@ -187,24 +182,22 @@ impl DiskCache {
     /// fail again.
     pub fn get(&self, fingerprint: &str) -> Option<Metrics> {
         let path = self.entry_path(fingerprint);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        let mut bytes = Vec::new();
+        let file = File::open(&path).and_then(|mut f| f.read_to_end(&mut bytes).map(|_| f));
+        let Ok(file) = file else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
         };
         match parse_entry(&bytes, fingerprint) {
             Ok(metrics) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.touch(&path);
+                stamp(&file);
                 Some(metrics)
             }
             Err(_) => {
                 // Entry exists but is damaged or stale: discard it so the
                 // slot is rewritten by the next insert.
                 let _ = fs::remove_file(&path);
-                let _ = fs::remove_file(stamp_path(&path));
                 self.discarded.fetch_add(1, Ordering::Relaxed);
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
@@ -213,9 +206,9 @@ impl DiskCache {
     }
 
     /// Stores `metrics` under `fingerprint`, atomically (temp file +
-    /// rename), then enforces the size budget. Best-effort: an I/O failure
-    /// drops the write silently — the cache is an optimization, never a
-    /// correctness dependency.
+    /// rename) and stamped as just used, then enforces the size budget.
+    /// Best-effort: an I/O failure drops the write silently — the cache is
+    /// an optimization, never a correctness dependency.
     pub fn insert(&self, fingerprint: &str, metrics: &Metrics) {
         let path = self.entry_path(fingerprint);
         let payload = metrics.to_cache_text();
@@ -232,7 +225,6 @@ impl DiskCache {
         doc.push_str(&payload);
         if self.write_atomic(&path, doc.as_bytes()).is_ok() {
             self.writes.fetch_add(1, Ordering::Relaxed);
-            self.touch(&path);
             self.enforce_budget();
         }
     }
@@ -248,8 +240,9 @@ impl DiskCache {
             self.tmp_seq.fetch_add(1, Ordering::Relaxed)
         ));
         let result = (|| {
-            let mut f = fs::File::create(&tmp)?;
+            let mut f = File::create(&tmp)?;
             f.write_all(bytes)?;
+            stamp(&f);
             f.sync_all()?;
             fs::rename(&tmp, path)
         })();
@@ -259,48 +252,23 @@ impl DiskCache {
         result
     }
 
-    /// Refreshes the entry's access stamp. The stamp is harness-side
-    /// bookkeeping for eviction ordering only — it never reaches simulation
-    /// state or any deterministic output.
-    fn touch(&self, entry: &Path) {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "LRU access stamp for cache eviction; the reading orders evictions and never feeds model state or artifacts"
-        )]
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos())
-            .unwrap_or(0);
-        let _ = self.write_atomic(&stamp_path(entry), format!("{nanos}\n").as_bytes());
-    }
-
-    /// All `.run` entries with their sizes and access stamps, sorted oldest
-    /// stamp first (ties broken by file name for determinism).
-    ///
-    /// An entry whose sidecar is missing or corrupt must NOT become the
-    /// automatic eviction victim: a crash between `write_atomic(entry)` and
-    /// the stamp refresh, or a stray deletion of the sidecar, would
-    /// otherwise pin the *newest* write as "oldest" and silently evict it
-    /// on the next insert. The fallback chain is sidecar stamp → entry-file
-    /// mtime → now, so an unstamped entry ranks by its actual write time
-    /// and a fully unreadable one ranks newest (never the silent victim).
-    fn entries(&self) -> Vec<(PathBuf, u64, u128)> {
+    /// All `.run` entries with their sizes and mtimes, least recently used
+    /// first (ties broken by file name for determinism). One `read_dir` and
+    /// one `stat` per entry; other files in the directory are skipped.
+    fn entries(&self) -> Vec<(PathBuf, u64, SystemTime)> {
         let Ok(dir) = fs::read_dir(&self.dir) else {
             return Vec::new();
         };
-        let mut out: Vec<(PathBuf, u64, u128)> = dir
+        let mut out: Vec<(PathBuf, u64, SystemTime)> = dir
             .filter_map(|e| {
-                let path = e.ok()?.path();
+                let e = e.ok()?;
+                let path = e.path();
                 if path.extension()? != "run" {
                     return None;
                 }
-                let meta = fs::metadata(&path).ok()?;
-                let size = meta.len();
-                let stamp = fs::read_to_string(stamp_path(&path))
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u128>().ok())
-                    .unwrap_or_else(|| fallback_stamp(&meta));
-                Some((path, size, stamp))
+                let meta = e.metadata().ok()?;
+                let used = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+                Some((path, meta.len(), used))
             })
             .collect();
         out.sort_by(|a, b| (a.2, &a.0).cmp(&(b.2, &b.0)));
@@ -318,7 +286,6 @@ impl DiskCache {
                 break;
             }
             if fs::remove_file(&path).is_ok() {
-                let _ = fs::remove_file(stamp_path(&path));
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 total = total.saturating_sub(size);
             }
@@ -326,24 +293,16 @@ impl DiskCache {
     }
 }
 
-fn stamp_path(entry: &Path) -> PathBuf {
-    entry.with_extension("atime")
-}
-
-/// Eviction stamp for an entry without a usable `.atime` sidecar: the entry
-/// file's own mtime, and if even that is unreadable, "now" — so the entry
-/// sorts as the newest rather than the oldest.
-fn fallback_stamp(meta: &fs::Metadata) -> u128 {
+/// Marks an entry as used now by setting its mtime. The stamp orders
+/// evictions only; it never reaches simulation state or any deterministic
+/// output. Best-effort: a failure leaves the older stamp in place.
+fn stamp(file: &File) {
     #[expect(
         clippy::disallowed_methods,
-        reason = "same role as `touch`: harness-side LRU ordering only, never fed into simulation state or artifacts"
+        reason = "LRU recency stamp for cache eviction; the reading orders evictions and never feeds model state or artifacts"
     )]
-    let now = std::time::SystemTime::now();
-    meta.modified()
-        .unwrap_or(now)
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos())
-        .unwrap_or(u128::MAX)
+    let now = SystemTime::now();
+    let _ = file.set_modified(now);
 }
 
 /// Validates and decodes one entry file. Every failure mode returns an
@@ -452,7 +411,17 @@ mod tests {
         let cache = DiskCache::open(&dir, None).unwrap();
         cache.insert("fp-a", &sample_metrics(1));
         cache.insert("fp-b", &sample_metrics(2));
-        assert_eq!(cache.len(), 2);
+        // A sidecar left by an older store is neither an entry nor bytes.
+        fs::write(dir.join(format!("{}.atime", fnv128_hex("fp-a"))), b"777\n").unwrap();
+        let entry_bytes = |fp: &str| {
+            fs::metadata(dir.join(format!("{}.run", fnv128_hex(fp))))
+                .unwrap()
+                .len()
+        };
+        assert_eq!(
+            cache.occupancy(),
+            (2, entry_bytes("fp-a") + entry_bytes("fp-b"))
+        );
         assert_eq!(cache.get("fp-a").unwrap().total_cycles, 1);
         assert_eq!(cache.get("fp-b").unwrap().total_cycles, 2);
         fs::remove_dir_all(&dir).unwrap();
@@ -548,56 +517,31 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Sets the mtime of `fp`'s entry file to `secs` after the Unix epoch.
+    fn set_stamp(dir: &Path, fp: &str, secs: u64) {
+        let path = dir.join(format!("{}.run", fnv128_hex(fp)));
+        let at = SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(secs);
+        File::options()
+            .write(true)
+            .open(path)
+            .and_then(|f| f.set_modified(at))
+            .unwrap();
+    }
+
     #[test]
-    fn missing_sidecar_does_not_mark_the_entry_as_eviction_victim() {
-        // Regression: a lost/corrupt `.atime` sidecar used to parse to
-        // stamp 0, making that entry sort "oldest" and become the silent
-        // victim of the next budget enforcement — even if it was the most
-        // recent write. The fallback is the entry file's mtime, so it must
-        // outlive a genuinely older, properly-stamped entry.
-        let dir = tmpdir("lost-sidecar");
+    fn a_hit_moves_the_entry_stamp_forward() {
+        let dir = tmpdir("hit-stamp");
         let cache = DiskCache::open(&dir, None).unwrap();
-        cache.insert("fp-a", &sample_metrics(1));
-        let entry_bytes = fs::metadata(dir.join(format!("{}.run", fnv128_hex("fp-a"))))
-            .unwrap()
-            .len();
-        let budgeted = DiskCache::open(&dir, Some(entry_bytes * 2 + entry_bytes / 2)).unwrap();
-        budgeted.insert("fp-b", &sample_metrics(2));
-        // fp-b loses its sidecar (crash between entry write and stamp
-        // refresh, stray cleanup, ...).
-        fs::remove_file(dir.join(format!("{}.atime", fnv128_hex("fp-b")))).unwrap();
-        // Stamp fp-a explicitly old. The sidecar holds nanoseconds while the
-        // kernel takes fp-b's fallback mtime from a coarser clock, so sleeps
-        // between the writes would not order the two reliably.
-        fs::write(dir.join(format!("{}.atime", fnv128_hex("fp-a"))), b"777\n").unwrap();
-        // Overflow the budget: the oldest entry by actual age is fp-a, and
-        // that is what must go — not the unstamped-but-newer fp-b.
-        budgeted.insert("fp-c", &sample_metrics(3));
-        assert!(budgeted.stats().evictions >= 1);
-        assert!(
-            budgeted.get("fp-a").is_none(),
-            "oldest entry must be evicted"
+        cache.insert("fp", &sample_metrics(1));
+        set_stamp(&dir, "fp", 777);
+        let stamp_of = || cache.entries()[0].2;
+        let old = stamp_of();
+        assert_eq!(
+            old,
+            SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(777)
         );
-        assert!(
-            budgeted.get("fp-b").is_some(),
-            "unstamped entry must survive"
-        );
-        assert!(budgeted.get("fp-c").is_some());
-        // A corrupt (unparseable) sidecar takes the same fallback path.
-        fs::write(
-            dir.join(format!("{}.atime", fnv128_hex("fp-b"))),
-            b"not-a-stamp\n",
-        )
-        .unwrap();
-        let entries = budgeted.entries();
-        let garbled = entries
-            .iter()
-            .find(|(p, _, _)| p.ends_with(format!("{}.run", fnv128_hex("fp-b"))))
-            .expect("entry listed");
-        assert!(
-            garbled.2 > 0,
-            "corrupt sidecar must not collapse to stamp 0"
-        );
+        assert!(cache.get("fp").is_some());
+        assert!(stamp_of() > old, "a hit must refresh the entry's mtime");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -610,7 +554,7 @@ mod tests {
         cache.insert("fp-a", &sample_metrics(1));
         cache.insert("fp-b", &sample_metrics(2));
         for fp in ["fp-a", "fp-b"] {
-            fs::write(dir.join(format!("{}.atime", fnv128_hex(fp))), b"777\n").unwrap();
+            set_stamp(&dir, fp, 777);
         }
         let entries = cache.entries();
         assert_eq!(entries.len(), 2);
@@ -621,6 +565,8 @@ mod tests {
         let victim = entries[0].0.clone();
         let survivor = entries[1].0.clone();
         let budgeted = DiskCache::open(&dir, Some(entries[1].1)).unwrap();
+        // A sidecar left by an older store counts against no budget.
+        fs::write(dir.join(format!("{}.atime", fnv128_hex("fp-a"))), b"777\n").unwrap();
         budgeted.enforce_budget();
         assert!(!victim.exists(), "smaller-named tied entry must be evicted");
         assert!(survivor.exists(), "larger-named tied entry must survive");

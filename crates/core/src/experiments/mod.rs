@@ -1,9 +1,9 @@
 //! Experiment runners used by the examples, tests, and the figure registry:
-//! the one-call [`run`] plus the deterministic parallel sweep API
-//! ([`SweepCtx`], [`RunCache`]) that deduplicates and fans independent
-//! points across worker threads without changing a single output byte, and
-//! the persistent [`DiskCache`] that carries completed runs across
-//! processes (the store behind `hdpat-sim serve`).
+//! the one-call [`run`], the deterministic parallel sweep API ([`SweepCtx`])
+//! that deduplicates and fans independent points across worker threads
+//! without changing a single output byte, and the run store ([`RunCache`])
+//! that sweeps and `hdpat-sim serve` share: memory in front of the
+//! persistent [`DiskCache`] that carries completed runs across processes.
 
 mod diskcache;
 mod fingerprint;
@@ -51,7 +51,7 @@ pub fn hardware_divisor(scale: Scale) -> usize {
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::metrics::Metrics;
 use crate::migration::MigrationConfig;
@@ -86,19 +86,6 @@ impl RunConfig {
         scale_hardware(&mut system, hardware_divisor(scale));
         Self {
             system,
-            policy,
-            benchmark,
-            scale,
-            seed: 42,
-            migration: None,
-        }
-    }
-
-    /// A run that keeps the paper's full-size structure capacities
-    /// regardless of workload scale (for sensitivity checks).
-    pub fn new_unscaled(benchmark: BenchmarkId, scale: Scale, policy: PolicyKind) -> Self {
-        Self {
-            system: SystemConfig::paper_baseline(),
             policy,
             benchmark,
             scale,
@@ -198,57 +185,115 @@ pub fn run_observed<O: Observer>(cfg: &RunConfig, obs: O) -> (Metrics, O) {
     }
 }
 
-/// Keyed in-memory cache of completed runs: [`RunConfig::fingerprint`] →
-/// [`Metrics`].
+/// Where a resolved run came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// Simulated fresh.
+    Simulated,
+    /// Served from the in-memory tier of the [`RunCache`].
+    Memory,
+    /// Served from the persistent [`DiskCache`] tier.
+    Disk,
+}
+
+impl Source {
+    /// The stable wire token.
+    pub fn token(self) -> &'static str {
+        match self {
+            Source::Simulated => "simulated",
+            Source::Memory => "memory",
+            Source::Disk => "disk",
+        }
+    }
+}
+
+/// The run store: an in-memory map of completed runs,
+/// [`RunConfig::fingerprint`] → [`Metrics`], in front of an optional
+/// persistent [`DiskCache`].
 ///
-/// The cache is shared by reference across every figure of one bench
-/// invocation, so common points (most prominently the Naive baseline, which
-/// a dozen figures normalize against) are simulated exactly once. Entries
-/// are `Arc`-shared — a hit hands back the same metrics object the miss
-/// produced, so cached and uncached paths cannot diverge.
+/// This is the one place the probe order of DESIGN.md §14.2 lives, for
+/// sweeps ([`SweepCtx`]) and the daemon alike: [`RunCache::lookup`] checks
+/// memory, then disk (promoting a disk hit into memory); whoever simulates
+/// a miss hands the result to [`RunCache::insert`], which writes it to both
+/// tiers. Shared across every figure of one invocation, it simulates common
+/// points (most prominently the Naive baseline, which a dozen figures
+/// normalize against) exactly once. Entries are `Arc`-shared — a hit hands
+/// back the same metrics object the miss produced, so cached and uncached
+/// paths cannot diverge.
 ///
-/// Thread-safe: [`SweepCtx::sweep`] fills it from pool workers.
+/// Thread-safe: [`SweepCtx::sweep`] and the daemon's workers share it.
 #[derive(Debug, Default)]
 pub struct RunCache {
     /// BTreeMap keeps any future iteration over the cache deterministic
     /// (lint rule d1); lookups are by exact fingerprint.
     entries: Mutex<BTreeMap<String, Arc<Metrics>>>,
+    disk: Option<DiskCache>,
 }
 
 impl RunCache {
-    /// An empty cache.
+    /// An empty, memory-only store.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The metrics cached for `key`, if present.
-    pub fn get(&self, key: &str) -> Option<Arc<Metrics>> {
-        match self.entries.lock() {
-            Ok(map) => map.get(key).cloned(),
-            Err(poisoned) => poisoned.into_inner().get(key).cloned(),
+    /// Puts `disk` behind the memory tier.
+    pub fn with_disk(self, disk: DiskCache) -> Self {
+        Self {
+            disk: Some(disk),
+            ..self
         }
     }
 
-    /// Stores `metrics` under `key`. First writer wins: on a duplicate
-    /// insert the existing entry is kept, so every reader of a key observes
-    /// one object identity.
-    pub fn insert(&self, key: String, metrics: Arc<Metrics>) {
-        let mut map = match self.entries.lock() {
+    /// The persistent tier, if any.
+    pub fn disk(&self) -> Option<&DiskCache> {
+        self.disk.as_ref()
+    }
+
+    fn map(&self) -> MutexGuard<'_, BTreeMap<String, Arc<Metrics>>> {
+        match self.entries.lock() {
             Ok(map) => map,
             Err(poisoned) => poisoned.into_inner(),
-        };
-        map.entry(key).or_insert(metrics);
-    }
-
-    /// Number of cached points.
-    pub fn len(&self) -> usize {
-        match self.entries.lock() {
-            Ok(map) => map.len(),
-            Err(poisoned) => poisoned.into_inner().len(),
         }
     }
 
-    /// True when nothing has been cached yet.
+    /// The in-memory entry for `key`, without probing disk.
+    fn memory(&self, key: &str) -> Option<Arc<Metrics>> {
+        self.map().get(key).cloned()
+    }
+
+    /// Resolves `key` from memory, then disk, and says which tier answered.
+    /// A disk hit is promoted into memory, so the next lookup of the key is
+    /// a [`Source::Memory`] hit. `None` means the run must be simulated.
+    pub fn lookup(&self, key: &str) -> Option<(Arc<Metrics>, Source)> {
+        if let Some(m) = self.memory(key) {
+            return Some((m, Source::Memory));
+        }
+        let m = Arc::new(self.disk.as_ref()?.get(key)?);
+        Some((self.remember(key, m), Source::Disk))
+    }
+
+    /// Stores a freshly simulated run in memory and writes it through to
+    /// disk. First writer wins in memory: on a duplicate insert the existing
+    /// entry is kept, so every reader of a key observes one object identity.
+    pub fn insert(&self, key: &str, metrics: Arc<Metrics>) {
+        let metrics = self.remember(key, metrics);
+        if let Some(disk) = &self.disk {
+            disk.insert(key, &metrics);
+        }
+    }
+
+    /// Files `metrics` in memory (first writer wins) and returns the entry
+    /// that now holds the key.
+    fn remember(&self, key: &str, metrics: Arc<Metrics>) -> Arc<Metrics> {
+        Arc::clone(self.map().entry(key.to_string()).or_insert(metrics))
+    }
+
+    /// Number of runs held in memory.
+    pub fn len(&self) -> usize {
+        self.map().len()
+    }
+
+    /// True when memory holds no run yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -268,7 +313,6 @@ impl RunCache {
 #[derive(Debug)]
 pub struct SweepCtx {
     cache: Option<RunCache>,
-    disk: Option<DiskCache>,
     jobs: usize,
     hits: AtomicU64,
     disk_hits: AtomicU64,
@@ -295,7 +339,6 @@ impl SweepCtx {
     pub fn new(jobs: usize) -> Self {
         Self {
             cache: Some(RunCache::new()),
-            disk: None,
             jobs: jobs.max(1),
             hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -305,23 +348,24 @@ impl SweepCtx {
         }
     }
 
-    /// Attaches a persistent [`DiskCache`]: sweep points missing from the
-    /// in-memory cache are probed on disk before being scheduled, and every
-    /// freshly simulated point is written back. Purely an optimization —
-    /// results are byte-identical with and without the disk cache
-    /// (`tests/sweep_determinism.rs`), only wall-clock time changes.
+    /// Puts a persistent [`DiskCache`] behind the context's [`RunCache`]:
+    /// sweep points missing from memory are probed on disk before being
+    /// scheduled, and every freshly simulated point is written back. Purely
+    /// an optimization — results are byte-identical with and without the
+    /// disk cache (`tests/sweep_determinism.rs`), only wall-clock time
+    /// changes.
     ///
-    /// The disk probe sits behind the in-memory cache, so it only applies to
+    /// The disk tier sits behind the in-memory one, so it only applies to
     /// contexts with caching enabled ([`SweepCtx::new`]); attaching it to a
     /// [`SweepCtx::without_cache`] context is a no-op by construction.
     pub fn with_disk_cache(mut self, disk: DiskCache) -> Self {
-        self.disk = Some(disk);
+        self.cache = self.cache.map(|cache| cache.with_disk(disk));
         self
     }
 
     /// The attached disk cache, if any — for hit-rate reporting.
     pub fn disk_cache(&self) -> Option<&DiskCache> {
-        self.disk.as_ref()
+        self.cache.as_ref()?.disk()
     }
 
     /// Enables the live progress reporter: every completed simulation
@@ -463,21 +507,21 @@ impl SweepCtx {
             return out;
         };
         let keys: Vec<String> = cfgs.iter().map(RunConfig::fingerprint).collect();
-        // Unique uncached points, in first-occurrence order. Each unique
-        // point missing from memory is probed on disk before it is scheduled
-        // — a disk hit is promoted into the in-memory cache (so duplicates
-        // of it downstream count as ordinary hits) and never simulated.
-        let mut pending = BTreeSet::new();
+        // Unique unresolved points, in first-occurrence order. Each unique
+        // point is looked up once; a disk hit is promoted into memory (so
+        // duplicates of it downstream count as ordinary hits) and never
+        // simulated.
+        let mut seen = BTreeSet::new();
         let mut todo: Vec<usize> = Vec::new();
         let mut from_disk: u64 = 0;
         for (i, key) in keys.iter().enumerate() {
-            if cache.get(key).is_none() && pending.insert(key.as_str()) {
-                if let Some(m) = self.disk.as_ref().and_then(|d| d.get(key)) {
-                    cache.insert(key.clone(), Arc::new(m));
-                    from_disk += 1;
-                } else {
-                    todo.push(i);
-                }
+            if !seen.insert(key.as_str()) {
+                continue;
+            }
+            match cache.lookup(key) {
+                Some((_, Source::Disk)) => from_disk += 1,
+                Some(_) => {}
+                None => todo.push(i),
             }
         }
         self.disk_hits.fetch_add(from_disk, Ordering::Relaxed);
@@ -500,14 +544,11 @@ impl SweepCtx {
         if reporting && !todo.is_empty() {
             eprintln!();
         }
-        for (j, &i) in todo.iter().enumerate() {
-            cache.insert(keys[i].clone(), fresh[j].clone());
-            if let Some(disk) = &self.disk {
-                disk.insert(&keys[i], &fresh[j]);
-            }
+        for (&i, m) in todo.iter().zip(fresh) {
+            cache.insert(&keys[i], m);
         }
         keys.iter()
-            .map(|key| match cache.get(key) {
+            .map(|key| match cache.memory(key) {
                 Some(m) => m,
                 None => unreachable!("sweep point missing from cache after execution"),
             })
@@ -519,35 +560,6 @@ impl Default for SweepCtx {
     fn default() -> Self {
         Self::auto()
     }
-}
-
-/// Runs `policy` and the naive baseline on the same workload and returns
-/// `(baseline, policy_metrics, speedup)`.
-pub fn run_with_baseline(cfg: &RunConfig) -> (Metrics, Metrics, f64) {
-    let base_cfg = RunConfig {
-        policy: PolicyKind::Naive,
-        ..cfg.clone()
-    };
-    let base = run(&base_cfg);
-    let m = run(cfg);
-    let speedup = m.speedup_vs(&base);
-    (base, m, speedup)
-}
-
-/// Runs every Table II benchmark under `policy` at `scale` and returns
-/// per-benchmark metrics in catalog order.
-pub fn run_all(
-    policy: PolicyKind,
-    scale: Scale,
-    system: &SystemConfig,
-) -> Vec<(BenchmarkId, Metrics)> {
-    BenchmarkId::all()
-        .into_iter()
-        .map(|b| {
-            let cfg = RunConfig::new(b, scale, policy).with_system(system.clone());
-            (b, run(&cfg))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -649,6 +661,33 @@ mod tests {
     }
 
     #[test]
+    fn run_cache_probes_memory_then_disk_and_writes_through() {
+        let dir = std::env::temp_dir().join(format!("hdpat-run-cache-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || RunCache::new().with_disk(DiskCache::open(&dir, None).unwrap());
+        let m = Arc::new(Metrics::new(2, 100));
+
+        // `insert` writes through: a fresh store over the same directory
+        // finds the key on disk.
+        let first = open();
+        first.insert("fp-a", Arc::clone(&m));
+        assert_eq!(first.lookup("fp-a").map(|(_, s)| s), Some(Source::Memory));
+
+        // A key present only on disk answers from disk once, then from
+        // memory; an absent key is a miss.
+        let store = open();
+        let (hit, source) = store.lookup("fp-a").expect("disk hit");
+        assert_eq!(source, Source::Disk);
+        assert_eq!(hit.to_cache_text(), m.to_cache_text());
+        let (again, source) = store.lookup("fp-a").expect("memory hit");
+        assert_eq!(source, Source::Memory);
+        assert!(Arc::ptr_eq(&hit, &again));
+        assert!(store.lookup("fp-absent").is_none());
+        assert_eq!(store.len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn naive_run_completes_all_ops() {
         let m = run(&RunConfig::new(
             BenchmarkId::Relu,
@@ -671,11 +710,13 @@ mod tests {
 
     #[test]
     fn hdpat_reduces_iommu_walks_on_spmv() {
-        let (base, hd, speedup) = run_with_baseline(&RunConfig::new(
-            BenchmarkId::Spmv,
-            Scale::Unit,
-            PolicyKind::hdpat(),
-        ));
+        let cfg = RunConfig::new(BenchmarkId::Spmv, Scale::Unit, PolicyKind::hdpat());
+        let base = run(&RunConfig {
+            policy: PolicyKind::Naive,
+            ..cfg.clone()
+        });
+        let hd = run(&cfg);
+        let speedup = hd.speedup_vs(&base);
         assert!(
             hd.iommu_walks < base.iommu_walks,
             "HDPAT walks {} vs baseline {}",

@@ -9,12 +9,12 @@
 //!   head-of-queue jobs of all clients, the highest priority runs first,
 //!   ties going to the least-recently-scheduled client (so one chatty
 //!   client cannot starve the others), FIFO within a client;
-//! * answers from the in-memory [`RunCache`] and the persistent
-//!   [`DiskCache`] before simulating, attributing every result to its
-//!   source (`memory` / `disk` / `simulated`);
-//! * streams per-run `progress` events through the completion-observer hook
-//!   of [`wsg_sim::pool::run_indexed_with`] — the same plumbing behind the
-//!   CLI's `--progress` reporter;
+//! * answers from the [`RunCache`] (memory, then the persistent
+//!   [`DiskCache`]) before simulating — the same store and probe order as
+//!   the CLI's sweeps — attributing every result to its source (`memory` /
+//!   `disk` / `simulated`);
+//! * streams `progress` events around each simulated run: `started` before
+//!   it, `finished` once it completes;
 //! * releases each client's result lines **in submission order** (a
 //!   per-client reorder buffer; a cancellation occupies the cancelled
 //!   run's position), whatever order the scheduler completes them in;
@@ -271,8 +271,8 @@ struct Shared {
     work: Condvar,
     /// Wakes drain waiters (EOF, shutdown) when responses complete/flush.
     drained: Condvar,
-    mem: RunCache,
-    disk: Option<DiskCache>,
+    /// The run store: memory in front of the optional disk cache.
+    cache: RunCache,
     /// Request-lifecycle metrics for this daemon instance ([`crate::ops`]).
     ops: OpsRegistry,
     /// Structured JSONL ops log, when configured.
@@ -363,12 +363,15 @@ impl Shared {
                 reorder,
             )
         };
-        let disk = self.disk.as_ref().map(|d| DiskGauges {
-            dir: d.dir().to_path_buf(),
-            entries: d.len() as u64,
-            resident_bytes: d.resident_bytes(),
-            budget: d.budget(),
-            stats: d.stats(),
+        let disk = self.cache.disk().map(|d| {
+            let (entries, resident_bytes) = d.occupancy();
+            DiskGauges {
+                dir: d.dir().to_path_buf(),
+                entries,
+                resident_bytes,
+                budget: d.budget(),
+                stats: d.stats(),
+            }
         });
         GaugeSample {
             clients,
@@ -380,7 +383,7 @@ impl Shared {
             workers_busy: inflight,
             reorder_buffered,
             uptime_seconds: self.started.elapsed().as_secs(),
-            memory_entries: self.mem.len() as u64,
+            memory_entries: self.cache.len() as u64,
             disk,
         }
     }
@@ -484,57 +487,24 @@ impl Shared {
         }
         let cfg = submit.run_config();
         let key = cfg.fingerprint();
-        let resolved = if let Some(m) = self.mem.get(&key) {
-            Some((m, Source::Memory))
-        } else if let Some(m) = self.disk.as_ref().and_then(|d| d.get(&key)) {
-            let m = Arc::new(m);
-            self.mem.insert(key.clone(), Arc::clone(&m));
-            Some((m, Source::Disk))
-        } else {
-            None
-        };
-        let outcome = match resolved {
+        let outcome = match self.cache.lookup(&key) {
             Some(hit) => Ok(hit),
             None => {
-                let writer = self.writer_of(cid);
-                let progress = submit.progress;
-                if progress {
+                let writer = submit.progress.then(|| self.writer_of(cid)).flatten();
+                let progress = |stage: &str| {
                     if let Some(w) = &writer {
-                        Self::write_now(w, &proto::progress_line(&submit.id, "started"));
+                        Self::write_now(w, &proto::progress_line(&submit.id, stage));
                     }
-                }
-                // The simulation runs through the pool's completion-observer
-                // plumbing (the hook behind the CLI's `--progress` line), so
-                // the `finished` event fires exactly when the run completes,
-                // before any caching or response work. A panicking run is
-                // caught here: its slot still gets an answer and the
-                // accounting below still runs.
-                catch_unwind(AssertUnwindSafe(|| {
-                    wsg_sim::pool::run_indexed_with(
-                        1,
-                        1,
-                        |_| simulate(&cfg, &submit.id),
-                        |_| {
-                            if progress {
-                                if let Some(w) = &writer {
-                                    Self::write_now(
-                                        w,
-                                        &proto::progress_line(&submit.id, "finished"),
-                                    );
-                                }
-                            }
-                        },
-                    )
-                }))
-                .map(|out| {
-                    let m = match out.into_iter().next() {
-                        Some(m) => Arc::new(m),
-                        None => unreachable!("run_indexed_with(_, 1, ..) returned no result"),
-                    };
-                    self.mem.insert(key.clone(), Arc::clone(&m));
-                    if let Some(disk) = &self.disk {
-                        disk.insert(&key, &m);
-                    }
+                };
+                progress("started");
+                // `finished` fires as soon as the run completes, before any
+                // caching or response work. A panicking run is caught here:
+                // its slot still gets an answer and the accounting below
+                // still runs.
+                catch_unwind(AssertUnwindSafe(|| simulate(&cfg, &submit.id))).map(|m| {
+                    progress("finished");
+                    let m = Arc::new(m);
+                    self.cache.insert(&key, Arc::clone(&m));
                     (m, Source::Simulated)
                 })
             }
@@ -972,9 +942,9 @@ impl Daemon {
     /// ops log / metrics dump (when configured), and spawns the simulation
     /// worker pool.
     pub fn new(config: DaemonConfig) -> std::io::Result<Self> {
-        let disk = match &config.cache_dir {
-            Some(dir) => Some(DiskCache::open(dir, config.cache_budget)?),
-            None => None,
+        let cache = match &config.cache_dir {
+            Some(dir) => RunCache::new().with_disk(DiskCache::open(dir, config.cache_budget)?),
+            None => RunCache::new(),
         };
         let jobs = if config.jobs == 0 {
             wsg_sim::pool::default_jobs()
@@ -997,8 +967,7 @@ impl Daemon {
             }),
             work: Condvar::new(),
             drained: Condvar::new(),
-            mem: RunCache::new(),
-            disk,
+            cache,
             ops: OpsRegistry::new(),
             ops_log,
             workers: jobs as u64,
@@ -1158,8 +1127,8 @@ impl Daemon {
     /// Cache statistics snapshot: `(memory entries, disk stats)`.
     pub fn cache_stats(&self) -> (usize, Option<crate::experiments::DiskCacheStats>) {
         (
-            self.shared.mem.len(),
-            self.shared.disk.as_ref().map(DiskCache::stats),
+            self.shared.cache.len(),
+            self.shared.cache.disk().map(DiskCache::stats),
         )
     }
 

@@ -59,27 +59,9 @@ pub mod codes {
 /// newline. Reading never buffers more than this much of one line.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// Where a result came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Source {
-    /// Simulated fresh by this daemon.
-    Simulated,
-    /// Served from the in-memory run cache.
-    Memory,
-    /// Served from the persistent on-disk cache.
-    Disk,
-}
-
-impl Source {
-    /// The stable wire token.
-    pub fn token(self) -> &'static str {
-        match self {
-            Source::Simulated => "simulated",
-            Source::Memory => "memory",
-            Source::Disk => "disk",
-        }
-    }
-}
+/// Where a result came from; defined beside the run store that attributes
+/// it.
+pub use crate::experiments::Source;
 
 /// A parsed and validated `submit` request.
 #[derive(Debug, Clone)]

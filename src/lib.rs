@@ -44,9 +44,7 @@ pub use wsg_xlat as xlat;
 
 /// The most commonly used types, importable with one `use`.
 pub mod prelude {
-    pub use hdpat::experiments::{
-        run, run_all, run_observed, run_with_baseline, RunCache, RunConfig, SweepCtx,
-    };
+    pub use hdpat::experiments::{run, run_observed, RunCache, RunConfig, SweepCtx};
     pub use hdpat::policy::{HdpatConfig, PolicyKind};
     pub use hdpat::{Metrics, Resolution, Simulation};
     pub use wsg_gpu::{GpuPreset, SystemConfig, WaferLayout};
