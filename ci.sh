@@ -16,7 +16,8 @@
 # answered entirely from the persistent run cache, plus cross-process cache
 # reuse by `figure fig14`), the ops lane (a daemon with
 # --ops-log/--metrics-out must produce a byte-identical replay digest, a
-# reconciling metrics snapshot, and a complete request-lifecycle log), and
+# reconciling metrics snapshot, and a complete request-lifecycle log, and a
+# stdio daemon must dump well-formed Prometheus text), and
 # the perf-trajectory gate (DESIGN.md §11/§16): fig14 must stay
 # byte-identical to the pre-PR-4 golden run, and the median serial events/s
 # of three runs must stay within 10% of the committed BENCH_PR9.json point.
@@ -142,6 +143,15 @@ grep -q '"disk":{"entries":70,' target/ci/metrics.json
 test "$(grep -c '"ev":"enqueue"' target/ci/ops.jsonl)" -eq 70
 test "$(grep -c '"ev":"schedule"' target/ci/ops.jsonl)" -eq 70
 test "$(grep -c '"ev":"complete"' target/ci/ops.jsonl)" -eq 70
+
+echo "== Prometheus exposition (stdio daemon's final --metrics-out dump)"
+rm -f target/ci/metrics.prom
+printf '' | ./target/release/hdpat-sim serve --stdio --jobs 1 \
+    --cache-dir target/ci/servecache --metrics-out target/ci/metrics.prom 2> /dev/null
+grep -q '^hdpat_disk_cache_entries 70$' target/ci/metrics.prom
+grep -q '^hdpat_requests_submitted 0$' target/ci/metrics.prom
+# Every line is a `#` comment or exactly two space-separated tokens.
+test -z "$(grep -vE '^#|^[^ ]+ [^ ]+$' target/ci/metrics.prom)"
 
 echo "== metrics wire op (stdio daemon)"
 printf '{"op":"metrics"}\n' | ./target/release/hdpat-sim serve --stdio --jobs 1 \

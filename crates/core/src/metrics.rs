@@ -1,5 +1,7 @@
 //! Simulation metrics backing every figure of the evaluation.
 
+use std::fmt::{Debug, Write as _};
+
 use wsg_sim::stats::{
     Breakdown, Histogram, LogHistogram, ReuseTracker, Summary, TimeSeries, Window,
 };
@@ -11,13 +13,16 @@ use wsg_sim::Cycle;
 /// treats a mismatch as a miss, so bumping it invalidates all previously
 /// cached runs at once.
 ///
-/// **Bump this whenever the deterministic-string contract changes**: a field
-/// is added to / removed from / reordered in `to_deterministic_string`, a
-/// field's semantics change (same name, different measurement), or the cache
-/// text codec below changes shape. Purely additive fields that stay outside
-/// the deterministic string (like `host_wall_nanos`) still require a bump if
-/// they enter the cache text, because older entries would fail to parse —
-/// which is safe (a miss) but wasteful, so make it explicit.
+/// **Bump this whenever the deterministic-string contract changes**: a row
+/// of the `Metrics` field table is added, removed or reordered, a field's
+/// semantics change (same name, different measurement), or the cache text
+/// codec changes shape. A new `host` row stays outside the deterministic
+/// string but still requires a bump, because it enters the cache text and
+/// older entries would fail to parse — which is safe (a miss) but wasteful,
+/// so make it explicit. The unit test
+/// `cache_text_and_deterministic_string_are_pinned` pins both texts byte for
+/// byte, so a row or codec change fails it until this number has been
+/// considered.
 pub const METRICS_CONTRACT_VERSION: u32 = 1;
 
 /// How a non-local translation request was ultimately resolved — the four
@@ -48,139 +53,198 @@ impl Resolution {
     }
 }
 
-/// Everything measured during one simulation run.
-///
-/// Each field maps to one or more paper figures; see the field docs. The
-/// struct is plain data — the simulator fills it and the bench harness
-/// formats it.
-#[derive(Debug, Clone)]
-pub struct Metrics {
-    /// Total execution time: the cycle at which the last CU drained.
-    pub total_cycles: Cycle,
-    /// Per-GPM finish time (Fig 5's geometric imbalance).
-    pub gpm_finish: Vec<Cycle>,
-    /// Memory operations completed.
-    pub ops_completed: u64,
+/// Generates [`Metrics`] from one table of `name: Type = init` rows: the
+/// struct, `new`, the deterministic string and both halves of the cache
+/// codec. `deterministic` rows enter every output in table order; `host`
+/// rows are host-side measurements that enter the cache text but never the
+/// deterministic string (rule d10). What a field renders, encodes and
+/// decodes is decided by its type's [`Field`] impl. The table names `new`'s
+/// parameters itself because macro hygiene would otherwise hide them from
+/// the init expressions.
+macro_rules! metrics_table {
+    (
+        fn new($gpm_count:ident, $time_window:ident);
+        deterministic { $( $(#[$dmeta:meta])* $d:ident: $dty:ty = $dinit:expr, )* }
+        host { $( $(#[$hmeta:meta])* $h:ident: $hty:ty = $hinit:expr, )* }
+    ) => {
+        /// Everything measured during one simulation run.
+        ///
+        /// Each field maps to one or more paper figures; see the field docs. The
+        /// struct is plain data — the simulator fills it and the bench harness
+        /// formats it.
+        #[derive(Debug, Clone)]
+        pub struct Metrics {
+            $( $(#[$dmeta])* pub $d: $dty, )*
+            $( $(#[$hmeta])* pub $h: $hty, )*
+        }
 
-    /// Translations resolved entirely inside the requesting GPM
-    /// (L1/L2/last-level TLB hits and local walks).
-    pub local_translations: u64,
-    /// Local page-table walks performed by GMMUs.
-    pub local_walks: u64,
-    /// Cuckoo-filter false positives (wasted local walks before remote
-    /// forwarding, §II-B's doubled-latency case).
-    pub cuckoo_false_positives: u64,
-    /// Non-local translation requests issued (after GPM-side coalescing).
-    pub remote_requests: u64,
-    /// Remote requests coalesced into an in-flight identical request at the
-    /// requesting GPM (L2 TLB MSHR merge).
-    pub remote_coalesced: u64,
+        impl Metrics {
+            /// Creates zeroed metrics with the standard breakdown categories.
+            pub fn new($gpm_count: usize, $time_window: Cycle) -> Self {
+                Self { $( $d: $dinit, )* $( $h: $hinit, )* }
+            }
 
-    /// Resolution-source counts for remote translations (Fig 16).
-    pub resolution: Breakdown,
-    /// Per-request IOMMU latency components (Fig 3): `pre-queue`,
-    /// `ptw-queue`, `walk`.
-    pub iommu_latency: Breakdown,
-    /// IOMMU input-buffer occupancy sampled over time (Fig 4).
-    pub iommu_buffer: TimeSeries,
-    /// IOMMU-served translations over time (Fig 13).
-    pub iommu_served: TimeSeries,
-    /// Per-VPN translation request stream at the IOMMU: occurrence counts
-    /// (Fig 6) and reuse distances (Fig 7).
-    pub iommu_reuse: ReuseTracker,
-    /// VPN distance between consecutive IOMMU translation requests (Fig 8).
-    pub vpn_delta: Histogram,
-    /// Remote-translation round-trip time, request issue to PFN arrival
-    /// (Fig 17).
-    pub remote_rtt: Summary,
-    /// Round-trip time split by resolution source (diagnostics for Fig 17).
-    pub rtt_peer: Summary,
-    /// RTT of redirection-resolved requests.
-    pub rtt_redirection: Summary,
-    /// RTT of proactively-served requests.
-    pub rtt_proactive: Summary,
-    /// RTT of IOMMU-walk-resolved requests.
-    pub rtt_iommu: Summary,
-    /// Remote-path retries due to a full L2-TLB MSHR at the requester.
-    pub remote_retries: u64,
-    /// IOMMU walks performed (including prefetch walks).
-    pub iommu_walks: u64,
-    /// Requests completed by PW-queue revisit coalescing.
-    pub iommu_coalesced: u64,
-    /// Redirection-table hits that failed at the holder (entry evicted).
-    pub redirect_misses: u64,
-    /// Requests stalled because the IOMMU TLB's MSHRs were full (Fig 19
-    /// variant only).
-    pub iommu_tlb_stalls: u64,
+            /// Serializes every deterministic metric into a stable text form:
+            /// two runs of the same `(benchmark, seed)` must produce
+            /// byte-identical output (`tests/determinism.rs` enforces this).
+            /// Fields appear in declaration order; the reuse tracker is
+            /// rendered through its order-independent accessors because its
+            /// internal bookkeeping is hash-keyed. Host-side fields are never
+            /// rendered.
+            pub fn to_deterministic_string(&self) -> String {
+                let mut s = String::new();
+                $( self.$d.render(&mut s, stringify!($d)); )*
+                s
+            }
 
-    /// PTEs pushed to auxiliary GPMs (demand + prefetch).
-    pub ptes_pushed: u64,
-    /// Prefetched PTEs delivered (`degree − 1` per prefetching walk).
-    pub prefetches_issued: u64,
-    /// Prefetched entries that served a later request (accuracy numerator;
-    /// the paper reports 65.55 % average accuracy).
-    pub prefetches_used: u64,
+            /// Serializes the full metrics state into the exact, line-oriented
+            /// text form stored by the disk run cache. Unlike
+            /// [`Metrics::to_deterministic_string`] (a *rendering* for
+            /// comparison), this is a *codec*: [`Metrics::from_cache_text`]
+            /// reconstructs a `Metrics` whose every accessor — including the
+            /// deterministic string — is byte-identical to the original.
+            /// Floating-point state is written as IEEE-754 bit patterns, so the
+            /// round trip is exact, not shortest-representation approximate.
+            ///
+            /// The host-side fields are included after the deterministic ones
+            /// (a cache hit reports the original run's event count and host
+            /// cost).
+            ///
+            /// The first line pins the codec shape (`metrics-codec v1`) and the
+            /// measurement contract ([`METRICS_CONTRACT_VERSION`]); decoding
+            /// rejects any mismatch, which the disk cache treats as a miss.
+            pub fn to_cache_text(&self) -> String {
+                let mut s = String::new();
+                let _ = writeln!(s, "metrics-codec v1 contract {METRICS_CONTRACT_VERSION}");
+                $( self.$d.encode(&mut s, stringify!($d)); )*
+                $( self.$h.encode(&mut s, stringify!($h)); )*
+                s.push_str("end\n");
+                s
+            }
 
-    /// Total payload bytes injected into the mesh.
-    pub noc_bytes: u64,
-    /// Total bytes × hops moved across mesh links.
-    pub noc_hop_bytes: u64,
-    /// Mesh packets injected.
-    pub noc_packets: u64,
-    /// Pages migrated by the optional migration extension.
-    pub pages_migrated: u64,
+            /// Parses text produced by [`Metrics::to_cache_text`] back into a
+            /// `Metrics` value. Strict by design: any missing line, unexpected
+            /// key, malformed number, count mismatch, breakdown category other
+            /// than the ones [`Metrics::new`] declares, or codec/contract
+            /// version mismatch is an error — the disk cache maps every error
+            /// to a miss and discards the entry, so corruption can never
+            /// surface as wrong results.
+            pub fn from_cache_text(text: &str) -> Result<Metrics, String> {
+                let mut r = LineReader::new(text);
+                let header = r.fields("metrics-codec", 3)?;
+                if header[0] != "v1" {
+                    return Err(format!("unsupported codec version `{}`", header[0]));
+                }
+                if header[1] != "contract" || header[2] != METRICS_CONTRACT_VERSION.to_string() {
+                    return Err(format!(
+                        "contract version mismatch: entry has `{} {}`, this build requires `contract {}`",
+                        header[1], header[2], METRICS_CONTRACT_VERSION
+                    ));
+                }
+                let mut m = Metrics::new(0, 1);
+                $( m.$d.decode(&mut r, stringify!($d))?; )*
+                $( m.$h.decode(&mut r, stringify!($h))?; )*
+                r.fields("end", 0)?;
+                r.expect_eof()?;
+                Ok(m)
+            }
+        }
+    };
+}
 
-    /// Discrete events the run's event queue processed (the hot-loop work
-    /// unit of DESIGN.md §11). Excluded from
-    /// [`Metrics::to_deterministic_string`] so figure outputs stay
-    /// byte-comparable across engine revisions that schedule differently.
-    pub sim_events: u64,
-    /// Host wall-clock nanoseconds spent inside `Simulation::run`.
-    /// Host-dependent by nature, so deliberately excluded from
-    /// [`Metrics::to_deterministic_string`].
-    pub host_wall_nanos: u64,
+metrics_table! {
+    fn new(gpm_count, time_window);
+    deterministic {
+        /// Total execution time: the cycle at which the last CU drained.
+        total_cycles: Cycle = 0,
+        /// Per-GPM finish time (Fig 5's geometric imbalance).
+        gpm_finish: Vec<Cycle> = vec![0; gpm_count],
+        /// Memory operations completed.
+        ops_completed: u64 = 0,
+
+        /// Translations resolved entirely inside the requesting GPM
+        /// (L1/L2/last-level TLB hits and local walks).
+        local_translations: u64 = 0,
+        /// Local page-table walks performed by GMMUs.
+        local_walks: u64 = 0,
+        /// Cuckoo-filter false positives (wasted local walks before remote
+        /// forwarding, §II-B's doubled-latency case).
+        cuckoo_false_positives: u64 = 0,
+        /// Non-local translation requests issued (after GPM-side coalescing).
+        remote_requests: u64 = 0,
+        /// Remote requests coalesced into an in-flight identical request at the
+        /// requesting GPM (L2 TLB MSHR merge).
+        remote_coalesced: u64 = 0,
+
+        /// Resolution-source counts for remote translations (Fig 16).
+        resolution: Breakdown =
+            Breakdown::new(&["peer-cache", "redirection", "proactive", "iommu"]),
+        /// Per-request IOMMU latency components (Fig 3): `pre-queue`,
+        /// `ptw-queue`, `walk`.
+        iommu_latency: Breakdown = Breakdown::new(&["pre-queue", "ptw-queue", "walk"]),
+        /// IOMMU input-buffer occupancy sampled over time (Fig 4).
+        iommu_buffer: TimeSeries = TimeSeries::new(time_window),
+        /// IOMMU-served translations over time (Fig 13).
+        iommu_served: TimeSeries = TimeSeries::new(time_window),
+        /// Per-VPN translation request stream at the IOMMU: occurrence counts
+        /// (Fig 6) and reuse distances (Fig 7).
+        iommu_reuse: ReuseTracker = ReuseTracker::new(),
+        /// VPN distance between consecutive IOMMU translation requests (Fig 8).
+        vpn_delta: Histogram = Histogram::new(1, 64),
+        /// Remote-translation round-trip time, request issue to PFN arrival
+        /// (Fig 17).
+        remote_rtt: Summary = Summary::new(),
+        /// Round-trip time split by resolution source (diagnostics for Fig 17).
+        rtt_peer: Summary = Summary::new(),
+        /// RTT of redirection-resolved requests.
+        rtt_redirection: Summary = Summary::new(),
+        /// RTT of proactively-served requests.
+        rtt_proactive: Summary = Summary::new(),
+        /// RTT of IOMMU-walk-resolved requests.
+        rtt_iommu: Summary = Summary::new(),
+        /// Remote-path retries due to a full L2-TLB MSHR at the requester.
+        remote_retries: u64 = 0,
+        /// IOMMU walks performed (including prefetch walks).
+        iommu_walks: u64 = 0,
+        /// Requests completed by PW-queue revisit coalescing.
+        iommu_coalesced: u64 = 0,
+        /// Redirection-table hits that failed at the holder (entry evicted).
+        redirect_misses: u64 = 0,
+        /// Requests stalled because the IOMMU TLB's MSHRs were full (Fig 19
+        /// variant only).
+        iommu_tlb_stalls: u64 = 0,
+
+        /// PTEs pushed to auxiliary GPMs (demand + prefetch).
+        ptes_pushed: u64 = 0,
+        /// Prefetched PTEs delivered (`degree − 1` per prefetching walk).
+        prefetches_issued: u64 = 0,
+        /// Prefetched entries that served a later request (accuracy numerator;
+        /// the paper reports 65.55 % average accuracy).
+        prefetches_used: u64 = 0,
+
+        /// Total payload bytes injected into the mesh.
+        noc_bytes: u64 = 0,
+        /// Total bytes × hops moved across mesh links.
+        noc_hop_bytes: u64 = 0,
+        /// Mesh packets injected.
+        noc_packets: u64 = 0,
+        /// Pages migrated by the optional migration extension.
+        pages_migrated: u64 = 0,
+    }
+    host {
+        /// Discrete events the run's event queue processed (the hot-loop work
+        /// unit of DESIGN.md §11). Excluded from
+        /// [`Metrics::to_deterministic_string`] so figure outputs stay
+        /// byte-comparable across engine revisions that schedule differently.
+        sim_events: u64 = 0,
+        /// Host wall-clock nanoseconds spent inside `Simulation::run`.
+        /// Host-dependent by nature, so deliberately excluded from
+        /// [`Metrics::to_deterministic_string`].
+        host_wall_nanos: u64 = 0,
+    }
 }
 
 impl Metrics {
-    /// Creates zeroed metrics with the standard breakdown categories.
-    pub fn new(gpm_count: usize, time_window: Cycle) -> Self {
-        Self {
-            total_cycles: 0,
-            gpm_finish: vec![0; gpm_count],
-            ops_completed: 0,
-            local_translations: 0,
-            local_walks: 0,
-            cuckoo_false_positives: 0,
-            remote_requests: 0,
-            remote_coalesced: 0,
-            resolution: Breakdown::new(&["peer-cache", "redirection", "proactive", "iommu"]),
-            iommu_latency: Breakdown::new(&["pre-queue", "ptw-queue", "walk"]),
-            iommu_buffer: TimeSeries::new(time_window),
-            iommu_served: TimeSeries::new(time_window),
-            iommu_reuse: ReuseTracker::new(),
-            vpn_delta: Histogram::new(1, 64),
-            remote_rtt: Summary::new(),
-            rtt_peer: Summary::new(),
-            rtt_redirection: Summary::new(),
-            rtt_proactive: Summary::new(),
-            rtt_iommu: Summary::new(),
-            remote_retries: 0,
-            iommu_walks: 0,
-            iommu_coalesced: 0,
-            redirect_misses: 0,
-            iommu_tlb_stalls: 0,
-            ptes_pushed: 0,
-            prefetches_issued: 0,
-            prefetches_used: 0,
-            noc_bytes: 0,
-            noc_hop_bytes: 0,
-            noc_packets: 0,
-            pages_migrated: 0,
-            sim_events: 0,
-            host_wall_nanos: 0,
-        }
-    }
-
     /// Records a resolved remote translation.
     pub fn record_resolution(&mut self, r: Resolution) {
         self.resolution.add(r.label(), 1);
@@ -234,313 +298,234 @@ impl Metrics {
     pub fn translation_count_histogram(&self) -> LogHistogram {
         self.iommu_reuse.count_histogram()
     }
+}
 
-    /// Serializes every metric into a stable text form: two runs of the same
-    /// `(benchmark, seed)` must produce byte-identical output
-    /// (`tests/determinism.rs` enforces this). Fields appear in declaration
-    /// order; the reuse tracker is rendered through its order-independent
-    /// accessors because its internal bookkeeping is hash-keyed.
-    pub fn to_deterministic_string(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "total_cycles: {}", self.total_cycles);
-        let _ = writeln!(s, "gpm_finish: {:?}", self.gpm_finish);
-        let _ = writeln!(s, "ops_completed: {}", self.ops_completed);
-        let _ = writeln!(s, "local_translations: {}", self.local_translations);
-        let _ = writeln!(s, "local_walks: {}", self.local_walks);
-        let _ = writeln!(s, "cuckoo_false_positives: {}", self.cuckoo_false_positives);
-        let _ = writeln!(s, "remote_requests: {}", self.remote_requests);
-        let _ = writeln!(s, "remote_coalesced: {}", self.remote_coalesced);
-        let _ = writeln!(s, "resolution: {:?}", self.resolution);
-        let _ = writeln!(s, "iommu_latency: {:?}", self.iommu_latency);
-        let _ = writeln!(s, "iommu_buffer: {:?}", self.iommu_buffer);
-        let _ = writeln!(s, "iommu_served: {:?}", self.iommu_served);
-        let _ = writeln!(
-            s,
-            "iommu_reuse.counts: {:?}",
-            self.iommu_reuse.count_histogram()
-        );
-        let _ = writeln!(
-            s,
-            "iommu_reuse.reuse: {:?}",
-            self.iommu_reuse.reuse_histogram()
-        );
-        let _ = writeln!(
-            s,
-            "iommu_reuse.distinct: {}",
-            self.iommu_reuse.distinct_keys()
-        );
-        let _ = writeln!(
-            s,
-            "iommu_reuse.touches: {}",
-            self.iommu_reuse.total_touches()
-        );
-        let _ = writeln!(s, "vpn_delta: {:?}", self.vpn_delta);
-        let _ = writeln!(s, "remote_rtt: {:?}", self.remote_rtt);
-        let _ = writeln!(s, "rtt_peer: {:?}", self.rtt_peer);
-        let _ = writeln!(s, "rtt_redirection: {:?}", self.rtt_redirection);
-        let _ = writeln!(s, "rtt_proactive: {:?}", self.rtt_proactive);
-        let _ = writeln!(s, "rtt_iommu: {:?}", self.rtt_iommu);
-        let _ = writeln!(s, "remote_retries: {}", self.remote_retries);
-        let _ = writeln!(s, "iommu_walks: {}", self.iommu_walks);
-        let _ = writeln!(s, "iommu_coalesced: {}", self.iommu_coalesced);
-        let _ = writeln!(s, "redirect_misses: {}", self.redirect_misses);
-        let _ = writeln!(s, "iommu_tlb_stalls: {}", self.iommu_tlb_stalls);
-        let _ = writeln!(s, "ptes_pushed: {}", self.ptes_pushed);
-        let _ = writeln!(s, "prefetches_issued: {}", self.prefetches_issued);
-        let _ = writeln!(s, "prefetches_used: {}", self.prefetches_used);
-        let _ = writeln!(s, "noc_bytes: {}", self.noc_bytes);
-        let _ = writeln!(s, "noc_hop_bytes: {}", self.noc_hop_bytes);
-        let _ = writeln!(s, "noc_packets: {}", self.noc_packets);
-        let _ = writeln!(s, "pages_migrated: {}", self.pages_migrated);
-        s
+/// What one kind of [`Metrics`] field renders into the deterministic string,
+/// encodes into the cache text, and decodes back. Decoding overwrites the
+/// value [`Metrics::new`] built, so shape that `new` fixes (breakdown
+/// category names) is checked against the text rather than read from it.
+trait Field: Debug {
+    /// Appends the field's deterministic-string line(s).
+    fn render(&self, s: &mut String, name: &str) {
+        let _ = writeln!(s, "{name}: {self:?}");
     }
 
-    /// Serializes the full metrics state into the exact, line-oriented text
-    /// form stored by the disk run cache. Unlike
-    /// [`Metrics::to_deterministic_string`] (a *rendering* for comparison),
-    /// this is a *codec*: [`Metrics::from_cache_text`] reconstructs a
-    /// `Metrics` whose every accessor — including the deterministic string —
-    /// is byte-identical to the original. Floating-point state is written as
-    /// IEEE-754 bit patterns, so the round trip is exact, not
-    /// shortest-representation approximate.
-    ///
-    /// `sim_events` and `host_wall_nanos` are included (a cache hit reports
-    /// the original run's event count and host cost).
-    ///
-    /// The first line pins the codec shape (`metrics-codec v1`) and the
-    /// measurement contract ([`METRICS_CONTRACT_VERSION`]); decoding rejects
-    /// any mismatch, which the disk cache treats as a miss.
-    pub fn to_cache_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "metrics-codec v1 contract {}", METRICS_CONTRACT_VERSION);
-        let _ = writeln!(s, "total_cycles {}", self.total_cycles);
-        let _ = write!(s, "gpm_finish {}", self.gpm_finish.len());
-        for c in &self.gpm_finish {
-            let _ = write!(s, " {c}");
+    /// Appends the field's exact cache-text line(s), keyed by `key`.
+    fn encode(&self, s: &mut String, key: &str);
+
+    /// Replaces `self` with the value [`Field::encode`] wrote under `key`.
+    fn decode(&mut self, r: &mut LineReader<'_>, key: &str) -> Result<(), String>;
+}
+
+impl Field for u64 {
+    fn encode(&self, s: &mut String, key: &str) {
+        let _ = writeln!(s, "{key} {self}");
+    }
+
+    fn decode(&mut self, r: &mut LineReader<'_>, key: &str) -> Result<(), String> {
+        *self = parse(r.fields(key, 1)?[0], key)?;
+        Ok(())
+    }
+}
+
+impl Field for Vec<u64> {
+    fn encode(&self, s: &mut String, key: &str) {
+        write_list(s, format_args!("{key}"), self);
+    }
+
+    fn decode(&mut self, r: &mut LineReader<'_>, key: &str) -> Result<(), String> {
+        *self = r.list(key, 0)?.1;
+        Ok(())
+    }
+}
+
+impl Field for Breakdown {
+    fn encode(&self, s: &mut String, key: &str) {
+        let _ = write!(s, "{key} {}", self.samples());
+        for (&name, &value) in self.names().iter().zip(self.raw_values()) {
+            let _ = write!(s, " {name}={value}");
         }
-        let _ = writeln!(s);
-        let _ = writeln!(s, "ops_completed {}", self.ops_completed);
-        let _ = writeln!(s, "local_translations {}", self.local_translations);
-        let _ = writeln!(s, "local_walks {}", self.local_walks);
-        let _ = writeln!(s, "cuckoo_false_positives {}", self.cuckoo_false_positives);
-        let _ = writeln!(s, "remote_requests {}", self.remote_requests);
-        let _ = writeln!(s, "remote_coalesced {}", self.remote_coalesced);
-        write_breakdown(&mut s, "resolution", &self.resolution);
-        write_breakdown(&mut s, "iommu_latency", &self.iommu_latency);
-        write_timeseries(&mut s, "iommu_buffer", &self.iommu_buffer);
-        write_timeseries(&mut s, "iommu_served", &self.iommu_served);
+        s.push('\n');
+    }
+
+    fn decode(&mut self, r: &mut LineReader<'_>, key: &str) -> Result<(), String> {
+        let names = self.names();
+        let f = r.fields(key, 1 + names.len())?;
+        let samples = parse(f[0], "breakdown samples")?;
+        let values = names
+            .iter()
+            .zip(&f[1..])
+            .enumerate()
+            .map(|(i, (&name, &field))| {
+                let value = field
+                    .strip_prefix(name)
+                    .and_then(|rest| rest.strip_prefix('='))
+                    .ok_or_else(|| {
+                        format!("`{key}` component {i} is `{field}`, expected `{name}=<n>`")
+                    })?;
+                parse(value, "breakdown value")
+            })
+            .collect::<Result<_, _>>()?;
+        *self = Breakdown::from_parts(names, values, samples);
+        Ok(())
+    }
+}
+
+impl Field for TimeSeries {
+    fn encode(&self, s: &mut String, key: &str) {
         let _ = writeln!(
             s,
-            "iommu_reuse {} {}",
-            self.iommu_reuse.total_touches(),
-            self.iommu_reuse.distinct_keys()
+            "{key} {} {}",
+            self.window_width(),
+            self.windows().count()
         );
-        for (k, c) in self.iommu_reuse.counts_sorted() {
+        for w in self.windows() {
+            let _ = writeln!(s, "w {} {} {} {}", w.count, w.sum, w.min, w.max);
+        }
+    }
+
+    fn decode(&mut self, r: &mut LineReader<'_>, key: &str) -> Result<(), String> {
+        let head = r.fields(key, 2)?;
+        let width: Cycle = parse(head[0], "window width")?;
+        if width == 0 {
+            return Err(format!("`{key}` has zero window width"));
+        }
+        let n: Cycle = parse(head[1], "window count")?;
+        let windows = (0..n)
+            .map(|i| {
+                let f = r.fields("w", 4)?;
+                Ok(Window {
+                    start: i
+                        .checked_mul(width)
+                        .ok_or_else(|| format!("`{key}` window {i} starts past the cycle range"))?,
+                    count: parse(f[0], "window count")?,
+                    sum: parse(f[1], "window sum")?,
+                    min: parse(f[2], "window min")?,
+                    max: parse(f[3], "window max")?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        *self = TimeSeries::from_parts(width, windows);
+        Ok(())
+    }
+}
+
+impl Field for ReuseTracker {
+    /// Renders through the tracker's order-independent accessors: its own
+    /// bookkeeping is hash-keyed.
+    fn render(&self, s: &mut String, name: &str) {
+        let _ = writeln!(s, "{name}.counts: {:?}", self.count_histogram());
+        let _ = writeln!(s, "{name}.reuse: {:?}", self.reuse_histogram());
+        let _ = writeln!(s, "{name}.distinct: {}", self.distinct_keys());
+        let _ = writeln!(s, "{name}.touches: {}", self.total_touches());
+    }
+
+    fn encode(&self, s: &mut String, key: &str) {
+        let _ = writeln!(s, "{key} {} {}", self.total_touches(), self.distinct_keys());
+        for (k, c) in self.counts_sorted() {
             let _ = writeln!(s, "c {k} {c}");
         }
-        write_log_histogram(
-            &mut s,
-            "iommu_reuse.hist",
-            self.iommu_reuse.reuse_histogram(),
+        let h = self.reuse_histogram();
+        write_list(
+            s,
+            format_args!("{key}.hist {} {} {}", h.count(), h.raw_sum(), h.max()),
+            h.raw_buckets(),
         );
-        write_histogram(&mut s, "vpn_delta", &self.vpn_delta);
-        write_summary(&mut s, "remote_rtt", &self.remote_rtt);
-        write_summary(&mut s, "rtt_peer", &self.rtt_peer);
-        write_summary(&mut s, "rtt_redirection", &self.rtt_redirection);
-        write_summary(&mut s, "rtt_proactive", &self.rtt_proactive);
-        write_summary(&mut s, "rtt_iommu", &self.rtt_iommu);
-        let _ = writeln!(s, "remote_retries {}", self.remote_retries);
-        let _ = writeln!(s, "iommu_walks {}", self.iommu_walks);
-        let _ = writeln!(s, "iommu_coalesced {}", self.iommu_coalesced);
-        let _ = writeln!(s, "redirect_misses {}", self.redirect_misses);
-        let _ = writeln!(s, "iommu_tlb_stalls {}", self.iommu_tlb_stalls);
-        let _ = writeln!(s, "ptes_pushed {}", self.ptes_pushed);
-        let _ = writeln!(s, "prefetches_issued {}", self.prefetches_issued);
-        let _ = writeln!(s, "prefetches_used {}", self.prefetches_used);
-        let _ = writeln!(s, "noc_bytes {}", self.noc_bytes);
-        let _ = writeln!(s, "noc_hop_bytes {}", self.noc_hop_bytes);
-        let _ = writeln!(s, "noc_packets {}", self.noc_packets);
-        let _ = writeln!(s, "pages_migrated {}", self.pages_migrated);
-        let _ = writeln!(s, "sim_events {}", self.sim_events);
-        let _ = writeln!(s, "host_wall_nanos {}", self.host_wall_nanos);
-        let _ = writeln!(s, "end");
-        s
     }
 
-    /// Parses text produced by [`Metrics::to_cache_text`] back into a
-    /// `Metrics` value. Strict by design: any missing line, unexpected key,
-    /// malformed number, count mismatch, or codec/contract version mismatch
-    /// is an error — the disk cache maps every error to a miss and discards
-    /// the entry, so corruption can never surface as wrong results.
-    pub fn from_cache_text(text: &str) -> Result<Metrics, String> {
-        let mut r = LineReader::new(text);
-        let header = r.fields("metrics-codec", 3)?;
-        if header[0] != "v1" {
-            return Err(format!("unsupported codec version `{}`", header[0]));
+    fn decode(&mut self, r: &mut LineReader<'_>, key: &str) -> Result<(), String> {
+        let head = r.fields(key, 2)?;
+        let touches = parse(head[0], "reuse touches")?;
+        let distinct: usize = parse(head[1], "reuse distinct")?;
+        let counts = (0..distinct)
+            .map(|_| {
+                let kv = r.fields("c", 2)?;
+                Ok((
+                    parse(kv[0], "reuse count key")?,
+                    parse(kv[1], "reuse count value")?,
+                ))
+            })
+            .collect::<Result<Vec<(u64, u64)>, String>>()?;
+        let (f, buckets) = r.list(&format!("{key}.hist"), 3)?;
+        let hist = LogHistogram::from_parts(
+            buckets,
+            parse(f[0], "count")?,
+            parse(f[1], "sum")?,
+            parse(f[2], "max")?,
+        );
+        *self = ReuseTracker::from_parts(counts, touches, hist);
+        Ok(())
+    }
+}
+
+impl Field for Histogram {
+    fn encode(&self, s: &mut String, key: &str) {
+        write_list(
+            s,
+            format_args!(
+                "{key} {} {} {} {} {}",
+                self.bucket_width(),
+                self.overflow(),
+                self.count(),
+                self.raw_sum(),
+                self.max()
+            ),
+            self.raw_buckets(),
+        );
+    }
+
+    fn decode(&mut self, r: &mut LineReader<'_>, key: &str) -> Result<(), String> {
+        let (f, buckets) = r.list(key, 5)?;
+        let width = parse(f[0], "bucket width")?;
+        if buckets.is_empty() || width == 0 {
+            return Err(format!("`{key}` bucket list malformed"));
         }
-        if header[1] != "contract" || header[2] != METRICS_CONTRACT_VERSION.to_string() {
-            return Err(format!(
-                "contract version mismatch: entry has `{} {}`, this build requires `contract {}`",
-                header[1], header[2], METRICS_CONTRACT_VERSION
-            ));
-        }
-
-        let total_cycles = r.scalar("total_cycles")?;
-        let gpm_finish = r.u64_list("gpm_finish")?;
-        let ops_completed = r.scalar("ops_completed")?;
-        let local_translations = r.scalar("local_translations")?;
-        let local_walks = r.scalar("local_walks")?;
-        let cuckoo_false_positives = r.scalar("cuckoo_false_positives")?;
-        let remote_requests = r.scalar("remote_requests")?;
-        let remote_coalesced = r.scalar("remote_coalesced")?;
-        let resolution = r.breakdown(
-            "resolution",
-            &["peer-cache", "redirection", "proactive", "iommu"],
-        )?;
-        let iommu_latency = r.breakdown("iommu_latency", &["pre-queue", "ptw-queue", "walk"])?;
-        let iommu_buffer = r.timeseries("iommu_buffer")?;
-        let iommu_served = r.timeseries("iommu_served")?;
-
-        let reuse_head = r.fields("iommu_reuse", 2)?;
-        let touches: u64 = parse(&reuse_head[0], "iommu_reuse touches")?;
-        let distinct: usize = parse(&reuse_head[1], "iommu_reuse distinct")?;
-        let mut counts = Vec::with_capacity(distinct);
-        for _ in 0..distinct {
-            let kv = r.fields("c", 2)?;
-            counts.push((
-                parse(&kv[0], "reuse count key")?,
-                parse(&kv[1], "reuse count value")?,
-            ));
-        }
-        let reuse_hist = r.log_histogram("iommu_reuse.hist")?;
-        let iommu_reuse = ReuseTracker::from_parts(counts, touches, reuse_hist);
-
-        let vpn_delta = r.histogram("vpn_delta")?;
-        let remote_rtt = r.summary("remote_rtt")?;
-        let rtt_peer = r.summary("rtt_peer")?;
-        let rtt_redirection = r.summary("rtt_redirection")?;
-        let rtt_proactive = r.summary("rtt_proactive")?;
-        let rtt_iommu = r.summary("rtt_iommu")?;
-        let remote_retries = r.scalar("remote_retries")?;
-        let iommu_walks = r.scalar("iommu_walks")?;
-        let iommu_coalesced = r.scalar("iommu_coalesced")?;
-        let redirect_misses = r.scalar("redirect_misses")?;
-        let iommu_tlb_stalls = r.scalar("iommu_tlb_stalls")?;
-        let ptes_pushed = r.scalar("ptes_pushed")?;
-        let prefetches_issued = r.scalar("prefetches_issued")?;
-        let prefetches_used = r.scalar("prefetches_used")?;
-        let noc_bytes = r.scalar("noc_bytes")?;
-        let noc_hop_bytes = r.scalar("noc_hop_bytes")?;
-        let noc_packets = r.scalar("noc_packets")?;
-        let pages_migrated = r.scalar("pages_migrated")?;
-        let sim_events = r.scalar("sim_events")?;
-        let host_wall_nanos = r.scalar("host_wall_nanos")?;
-        r.fields("end", 0)?;
-        r.expect_eof()?;
-
-        Ok(Metrics {
-            total_cycles,
-            gpm_finish,
-            ops_completed,
-            local_translations,
-            local_walks,
-            cuckoo_false_positives,
-            remote_requests,
-            remote_coalesced,
-            resolution,
-            iommu_latency,
-            iommu_buffer,
-            iommu_served,
-            iommu_reuse,
-            vpn_delta,
-            remote_rtt,
-            rtt_peer,
-            rtt_redirection,
-            rtt_proactive,
-            rtt_iommu,
-            remote_retries,
-            iommu_walks,
-            iommu_coalesced,
-            redirect_misses,
-            iommu_tlb_stalls,
-            ptes_pushed,
-            prefetches_issued,
-            prefetches_used,
-            noc_bytes,
-            noc_hop_bytes,
-            noc_packets,
-            pages_migrated,
-            sim_events,
-            host_wall_nanos,
-        })
+        *self = Histogram::from_parts(
+            width,
+            buckets,
+            parse(f[1], "overflow")?,
+            parse(f[2], "count")?,
+            parse(f[3], "sum")?,
+            parse(f[4], "max")?,
+        );
+        Ok(())
     }
 }
 
-fn write_breakdown(s: &mut String, key: &str, b: &Breakdown) {
-    use std::fmt::Write as _;
-    let _ = write!(s, "{key} {}", b.samples());
-    for (&name, &value) in b.names().iter().zip(b.raw_values()) {
-        let _ = write!(s, " {name}={value}");
+impl Field for Summary {
+    fn encode(&self, s: &mut String, key: &str) {
+        // f64 state as IEEE-754 bit patterns for an exact round trip; an
+        // empty summary writes zeros (ignored on decode).
+        let _ = writeln!(
+            s,
+            "{key} {} {:016x} {:016x} {:016x}",
+            self.count(),
+            self.sum().to_bits(),
+            self.min().unwrap_or(0.0).to_bits(),
+            self.max().unwrap_or(0.0).to_bits()
+        );
     }
-    let _ = writeln!(s);
+
+    fn decode(&mut self, r: &mut LineReader<'_>, key: &str) -> Result<(), String> {
+        let f = r.fields(key, 4)?;
+        *self = Summary::from_parts(
+            parse(f[0], "summary count")?,
+            parse_f64_bits(f[1], "summary sum")?,
+            parse_f64_bits(f[2], "summary min")?,
+            parse_f64_bits(f[3], "summary max")?,
+        );
+        Ok(())
+    }
 }
 
-fn write_timeseries(s: &mut String, key: &str, ts: &TimeSeries) {
-    use std::fmt::Write as _;
-    let _ = writeln!(s, "{key} {} {}", ts.window_width(), ts.windows().count());
-    for w in ts.windows() {
-        let _ = writeln!(s, "w {} {} {} {}", w.count, w.sum, w.min, w.max);
+/// Writes `head`, the list's length and its elements as one cache-text line
+/// (the shape [`LineReader::list`] reads).
+fn write_list(s: &mut String, head: std::fmt::Arguments<'_>, values: &[u64]) {
+    let _ = write!(s, "{head} {}", values.len());
+    for v in values {
+        let _ = write!(s, " {v}");
     }
-}
-
-fn write_histogram(s: &mut String, key: &str, h: &Histogram) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        s,
-        "{key} {} {} {} {} {} {}",
-        h.bucket_width(),
-        h.overflow(),
-        h.count(),
-        h.raw_sum(),
-        h.max(),
-        h.raw_buckets().len()
-    );
-    for b in h.raw_buckets() {
-        let _ = write!(s, " {b}");
-    }
-    let _ = writeln!(s);
-}
-
-fn write_log_histogram(s: &mut String, key: &str, h: &LogHistogram) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        s,
-        "{key} {} {} {} {}",
-        h.count(),
-        h.raw_sum(),
-        h.max(),
-        h.raw_buckets().len()
-    );
-    for b in h.raw_buckets() {
-        let _ = write!(s, " {b}");
-    }
-    let _ = writeln!(s);
-}
-
-fn write_summary(s: &mut String, key: &str, sm: &Summary) {
-    use std::fmt::Write as _;
-    // f64 state as IEEE-754 bit patterns for an exact round trip; an empty
-    // summary writes zeros (ignored on decode).
-    let _ = writeln!(
-        s,
-        "{key} {} {:016x} {:016x} {:016x}",
-        sm.count(),
-        sm.sum().to_bits(),
-        sm.min().unwrap_or(0.0).to_bits(),
-        sm.max().unwrap_or(0.0).to_bits()
-    );
+    s.push('\n');
 }
 
 fn parse<T: std::str::FromStr>(token: &str, what: &str) -> Result<T, String> {
@@ -571,9 +556,9 @@ impl<'a> LineReader<'a> {
         }
     }
 
-    /// Consumes the next line, asserts its first token is `key` and that
-    /// exactly `n` fields follow, returning those fields.
-    fn fields(&mut self, key: &str, n: usize) -> Result<Vec<String>, String> {
+    /// Consumes the next line, asserts its first token is `key`, and returns
+    /// the tokens after it.
+    fn tokens(&mut self, key: &str) -> Result<std::str::SplitWhitespace<'a>, String> {
         self.line_no += 1;
         let line = self.lines.next().ok_or_else(|| {
             format!(
@@ -589,7 +574,12 @@ impl<'a> LineReader<'a> {
                 self.line_no
             ));
         }
-        let fields: Vec<String> = tokens.map(str::to_string).collect();
+        Ok(tokens)
+    }
+
+    /// Consumes a `key` line carrying exactly `n` fields and returns them.
+    fn fields(&mut self, key: &str, n: usize) -> Result<Vec<&'a str>, String> {
+        let fields: Vec<&str> = self.tokens(key)?.collect();
         if fields.len() != n {
             return Err(format!(
                 "line {}: `{key}` carries {} field(s), expected {n}",
@@ -600,43 +590,15 @@ impl<'a> LineReader<'a> {
         Ok(fields)
     }
 
-    fn expect_eof(&mut self) -> Result<(), String> {
-        match self.lines.next() {
-            None => Ok(()),
-            Some(extra) => Err(format!(
-                "line {}: trailing data after `end`: `{extra}`",
-                self.line_no + 1
-            )),
-        }
-    }
-
-    fn scalar<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, String> {
-        let f = self.fields(key, 1)?;
-        parse(&f[0], key)
-    }
-
-    fn u64_list(&mut self, key: &str) -> Result<Vec<u64>, String> {
-        self.line_no += 1;
-        let line = self.lines.next().ok_or_else(|| {
-            format!(
-                "line {}: unexpected end of entry (wanted `{key}`)",
-                self.line_no
-            )
-        })?;
-        let mut tokens = line.split_whitespace();
-        let head = tokens.next().unwrap_or("");
-        if head != key {
-            return Err(format!(
-                "line {}: expected `{key}`, found `{head}`",
-                self.line_no
-            ));
-        }
-        let n: usize = parse(
-            tokens
-                .next()
-                .ok_or_else(|| format!("line {}: `{key}` missing length", self.line_no))?,
-            "list length",
-        )?;
+    /// Consumes a line written by [`write_list`]: `key`, `fixed` fields, a
+    /// length, and exactly that many `u64` elements.
+    fn list(&mut self, key: &str, fixed: usize) -> Result<(Vec<&'a str>, Vec<u64>), String> {
+        let mut tokens = self.tokens(key)?;
+        let head: Vec<&'a str> = tokens.by_ref().take(fixed).collect();
+        let len = tokens
+            .next()
+            .ok_or_else(|| format!("line {}: `{key}` missing length", self.line_no))?;
+        let n: usize = parse(len, "list length")?;
         let values: Vec<u64> = tokens
             .map(|t| parse(t, "list element"))
             .collect::<Result<_, _>>()?;
@@ -647,116 +609,17 @@ impl<'a> LineReader<'a> {
                 values.len()
             ));
         }
-        Ok(values)
+        Ok((head, values))
     }
 
-    fn breakdown(&mut self, key: &str, names: &[&'static str]) -> Result<Breakdown, String> {
-        let f = self.fields(key, 1 + names.len())?;
-        let samples: u64 = parse(&f[0], "breakdown samples")?;
-        let mut values = Vec::with_capacity(names.len());
-        for (i, &name) in names.iter().enumerate() {
-            let field = &f[1 + i];
-            let value = field
-                .strip_prefix(name)
-                .and_then(|rest| rest.strip_prefix('='))
-                .ok_or_else(|| {
-                    format!("`{key}` component {i} is `{field}`, expected `{name}=<n>`")
-                })?;
-            values.push(parse(value, "breakdown value")?);
+    fn expect_eof(&mut self) -> Result<(), String> {
+        match self.lines.next() {
+            None => Ok(()),
+            Some(extra) => Err(format!(
+                "line {}: trailing data after `end`: `{extra}`",
+                self.line_no + 1
+            )),
         }
-        Ok(Breakdown::from_parts(names, values, samples))
-    }
-
-    fn timeseries(&mut self, key: &str) -> Result<TimeSeries, String> {
-        let head = self.fields(key, 2)?;
-        let width: Cycle = parse(&head[0], "window width")?;
-        if width == 0 {
-            return Err(format!("`{key}` has zero window width"));
-        }
-        let n: usize = parse(&head[1], "window count")?;
-        let mut windows = Vec::with_capacity(n);
-        for i in 0..n {
-            let f = self.fields("w", 4)?;
-            windows.push(Window {
-                start: i as Cycle * width,
-                count: parse(&f[0], "window count")?,
-                sum: parse(&f[1], "window sum")?,
-                min: parse(&f[2], "window min")?,
-                max: parse(&f[3], "window max")?,
-            });
-        }
-        Ok(TimeSeries::from_parts(width, windows))
-    }
-
-    fn histogram(&mut self, key: &str) -> Result<Histogram, String> {
-        self.line_no += 1;
-        let line = self.lines.next().ok_or_else(|| {
-            format!(
-                "line {}: unexpected end of entry (wanted `{key}`)",
-                self.line_no
-            )
-        })?;
-        let mut t = line.split_whitespace();
-        if t.next() != Some(key) {
-            return Err(format!("line {}: expected `{key}`", self.line_no));
-        }
-        let mut next = |what: &str| -> Result<String, String> {
-            t.next()
-                .map(str::to_string)
-                .ok_or_else(|| format!("`{key}` missing {what}"))
-        };
-        let width: u64 = parse(&next("bucket width")?, "bucket width")?;
-        let overflow: u64 = parse(&next("overflow")?, "overflow")?;
-        let count: u64 = parse(&next("count")?, "count")?;
-        let sum: u128 = parse(&next("sum")?, "sum")?;
-        let max: u64 = parse(&next("max")?, "max")?;
-        let n: usize = parse(&next("bucket count")?, "bucket count")?;
-        let buckets: Vec<u64> = t.map(|x| parse(x, "bucket")).collect::<Result<_, _>>()?;
-        if buckets.len() != n || n == 0 || width == 0 {
-            return Err(format!("`{key}` bucket list malformed"));
-        }
-        Ok(Histogram::from_parts(
-            width, buckets, overflow, count, sum, max,
-        ))
-    }
-
-    fn log_histogram(&mut self, key: &str) -> Result<LogHistogram, String> {
-        self.line_no += 1;
-        let line = self.lines.next().ok_or_else(|| {
-            format!(
-                "line {}: unexpected end of entry (wanted `{key}`)",
-                self.line_no
-            )
-        })?;
-        let mut t = line.split_whitespace();
-        if t.next() != Some(key) {
-            return Err(format!("line {}: expected `{key}`", self.line_no));
-        }
-        let mut next = |what: &str| -> Result<String, String> {
-            t.next()
-                .map(str::to_string)
-                .ok_or_else(|| format!("`{key}` missing {what}"))
-        };
-        let count: u64 = parse(&next("count")?, "count")?;
-        let sum: u128 = parse(&next("sum")?, "sum")?;
-        let max: u64 = parse(&next("max")?, "max")?;
-        let n: usize = parse(&next("bucket count")?, "bucket count")?;
-        let buckets: Vec<u64> = t.map(|x| parse(x, "bucket")).collect::<Result<_, _>>()?;
-        if buckets.len() != n {
-            return Err(format!("`{key}` bucket list malformed"));
-        }
-        Ok(LogHistogram::from_parts(buckets, count, sum, max))
-    }
-
-    fn summary(&mut self, key: &str) -> Result<Summary, String> {
-        let f = self.fields(key, 4)?;
-        let count: u64 = parse(&f[0], "summary count")?;
-        Ok(Summary::from_parts(
-            count,
-            parse_f64_bits(&f[1], "summary sum")?,
-            parse_f64_bits(&f[2], "summary min")?,
-            parse_f64_bits(&f[3], "summary max")?,
-        ))
     }
 }
 
@@ -883,6 +746,101 @@ mod tests {
         );
     }
 
+    /// The measurement contract, byte for byte. Adding, removing,
+    /// reordering or renaming a field, or changing how one renders or
+    /// encodes, fails this test: decide whether the change needs a
+    /// [`METRICS_CONTRACT_VERSION`] bump before updating the literals.
+    #[test]
+    fn cache_text_and_deterministic_string_are_pinned() {
+        let m = populated_metrics();
+        assert_eq!(
+            m.to_cache_text(),
+            "\
+            metrics-codec v1 contract 1\n\
+            total_cycles 123456\n\
+            gpm_finish 3 100 123456 99999\n\
+            ops_completed 1099511627776\n\
+            local_translations 7\n\
+            local_walks 5\n\
+            cuckoo_false_positives 2\n\
+            remote_requests 11\n\
+            remote_coalesced 3\n\
+            resolution 3 peer-cache=1 redirection=0 proactive=0 iommu=2\n\
+            iommu_latency 2 pre-queue=4 ptw-queue=0 walk=90\n\
+            iommu_buffer 100 3\n\
+            w 1 2 2 2\n\
+            w 0 0 0 0\n\
+            w 1 9 9 9\n\
+            iommu_served 100 2\n\
+            w 0 0 0 0\n\
+            w 1 1 1 1\n\
+            iommu_reuse 5 3\n\
+            c 7 1\n\
+            c 42 3\n\
+            c 9000000000 1\n\
+            iommu_reuse.hist 2 1 1 1 2\n\
+            vpn_delta 1 1 3 1000063 1000000 64 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1\n\
+            remote_rtt 3 4034c00000000000 3fe0000000000000 4031400000000000\n\
+            rtt_peer 1 3fd5555555555555 3fd5555555555555 3fd5555555555555\n\
+            rtt_redirection 0 0000000000000000 0000000000000000 0000000000000000\n\
+            rtt_proactive 0 0000000000000000 0000000000000000 0000000000000000\n\
+            rtt_iommu 1 7fdfffffffffffff 7fdfffffffffffff 7fdfffffffffffff\n\
+            remote_retries 1\n\
+            iommu_walks 6\n\
+            iommu_coalesced 2\n\
+            redirect_misses 1\n\
+            iommu_tlb_stalls 4\n\
+            ptes_pushed 12\n\
+            prefetches_issued 9\n\
+            prefetches_used 6\n\
+            noc_bytes 18446744073709551614\n\
+            noc_hop_bytes 1125899906842624\n\
+            noc_packets 77\n\
+            pages_migrated 1\n\
+            sim_events 987654321\n\
+            host_wall_nanos 1000000\n\
+            end\n"
+        );
+        assert_eq!(
+            m.to_deterministic_string(),
+            "\
+            total_cycles: 123456\n\
+            gpm_finish: [100, 123456, 99999]\n\
+            ops_completed: 1099511627776\n\
+            local_translations: 7\n\
+            local_walks: 5\n\
+            cuckoo_false_positives: 2\n\
+            remote_requests: 11\n\
+            remote_coalesced: 3\n\
+            resolution: Breakdown { names: [\"peer-cache\", \"redirection\", \"proactive\", \"iommu\"], values: [1, 0, 0, 2], samples: 3 }\n\
+            iommu_latency: Breakdown { names: [\"pre-queue\", \"ptw-queue\", \"walk\"], values: [4, 0, 90], samples: 2 }\n\
+            iommu_buffer: TimeSeries { window: 100, windows: [Window { start: 0, count: 1, sum: 2, min: 2, max: 2 }, Window { start: 100, count: 0, sum: 0, min: 0, max: 0 }, Window { start: 200, count: 1, sum: 9, min: 9, max: 9 }] }\n\
+            iommu_served: TimeSeries { window: 100, windows: [Window { start: 0, count: 0, sum: 0, min: 0, max: 0 }, Window { start: 100, count: 1, sum: 1, min: 1, max: 1 }] }\n\
+            iommu_reuse.counts: LogHistogram { buckets: [2, 1], count: 3, sum: 5, max: 3 }\n\
+            iommu_reuse.reuse: LogHistogram { buckets: [2], count: 2, sum: 1, max: 1 }\n\
+            iommu_reuse.distinct: 3\n\
+            iommu_reuse.touches: 5\n\
+            vpn_delta: Histogram { bucket_width: 1, buckets: [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1], overflow: 1, count: 3, sum: 1000063, max: 1000000 }\n\
+            remote_rtt: Summary { count: 3, sum: 20.75, min: 0.5, max: 17.25 }\n\
+            rtt_peer: Summary { count: 1, sum: 0.3333333333333333, min: 0.3333333333333333, max: 0.3333333333333333 }\n\
+            rtt_redirection: Summary { count: 0, sum: 0.0, min: 0.0, max: 0.0 }\n\
+            rtt_proactive: Summary { count: 0, sum: 0.0, min: 0.0, max: 0.0 }\n\
+            rtt_iommu: Summary { count: 1, sum: 8.988465674311579e307, min: 8.988465674311579e307, max: 8.988465674311579e307 }\n\
+            remote_retries: 1\n\
+            iommu_walks: 6\n\
+            iommu_coalesced: 2\n\
+            redirect_misses: 1\n\
+            iommu_tlb_stalls: 4\n\
+            ptes_pushed: 12\n\
+            prefetches_issued: 9\n\
+            prefetches_used: 6\n\
+            noc_bytes: 18446744073709551614\n\
+            noc_hop_bytes: 1125899906842624\n\
+            noc_packets: 77\n\
+            pages_migrated: 1\n"
+        );
+    }
+
     #[test]
     fn cache_text_round_trips_exactly() {
         let m = populated_metrics();
@@ -933,6 +891,12 @@ mod tests {
         assert!(Metrics::from_cache_text(&bad).is_err());
         // Damage a number.
         let bad = text.replace("total_cycles 123456", "total_cycles 12z456");
+        assert!(Metrics::from_cache_text(&bad).is_err());
+        // Rename a breakdown category: decoding checks the names `new` gives.
+        let bad = text.replace("peer-cache=", "peer-cachX=");
+        assert!(Metrics::from_cache_text(&bad).is_err());
+        // A window width whose window starts overflow the cycle range.
+        let bad = text.replace("iommu_buffer 100 3", "iommu_buffer 9223372036854775808 3");
         assert!(Metrics::from_cache_text(&bad).is_err());
         // Trailing garbage after `end`.
         let bad = format!("{text}garbage\n");

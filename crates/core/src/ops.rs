@@ -80,15 +80,9 @@ impl Tier {
         }
     }
 
+    /// Position in [`Tier::ALL`], which lists the tiers in declaration order.
     fn index(self) -> usize {
-        match self {
-            Tier::Memory => 0,
-            Tier::Disk => 1,
-            Tier::Simulated => 2,
-            Tier::Cancelled => 3,
-            Tier::ClientGone => 4,
-            Tier::Failed => 5,
-        }
+        self as usize
     }
 }
 
@@ -124,6 +118,21 @@ pub struct SelfProf {
     pub dispatch_nanos: u64,
     /// Nanoseconds executing handlers, over the timed batches.
     pub handler_nanos: u64,
+}
+
+impl SelfProf {
+    /// `(key, value)` per counter, in exposition order: the snapshot's JSON
+    /// member names, and with an `hdpat_selfprof_` prefix its Prometheus
+    /// series names.
+    fn members(&self) -> [(&'static str, u64); 5] {
+        [
+            ("runs", self.runs),
+            ("batches", self.batches),
+            ("sampled_batches", self.sampled_batches),
+            ("dispatch_nanos", self.dispatch_nanos),
+            ("handler_nanos", self.handler_nanos),
+        ]
+    }
 }
 
 /// Engine-side counters shared process-wide — simulation code has no daemon
@@ -197,6 +206,24 @@ pub struct DiskGauges {
     pub budget: Option<u64>,
     /// Lifetime hit/miss/write/eviction counters.
     pub stats: DiskCacheStats,
+}
+
+impl DiskGauges {
+    /// `(key, Prometheus type, value)` per member, in exposition order: the
+    /// snapshot's JSON member names, and with an `hdpat_disk_cache_` prefix
+    /// its Prometheus series names. An unset budget is `None`.
+    fn members(&self) -> [(&'static str, &'static str, Option<u64>); 8] {
+        [
+            ("entries", "gauge", Some(self.entries)),
+            ("resident_bytes", "gauge", Some(self.resident_bytes)),
+            ("budget_bytes", "gauge", self.budget),
+            ("hits", "counter", Some(self.stats.hits)),
+            ("misses", "counter", Some(self.stats.misses)),
+            ("writes", "counter", Some(self.stats.writes)),
+            ("evictions", "counter", Some(self.stats.evictions)),
+            ("discarded", "counter", Some(self.stats.discarded)),
+        ]
+    }
 }
 
 /// Per-daemon registry of request-lifecycle metrics.
@@ -300,19 +327,11 @@ impl OpsRegistry {
 
         let disk = match &gauges.disk {
             None => Json::Null,
-            Some(d) => Json::Obj(vec![
-                ("entries".into(), Json::U64(d.entries)),
-                ("resident_bytes".into(), Json::U64(d.resident_bytes)),
-                (
-                    "budget_bytes".into(),
-                    d.budget.map_or(Json::Null, Json::U64),
-                ),
-                ("hits".into(), Json::U64(d.stats.hits)),
-                ("misses".into(), Json::U64(d.stats.misses)),
-                ("writes".into(), Json::U64(d.stats.writes)),
-                ("evictions".into(), Json::U64(d.stats.evictions)),
-                ("discarded".into(), Json::U64(d.stats.discarded)),
-            ]),
+            Some(d) => Json::Obj(
+                d.members()
+                    .map(|(key, _, v)| (key.into(), v.map_or(Json::Null, Json::U64)))
+                    .into(),
+            ),
         };
         let cache = Json::Obj(vec![
             ("memory_entries".into(), Json::U64(gauges.memory_entries)),
@@ -357,12 +376,7 @@ impl OpsRegistry {
                 ("service", &t.service_us),
                 ("total", &t.total_us),
             ] {
-                for (stat, v) in [
-                    ("p50", h.quantile_upper_bound(0.50)),
-                    ("p95", h.quantile_upper_bound(0.95)),
-                    ("p99", h.quantile_upper_bound(0.99)),
-                    ("max", h.max()),
-                ] {
+                for (stat, v) in latency_stats(h) {
                     out.push_str(&format!(
                         "hdpat_request_latency_us{{tier=\"{}\",phase=\"{phase}\",stat=\"{stat}\"}} {v}\n",
                         tier.token()
@@ -380,7 +394,7 @@ impl OpsRegistry {
             ("hdpat_uptime_seconds", gauges.uptime_seconds),
             ("hdpat_cache_memory_entries", gauges.memory_entries),
         ] {
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
+            push_sample(&mut out, name, "gauge", v);
         }
         out.push_str("# TYPE hdpat_queue_depth gauge\n");
         for &(client, depth) in &gauges.queue_depth_per_client {
@@ -389,35 +403,32 @@ impl OpsRegistry {
             ));
         }
         if let Some(d) = &gauges.disk {
-            for (name, v) in [
-                ("hdpat_disk_cache_entries", d.entries),
-                ("hdpat_disk_cache_resident_bytes", d.resident_bytes),
-                ("hdpat_disk_cache_budget_bytes", d.budget.unwrap_or(0)),
-            ] {
-                out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-            }
-            for (name, v) in [
-                ("hdpat_disk_cache_hits", d.stats.hits),
-                ("hdpat_disk_cache_misses", d.stats.misses),
-                ("hdpat_disk_cache_writes", d.stats.writes),
-                ("hdpat_disk_cache_evictions", d.stats.evictions),
-                ("hdpat_disk_cache_discarded", d.stats.discarded),
-            ] {
-                out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
+            for (key, kind, v) in d.members() {
+                let name = format!("hdpat_disk_cache_{key}");
+                push_sample(&mut out, &name, kind, v.unwrap_or(0));
             }
         }
-        let p = engine().selfprof();
-        for (name, v) in [
-            ("hdpat_selfprof_runs", p.runs),
-            ("hdpat_selfprof_batches", p.batches),
-            ("hdpat_selfprof_sampled_batches", p.sampled_batches),
-            ("hdpat_selfprof_dispatch_nanos", p.dispatch_nanos),
-            ("hdpat_selfprof_handler_nanos", p.handler_nanos),
-        ] {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
+        for (key, v) in engine().selfprof().members() {
+            push_sample(&mut out, &format!("hdpat_selfprof_{key}"), "counter", v);
         }
         out
     }
+}
+
+/// Appends one Prometheus sample with its `# TYPE` header.
+fn push_sample(out: &mut String, name: &str, kind: &str, v: u64) {
+    out.push_str(&format!("# TYPE {name} {kind}\n{name} {v}\n"));
+}
+
+/// The bucketed p50/p95/p99 upper bounds and the exact max of one latency
+/// histogram, keyed as both the JSON and the Prometheus rendering name them.
+fn latency_stats(h: &LogHistogram) -> [(&'static str, u64); 4] {
+    [
+        ("p50", h.quantile_upper_bound(0.50)),
+        ("p95", h.quantile_upper_bound(0.95)),
+        ("p99", h.quantile_upper_bound(0.99)),
+        ("max", h.max()),
+    ]
 }
 
 /// JSON rendering of one latency histogram: counts, integer-only summary
@@ -428,29 +439,21 @@ fn histogram_json(h: &LogHistogram) -> Json {
         .iter()
         .map(|(lo, c)| Json::Arr(vec![Json::U64(lo), Json::U64(c)]))
         .collect();
-    Json::Obj(vec![
+    let mut members = vec![
         ("count".into(), Json::U64(h.count())),
         (
             "sum".into(),
             Json::U64(u64::try_from(h.raw_sum()).unwrap_or(u64::MAX)),
         ),
-        ("p50".into(), Json::U64(h.quantile_upper_bound(0.50))),
-        ("p95".into(), Json::U64(h.quantile_upper_bound(0.95))),
-        ("p99".into(), Json::U64(h.quantile_upper_bound(0.99))),
-        ("max".into(), Json::U64(h.max())),
-        ("buckets".into(), Json::Arr(buckets)),
-    ])
+    ];
+    members.extend(latency_stats(h).map(|(key, v)| (key.into(), Json::U64(v))));
+    members.push(("buckets".into(), Json::Arr(buckets)));
+    Json::Obj(members)
 }
 
 fn selfprof_json() -> Json {
-    let p = engine().selfprof();
-    Json::Obj(vec![
-        ("runs".into(), Json::U64(p.runs)),
-        ("batches".into(), Json::U64(p.batches)),
-        ("sampled_batches".into(), Json::U64(p.sampled_batches)),
-        ("dispatch_nanos".into(), Json::U64(p.dispatch_nanos)),
-        ("handler_nanos".into(), Json::U64(p.handler_nanos)),
-    ])
+    let members = engine().selfprof().members();
+    Json::Obj(members.map(|(key, v)| (key.into(), Json::U64(v))).into())
 }
 
 /// Append-only JSONL ops log: one object per request state transition
@@ -523,20 +526,47 @@ mod tests {
         }
     }
 
+    fn populated_registry() -> (OpsRegistry, GaugeSample) {
+        let reg = OpsRegistry::new();
+        for _ in 0..5 {
+            reg.record_submit();
+        }
+        reg.record_outcome(Tier::Memory, 3, 1, 4);
+        reg.record_outcome(Tier::Disk, 12, 40, 52);
+        reg.record_outcome(Tier::Disk, 9, 700, 709);
+        reg.record_outcome(Tier::Simulated, 250, 1_500_000, 1_500_250);
+        reg.record_outcome(Tier::Failed, 8, 20, 28);
+        let gauges = GaugeSample {
+            clients: 2,
+            queued: 3,
+            queue_depth_per_client: vec![(1, 2), (4, 1)],
+            inflight: 1,
+            completed: 5,
+            workers: 4,
+            workers_busy: 1,
+            reorder_buffered: 2,
+            uptime_seconds: 17,
+            memory_entries: 6,
+            disk: Some(DiskGauges {
+                dir: PathBuf::from("cache"),
+                entries: 70,
+                resident_bytes: 123_456,
+                budget: Some(1 << 20),
+                stats: DiskCacheStats {
+                    hits: 9,
+                    misses: 2,
+                    writes: 3,
+                    evictions: 1,
+                    discarded: 0,
+                },
+            }),
+        };
+        (reg, gauges)
+    }
+
     #[test]
     fn snapshot_json_is_canonical_and_reconciles() {
-        let reg = OpsRegistry::new();
-        reg.record_submit();
-        reg.record_submit();
-        reg.record_outcome(Tier::Memory, 5, 1, 6);
-        reg.record_outcome(Tier::Simulated, 7, 900, 907);
-        let gauges = GaugeSample {
-            clients: 1,
-            queue_depth_per_client: vec![(1, 0)],
-            workers: 4,
-            memory_entries: 2,
-            ..GaugeSample::default()
-        };
+        let (reg, gauges) = populated_registry();
         let snap = reg.snapshot_json(&gauges);
         let line = snap.to_line();
         let parsed = Json::parse(&line).expect("snapshot parses");
@@ -547,8 +577,8 @@ mod tests {
             "snapshot type tag"
         );
         let requests = parsed.get("requests").expect("requests section");
-        assert_eq!(requests.get("submitted").and_then(Json::as_u64), Some(2));
-        assert_eq!(requests.get("completed").and_then(Json::as_u64), Some(2));
+        assert_eq!(requests.get("submitted").and_then(Json::as_u64), Some(5));
+        assert_eq!(requests.get("completed").and_then(Json::as_u64), Some(5));
         let tiers = requests.get("tiers").expect("tiers section");
         let mut total = 0;
         for tier in Tier::ALL {
@@ -562,29 +592,150 @@ mod tests {
             assert_eq!(count, hist_count, "histogram count matches tier count");
             total += count;
         }
-        assert_eq!(total, 2, "tier counts sum to submitted");
+        assert_eq!(total, 5, "tier counts sum to submitted");
     }
 
+    /// Every series of the Prometheus exposition, in order. The sampled
+    /// `selfprof` counters are process-global and other tests move them,
+    /// so only their shape is checked.
     #[test]
-    fn prometheus_text_has_core_series() {
-        let reg = OpsRegistry::new();
-        reg.record_submit();
-        reg.record_outcome(Tier::Disk, 1, 2, 3);
-        let text = reg.snapshot_prometheus(&GaugeSample {
-            workers: 2,
-            queue_depth_per_client: vec![(3, 1)],
-            ..GaugeSample::default()
-        });
-        assert!(text.contains("hdpat_requests_submitted 1\n"));
-        assert!(text.contains("hdpat_requests_total{tier=\"disk\"} 1\n"));
-        assert!(text.contains("hdpat_queue_depth{client=\"3\"} 1\n"));
-        assert!(text.contains("# TYPE hdpat_pool_workers gauge\nhdpat_pool_workers 2\n"));
-        for line in text.lines() {
+    fn prometheus_text_is_pinned() {
+        let (reg, gauges) = populated_registry();
+        let full = reg.snapshot_prometheus(&gauges);
+        for line in full.lines() {
             assert!(
                 line.starts_with('#') || line.split(' ').count() == 2,
                 "malformed exposition line: {line}"
             );
         }
+        let text: String = full
+            .lines()
+            .filter(|l| !l.contains("hdpat_selfprof_"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(
+            text,
+            "\
+            # TYPE hdpat_requests_submitted counter\n\
+            hdpat_requests_submitted 5\n\
+            # TYPE hdpat_requests_completed counter\n\
+            hdpat_requests_completed 5\n\
+            # TYPE hdpat_requests_total counter\n\
+            hdpat_requests_total{tier=\"memory\"} 1\n\
+            hdpat_requests_total{tier=\"disk\"} 2\n\
+            hdpat_requests_total{tier=\"simulated\"} 1\n\
+            hdpat_requests_total{tier=\"cancelled\"} 0\n\
+            hdpat_requests_total{tier=\"client-gone\"} 0\n\
+            hdpat_requests_total{tier=\"failed\"} 1\n\
+            # TYPE hdpat_request_latency_us summary\n\
+            hdpat_request_latency_us{tier=\"memory\",phase=\"queue_wait\",stat=\"p50\"} 3\n\
+            hdpat_request_latency_us{tier=\"memory\",phase=\"queue_wait\",stat=\"p95\"} 3\n\
+            hdpat_request_latency_us{tier=\"memory\",phase=\"queue_wait\",stat=\"p99\"} 3\n\
+            hdpat_request_latency_us{tier=\"memory\",phase=\"queue_wait\",stat=\"max\"} 3\n\
+            hdpat_request_latency_us{tier=\"memory\",phase=\"service\",stat=\"p50\"} 1\n\
+            hdpat_request_latency_us{tier=\"memory\",phase=\"service\",stat=\"p95\"} 1\n\
+            hdpat_request_latency_us{tier=\"memory\",phase=\"service\",stat=\"p99\"} 1\n\
+            hdpat_request_latency_us{tier=\"memory\",phase=\"service\",stat=\"max\"} 1\n\
+            hdpat_request_latency_us{tier=\"memory\",phase=\"total\",stat=\"p50\"} 4\n\
+            hdpat_request_latency_us{tier=\"memory\",phase=\"total\",stat=\"p95\"} 4\n\
+            hdpat_request_latency_us{tier=\"memory\",phase=\"total\",stat=\"p99\"} 4\n\
+            hdpat_request_latency_us{tier=\"memory\",phase=\"total\",stat=\"max\"} 4\n\
+            hdpat_request_latency_us{tier=\"disk\",phase=\"queue_wait\",stat=\"p50\"} 12\n\
+            hdpat_request_latency_us{tier=\"disk\",phase=\"queue_wait\",stat=\"p95\"} 12\n\
+            hdpat_request_latency_us{tier=\"disk\",phase=\"queue_wait\",stat=\"p99\"} 12\n\
+            hdpat_request_latency_us{tier=\"disk\",phase=\"queue_wait\",stat=\"max\"} 12\n\
+            hdpat_request_latency_us{tier=\"disk\",phase=\"service\",stat=\"p50\"} 63\n\
+            hdpat_request_latency_us{tier=\"disk\",phase=\"service\",stat=\"p95\"} 700\n\
+            hdpat_request_latency_us{tier=\"disk\",phase=\"service\",stat=\"p99\"} 700\n\
+            hdpat_request_latency_us{tier=\"disk\",phase=\"service\",stat=\"max\"} 700\n\
+            hdpat_request_latency_us{tier=\"disk\",phase=\"total\",stat=\"p50\"} 63\n\
+            hdpat_request_latency_us{tier=\"disk\",phase=\"total\",stat=\"p95\"} 709\n\
+            hdpat_request_latency_us{tier=\"disk\",phase=\"total\",stat=\"p99\"} 709\n\
+            hdpat_request_latency_us{tier=\"disk\",phase=\"total\",stat=\"max\"} 709\n\
+            hdpat_request_latency_us{tier=\"simulated\",phase=\"queue_wait\",stat=\"p50\"} 250\n\
+            hdpat_request_latency_us{tier=\"simulated\",phase=\"queue_wait\",stat=\"p95\"} 250\n\
+            hdpat_request_latency_us{tier=\"simulated\",phase=\"queue_wait\",stat=\"p99\"} 250\n\
+            hdpat_request_latency_us{tier=\"simulated\",phase=\"queue_wait\",stat=\"max\"} 250\n\
+            hdpat_request_latency_us{tier=\"simulated\",phase=\"service\",stat=\"p50\"} 1500000\n\
+            hdpat_request_latency_us{tier=\"simulated\",phase=\"service\",stat=\"p95\"} 1500000\n\
+            hdpat_request_latency_us{tier=\"simulated\",phase=\"service\",stat=\"p99\"} 1500000\n\
+            hdpat_request_latency_us{tier=\"simulated\",phase=\"service\",stat=\"max\"} 1500000\n\
+            hdpat_request_latency_us{tier=\"simulated\",phase=\"total\",stat=\"p50\"} 1500250\n\
+            hdpat_request_latency_us{tier=\"simulated\",phase=\"total\",stat=\"p95\"} 1500250\n\
+            hdpat_request_latency_us{tier=\"simulated\",phase=\"total\",stat=\"p99\"} 1500250\n\
+            hdpat_request_latency_us{tier=\"simulated\",phase=\"total\",stat=\"max\"} 1500250\n\
+            hdpat_request_latency_us{tier=\"cancelled\",phase=\"queue_wait\",stat=\"p50\"} 0\n\
+            hdpat_request_latency_us{tier=\"cancelled\",phase=\"queue_wait\",stat=\"p95\"} 0\n\
+            hdpat_request_latency_us{tier=\"cancelled\",phase=\"queue_wait\",stat=\"p99\"} 0\n\
+            hdpat_request_latency_us{tier=\"cancelled\",phase=\"queue_wait\",stat=\"max\"} 0\n\
+            hdpat_request_latency_us{tier=\"cancelled\",phase=\"service\",stat=\"p50\"} 0\n\
+            hdpat_request_latency_us{tier=\"cancelled\",phase=\"service\",stat=\"p95\"} 0\n\
+            hdpat_request_latency_us{tier=\"cancelled\",phase=\"service\",stat=\"p99\"} 0\n\
+            hdpat_request_latency_us{tier=\"cancelled\",phase=\"service\",stat=\"max\"} 0\n\
+            hdpat_request_latency_us{tier=\"cancelled\",phase=\"total\",stat=\"p50\"} 0\n\
+            hdpat_request_latency_us{tier=\"cancelled\",phase=\"total\",stat=\"p95\"} 0\n\
+            hdpat_request_latency_us{tier=\"cancelled\",phase=\"total\",stat=\"p99\"} 0\n\
+            hdpat_request_latency_us{tier=\"cancelled\",phase=\"total\",stat=\"max\"} 0\n\
+            hdpat_request_latency_us{tier=\"client-gone\",phase=\"queue_wait\",stat=\"p50\"} 0\n\
+            hdpat_request_latency_us{tier=\"client-gone\",phase=\"queue_wait\",stat=\"p95\"} 0\n\
+            hdpat_request_latency_us{tier=\"client-gone\",phase=\"queue_wait\",stat=\"p99\"} 0\n\
+            hdpat_request_latency_us{tier=\"client-gone\",phase=\"queue_wait\",stat=\"max\"} 0\n\
+            hdpat_request_latency_us{tier=\"client-gone\",phase=\"service\",stat=\"p50\"} 0\n\
+            hdpat_request_latency_us{tier=\"client-gone\",phase=\"service\",stat=\"p95\"} 0\n\
+            hdpat_request_latency_us{tier=\"client-gone\",phase=\"service\",stat=\"p99\"} 0\n\
+            hdpat_request_latency_us{tier=\"client-gone\",phase=\"service\",stat=\"max\"} 0\n\
+            hdpat_request_latency_us{tier=\"client-gone\",phase=\"total\",stat=\"p50\"} 0\n\
+            hdpat_request_latency_us{tier=\"client-gone\",phase=\"total\",stat=\"p95\"} 0\n\
+            hdpat_request_latency_us{tier=\"client-gone\",phase=\"total\",stat=\"p99\"} 0\n\
+            hdpat_request_latency_us{tier=\"client-gone\",phase=\"total\",stat=\"max\"} 0\n\
+            hdpat_request_latency_us{tier=\"failed\",phase=\"queue_wait\",stat=\"p50\"} 8\n\
+            hdpat_request_latency_us{tier=\"failed\",phase=\"queue_wait\",stat=\"p95\"} 8\n\
+            hdpat_request_latency_us{tier=\"failed\",phase=\"queue_wait\",stat=\"p99\"} 8\n\
+            hdpat_request_latency_us{tier=\"failed\",phase=\"queue_wait\",stat=\"max\"} 8\n\
+            hdpat_request_latency_us{tier=\"failed\",phase=\"service\",stat=\"p50\"} 20\n\
+            hdpat_request_latency_us{tier=\"failed\",phase=\"service\",stat=\"p95\"} 20\n\
+            hdpat_request_latency_us{tier=\"failed\",phase=\"service\",stat=\"p99\"} 20\n\
+            hdpat_request_latency_us{tier=\"failed\",phase=\"service\",stat=\"max\"} 20\n\
+            hdpat_request_latency_us{tier=\"failed\",phase=\"total\",stat=\"p50\"} 28\n\
+            hdpat_request_latency_us{tier=\"failed\",phase=\"total\",stat=\"p95\"} 28\n\
+            hdpat_request_latency_us{tier=\"failed\",phase=\"total\",stat=\"p99\"} 28\n\
+            hdpat_request_latency_us{tier=\"failed\",phase=\"total\",stat=\"max\"} 28\n\
+            # TYPE hdpat_clients gauge\n\
+            hdpat_clients 2\n\
+            # TYPE hdpat_jobs_queued gauge\n\
+            hdpat_jobs_queued 3\n\
+            # TYPE hdpat_jobs_inflight gauge\n\
+            hdpat_jobs_inflight 1\n\
+            # TYPE hdpat_pool_workers gauge\n\
+            hdpat_pool_workers 4\n\
+            # TYPE hdpat_pool_workers_busy gauge\n\
+            hdpat_pool_workers_busy 1\n\
+            # TYPE hdpat_reorder_buffered gauge\n\
+            hdpat_reorder_buffered 2\n\
+            # TYPE hdpat_uptime_seconds gauge\n\
+            hdpat_uptime_seconds 17\n\
+            # TYPE hdpat_cache_memory_entries gauge\n\
+            hdpat_cache_memory_entries 6\n\
+            # TYPE hdpat_queue_depth gauge\n\
+            hdpat_queue_depth{client=\"1\"} 2\n\
+            hdpat_queue_depth{client=\"4\"} 1\n\
+            # TYPE hdpat_disk_cache_entries gauge\n\
+            hdpat_disk_cache_entries 70\n\
+            # TYPE hdpat_disk_cache_resident_bytes gauge\n\
+            hdpat_disk_cache_resident_bytes 123456\n\
+            # TYPE hdpat_disk_cache_budget_bytes gauge\n\
+            hdpat_disk_cache_budget_bytes 1048576\n\
+            # TYPE hdpat_disk_cache_hits counter\n\
+            hdpat_disk_cache_hits 9\n\
+            # TYPE hdpat_disk_cache_misses counter\n\
+            hdpat_disk_cache_misses 2\n\
+            # TYPE hdpat_disk_cache_writes counter\n\
+            hdpat_disk_cache_writes 3\n\
+            # TYPE hdpat_disk_cache_evictions counter\n\
+            hdpat_disk_cache_evictions 1\n\
+            # TYPE hdpat_disk_cache_discarded counter\n\
+            hdpat_disk_cache_discarded 0\n"
+        );
     }
 
     #[test]
