@@ -17,7 +17,9 @@
 # reuse by `figure fig14`), the ops lane (a daemon with
 # --ops-log/--metrics-out must produce a byte-identical replay digest, a
 # reconciling metrics snapshot, and a complete request-lifecycle log, and a
-# stdio daemon must dump well-formed Prometheus text), and
+# stdio daemon must dump well-formed Prometheus text, with no budget series
+# when it runs without --cache-budget), the perfbench build and unit tests
+# (its layer replay drives the traces, CU pipelines and TLBs directly), and
 # the perf-trajectory gate (DESIGN.md §11/§16): fig14 must stay
 # byte-identical to the pre-PR-4 golden run, and the median serial events/s
 # of three runs must stay within 10% of the committed BENCH_PR9.json point.
@@ -150,6 +152,9 @@ printf '' | ./target/release/hdpat-sim serve --stdio --jobs 1 \
     --cache-dir target/ci/servecache --metrics-out target/ci/metrics.prom 2> /dev/null
 grep -q '^hdpat_disk_cache_entries 70$' target/ci/metrics.prom
 grep -q '^hdpat_requests_submitted 0$' target/ci/metrics.prom
+# No --cache-budget: the budget series is absent, not a zero budget. (Not
+# `! grep -q`: `set -e` ignores a status inverted with `!`.)
+test -z "$(grep '^hdpat_disk_cache_budget_bytes' target/ci/metrics.prom)"
 # Every line is a `#` comment or exactly two space-separated tokens.
 test -z "$(grep -vE '^#|^[^ ]+ [^ ]+$' target/ci/metrics.prom)"
 
@@ -157,6 +162,9 @@ echo "== metrics wire op (stdio daemon)"
 printf '{"op":"metrics"}\n' | ./target/release/hdpat-sim serve --stdio --jobs 1 \
     --cache-dir target/ci/servecache 2> /dev/null > target/ci/metrics_op.json
 grep -q '"type":"metrics"' target/ci/metrics_op.json
+
+echo "== perfbench: build + unit tests (helpers, BENCHMARK.json metric list)"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 echo "== perf-trajectory gate (fig14 vs pre-PR-4 golden, median of 3, -10% events/s floor)"
 for i in 1 2 3; do

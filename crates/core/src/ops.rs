@@ -368,7 +368,10 @@ impl OpsRegistry {
                 t.count
             ));
         }
-        out.push_str("# TYPE hdpat_request_latency_us summary\n");
+        // Bucketed quantile bounds and maxima keyed by a `stat` label: each
+        // sample is a point-in-time value, so the family is a gauge (a
+        // summary would need `quantile` labels and `_sum`/`_count` series).
+        out.push_str("# TYPE hdpat_request_latency_us gauge\n");
         for tier in Tier::ALL {
             let t = &tiers[tier.index()];
             for (phase, h) in [
@@ -403,9 +406,12 @@ impl OpsRegistry {
             ));
         }
         if let Some(d) = &gauges.disk {
+            // An unset member (no `--cache-budget`) has no series, as JSON
+            // writes `null`: a `0` would read as a zero-byte budget.
             for (key, kind, v) in d.members() {
-                let name = format!("hdpat_disk_cache_{key}");
-                push_sample(&mut out, &name, kind, v.unwrap_or(0));
+                if let Some(v) = v {
+                    push_sample(&mut out, &format!("hdpat_disk_cache_{key}"), kind, v);
+                }
             }
         }
         for (key, v) in engine().selfprof().members() {
@@ -627,7 +633,7 @@ mod tests {
             hdpat_requests_total{tier=\"cancelled\"} 0\n\
             hdpat_requests_total{tier=\"client-gone\"} 0\n\
             hdpat_requests_total{tier=\"failed\"} 1\n\
-            # TYPE hdpat_request_latency_us summary\n\
+            # TYPE hdpat_request_latency_us gauge\n\
             hdpat_request_latency_us{tier=\"memory\",phase=\"queue_wait\",stat=\"p50\"} 3\n\
             hdpat_request_latency_us{tier=\"memory\",phase=\"queue_wait\",stat=\"p95\"} 3\n\
             hdpat_request_latency_us{tier=\"memory\",phase=\"queue_wait\",stat=\"p99\"} 3\n\
@@ -736,6 +742,23 @@ mod tests {
             # TYPE hdpat_disk_cache_discarded counter\n\
             hdpat_disk_cache_discarded 0\n"
         );
+    }
+
+    #[test]
+    fn unbudgeted_disk_cache_has_no_budget_series() {
+        let (reg, mut gauges) = populated_registry();
+        if let Some(d) = gauges.disk.as_mut() {
+            d.budget = None;
+        }
+        let text = reg.snapshot_prometheus(&gauges);
+        assert!(
+            !text.contains("hdpat_disk_cache_budget_bytes"),
+            "no budget must mean no series, not a zero budget:\n{text}"
+        );
+        assert!(text.contains("\nhdpat_disk_cache_resident_bytes 123456\n"));
+        assert!(text.contains("\nhdpat_disk_cache_hits 9\n"));
+        let json = reg.snapshot_json(&gauges).to_line();
+        assert!(json.contains("\"budget_bytes\":null"), "{json}");
     }
 
     #[test]

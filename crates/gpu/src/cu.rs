@@ -40,6 +40,9 @@ impl MemoryOp {
 ///
 /// The simulator executes workloads trace-driven: a workgroup is the
 /// sequence of coalesced memory operations its wavefronts issue, in order.
+/// [`CuPipeline::push_workgroup`] keeps the trace itself (no per-op copy)
+/// until its last op issues, so a generator should allocate `ops` at its
+/// final length: any spare capacity stays resident for that long.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkgroupTrace {
     /// Operations in issue order.
@@ -76,7 +79,12 @@ impl FromIterator<MemoryOp> for WorkgroupTrace {
 /// A CU executes the workgroups assigned to it strictly in order,
 /// issuing their memory operations as long as fewer than `max_outstanding`
 /// are in flight (modelling wavefront-level parallelism hiding memory
-/// latency). The caller (the system simulator) drives the pipeline:
+/// latency). The pipeline owns the assigned [`WorkgroupTrace`]s as given:
+/// it reads the issuing trace through a cursor and drops each trace once
+/// its last op has issued, so handing work to a CU copies no op. The
+/// issuing trace is held apart from the queue behind it, so finding the
+/// next op costs the same loads as popping a flat op queue would. The
+/// caller (the system simulator) drives the pipeline:
 ///
 /// 1. [`CuPipeline::next_issue`] — when (and what) the CU can issue next;
 /// 2. [`CuPipeline::issue`] — commit the issue at a given cycle;
@@ -102,7 +110,14 @@ impl FromIterator<MemoryOp> for WorkgroupTrace {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CuPipeline {
-    pending: VecDeque<MemoryOp>,
+    /// The issuing workgroup's ops. Empty only when `queued` is empty too.
+    current: Vec<MemoryOp>,
+    /// Index of the next op to issue in `current`.
+    cursor: usize,
+    /// The workgroups after `current`, in issue order, none of them empty.
+    queued: VecDeque<WorkgroupTrace>,
+    /// Ops queued across all workgroups but not yet issued.
+    pending: usize,
     outstanding: usize,
     max_outstanding: usize,
     issued: u64,
@@ -119,7 +134,10 @@ impl CuPipeline {
     pub fn new(max_outstanding: usize) -> Self {
         assert!(max_outstanding > 0, "need at least one outstanding slot");
         Self {
-            pending: VecDeque::new(),
+            current: Vec::new(),
+            cursor: 0,
+            queued: VecDeque::new(),
+            pending: 0,
             outstanding: 0,
             max_outstanding,
             issued: 0,
@@ -128,9 +146,18 @@ impl CuPipeline {
         }
     }
 
-    /// Appends a workgroup's operations to this CU's queue.
+    /// Appends a workgroup to this CU's queue, taking ownership of its
+    /// trace. An empty workgroup is dropped: it has nothing to issue.
     pub fn push_workgroup(&mut self, wg: WorkgroupTrace) {
-        self.pending.extend(wg.ops);
+        if wg.is_empty() {
+            return;
+        }
+        self.pending += wg.len();
+        if self.current.is_empty() {
+            self.current = wg.ops;
+        } else {
+            self.queued.push_back(wg);
+        }
     }
 
     /// If the CU can issue at or after `now`, returns `(issue_time, op)`.
@@ -140,7 +167,7 @@ impl CuPipeline {
         if self.outstanding >= self.max_outstanding {
             return None;
         }
-        let op = *self.pending.front()?;
+        let op = *self.current.get(self.cursor)?;
         Some((now + op.gap, op))
     }
 
@@ -159,7 +186,17 @@ impl CuPipeline {
             clippy::expect_used,
             reason = "panicking here is the documented contract: callers must gate on `next_issue` first"
         )]
-        let op = self.pending.pop_front().expect("no pending op to issue");
+        let op = *self
+            .current
+            .get(self.cursor)
+            .expect("no pending op to issue");
+        self.cursor += 1;
+        self.pending -= 1;
+        if self.cursor == self.current.len() {
+            // The workgroup is fully issued: drop it, start the next.
+            self.current = self.queued.pop_front().unwrap_or_default().ops;
+            self.cursor = 0;
+        }
         self.outstanding += 1;
         self.issued += 1;
         self.finish_time = self.finish_time.max(at);
@@ -192,12 +229,12 @@ impl CuPipeline {
 
     /// Ops queued but not yet issued.
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.pending
     }
 
     /// Whether all assigned work has been issued and completed.
     pub fn is_drained(&self) -> bool {
-        self.pending.is_empty() && self.outstanding == 0
+        self.pending == 0 && self.outstanding == 0
     }
 
     /// Total ops issued.
@@ -285,6 +322,48 @@ mod tests {
         cu.push_workgroup(WorkgroupTrace::new(vec![MemoryOp::read(2, 0)]));
         assert_eq!(cu.issue(0).vaddr, 1);
         assert_eq!(cu.issue(0).vaddr, 2);
+    }
+
+    #[test]
+    fn issue_walks_workgroup_boundaries_in_order() {
+        let mut cu = CuPipeline::new(16);
+        let sizes = [3, 0, 1, 0, 0, 4];
+        let mut next = 0;
+        for n in sizes {
+            cu.push_workgroup((next..next + n).map(|a| MemoryOp::read(a, 0)).collect());
+            next += n;
+        }
+        assert_eq!(cu.pending(), 8);
+        for (i, want) in (0..8).enumerate() {
+            assert!(!cu.is_drained());
+            let (_, peeked) = cu.next_issue(0).unwrap();
+            assert_eq!(peeked.vaddr, want);
+            assert_eq!(cu.issue(0).vaddr, want);
+            assert_eq!(cu.pending(), 7 - i);
+        }
+        assert!(cu.next_issue(0).is_none());
+        assert!(!cu.is_drained(), "ops still in flight");
+        for _ in 0..7 {
+            cu.complete();
+            assert!(!cu.is_drained());
+        }
+        cu.complete();
+        assert!(cu.is_drained());
+        // Work pushed after draining issues normally.
+        cu.push_workgroup(wg(2));
+        assert!(!cu.is_drained());
+        assert_eq!(cu.pending(), 2);
+        assert_eq!(cu.issue(0).vaddr, 0);
+    }
+
+    #[test]
+    fn only_empty_workgroups_leave_the_cu_drained() {
+        let mut cu = CuPipeline::new(1);
+        cu.push_workgroup(WorkgroupTrace::default());
+        cu.push_workgroup(wg(0));
+        assert_eq!(cu.pending(), 0);
+        assert!(cu.is_drained());
+        assert!(cu.next_issue(0).is_none());
     }
 
     #[test]

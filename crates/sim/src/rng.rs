@@ -192,34 +192,83 @@ impl SimRng {
         }
         self.gen_f64() < p
     }
+}
 
-    /// A Zipf-like sample over `0..n` with exponent `s` (approximated by
-    /// inverse-CDF over harmonic weights; exact for the small `n` used by
-    /// workload hot-set selection).
-    ///
-    /// Used to model power-law node popularity in the PageRank workload.
+/// A Zipf-like sampler over `0..n` with exponent `s`, approximated by an
+/// inverse CDF over harmonic weights (exact for the small `n` used by
+/// workload hot-set selection).
+///
+/// The normaliser `hn` (the harmonic-weight total) and the inverse
+/// exponent `1 / (1 - s)` depend on `(n, s)` only, so they are computed
+/// once here; a draw is then one uniform sample and one `exp` or `powf`.
+/// Each draw performs the same `f64` operations in the same order as a
+/// recompute-everything formula would, so the sample stream is a pure
+/// function of the seed. Used to model power-law node popularity in the
+/// PageRank workload.
+///
+/// # Example
+///
+/// ```
+/// use wsg_sim::{rng::Zipf, SimRng};
+/// let zipf = Zipf::new(1000, 0.9);
+/// let mut rng = SimRng::seeded(1);
+/// assert!(zipf.sample(&mut rng) < 1000);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Zipf {
+    n: u64,
+    shape: ZipfShape,
+}
+
+/// The two branches of the inverse transform.
+#[derive(Debug, Clone, Copy)]
+enum ZipfShape {
+    /// `s == 1`: `H(x) ~ ln(x)`, inverted by `exp`.
+    Log { hn: f64 },
+    /// `s != 1`: `H(x) ~ (x^a - 1) / a` with `a = 1 - s`.
+    Power { a: f64, hn: f64, inv_a: f64 },
+}
+
+impl Zipf {
+    /// A sampler over `0..n` with exponent `s`.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero.
+    pub fn new(n: u64, s: f64) -> Self {
+        assert!(n > 0, "zipf needs a non-empty domain");
+        let shape = if (s - 1.0).abs() < 1e-9 {
+            ZipfShape::Log {
+                hn: (n as f64).ln().max(f64::MIN_POSITIVE),
+            }
+        } else {
+            let a = 1.0 - s;
+            ZipfShape::Power {
+                a,
+                hn: ((n as f64).powf(a) - 1.0) / a,
+                inv_a: 1.0 / a,
+            }
+        };
+        Self { n, shape }
+    }
+
+    /// One draw in `0..n`, consuming one `gen_f64` of `rng`.
     #[expect(
         clippy::cast_sign_loss,
         reason = "x >= 1 on both branches: exp(u * hn) with u * hn >= 0, and (1 + u * hn * a)^(1 / a) >= 1 for either sign of a"
     )]
-    pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
-        assert!(n > 0, "zipf needs a non-empty domain");
+    pub fn sample(&self, rng: &mut SimRng) -> u64 {
         // Rejection-free approximate inverse transform (Gray et al. style).
-        let u: f64 = self.gen_f64();
-        if (s - 1.0).abs() < 1e-9 {
-            // H(x) ~ ln(x); invert.
-            let hn = (n as f64).ln().max(f64::MIN_POSITIVE);
-            let x = (u * hn).exp();
-            (x as u64).min(n - 1)
-        } else {
-            let a = 1.0 - s;
-            let hn = ((n as f64).powf(a) - 1.0) / a;
-            let x = (1.0 + u * hn * a).powf(1.0 / a);
-            (x as u64 - 1).min(n - 1)
+        let u = rng.gen_f64();
+        match self.shape {
+            ZipfShape::Log { hn } => {
+                let x = (u * hn).exp();
+                (x as u64).min(self.n - 1)
+            }
+            ZipfShape::Power { a, hn, inv_a } => {
+                let x = (1.0 + u * hn * a).powf(inv_a);
+                (x as u64 - 1).min(self.n - 1)
+            }
         }
     }
 }
@@ -324,10 +373,11 @@ mod tests {
     fn zipf_in_domain_and_skewed() {
         let mut r = SimRng::seeded(5);
         let n = 1000;
+        let zipf = Zipf::new(n, 0.9);
         let mut head = 0u64;
         let trials = 10_000;
         for _ in 0..trials {
-            let v = r.zipf(n, 0.9);
+            let v = zipf.sample(&mut r);
             assert!(v < n);
             if v < 10 {
                 head += 1;
@@ -341,6 +391,45 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty domain")]
     fn zipf_rejects_empty_domain() {
-        SimRng::seeded(0).zipf(0, 1.0);
+        Zipf::new(0, 1.0);
+    }
+
+    /// The per-draw formula the sampler replaced, kept verbatim: both
+    /// constants recomputed on every draw.
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "x >= 1 on both branches, as in `Zipf::sample`"
+    )]
+    fn zipf_reference(rng: &mut SimRng, n: u64, s: f64) -> u64 {
+        assert!(n > 0, "zipf needs a non-empty domain");
+        let u: f64 = rng.gen_f64();
+        if (s - 1.0).abs() < 1e-9 {
+            let hn = (n as f64).ln().max(f64::MIN_POSITIVE);
+            let x = (u * hn).exp();
+            (x as u64).min(n - 1)
+        } else {
+            let a = 1.0 - s;
+            let hn = ((n as f64).powf(a) - 1.0) / a;
+            let x = (1.0 + u * hn * a).powf(1.0 / a);
+            (x as u64 - 1).min(n - 1)
+        }
+    }
+
+    #[test]
+    fn zipf_draws_equal_the_per_draw_formula() {
+        for n in [1, 2, 1000, 1 << 20] {
+            for s in [0.5, 0.9, 1.0, 1.2] {
+                let zipf = Zipf::new(n, s);
+                let mut a = SimRng::seeded(n ^ s.to_bits());
+                let mut b = a.clone();
+                for i in 0..10_000 {
+                    assert_eq!(
+                        zipf.sample(&mut a),
+                        zipf_reference(&mut b, n, s),
+                        "draw {i} of Zipf({n}, {s})"
+                    );
+                }
+            }
+        }
     }
 }

@@ -14,19 +14,25 @@ use crate::catalog::WorkloadConfig;
 use super::{alloc_bytes, at, wg_block, LINE};
 
 /// Emits `passes` butterfly passes over `data` for workgroup `wg`. Each
-/// pass: read own line, read the XOR-partner line, write own line.
+/// step: read own line, read the XOR-partner line, then (with a `twiddle`
+/// table) read the step's twiddle line, then write own line. Step `k`
+/// (counted across passes) reads twiddle line `k`. The workgroup's op
+/// budget is split evenly over the passes.
 fn butterfly_passes(
     space: &AddressSpace,
+    cfg: &WorkloadConfig,
     data: &Buffer,
+    twiddle: Option<&Buffer>,
     wg: u64,
-    wg_count: u64,
     passes: u32,
-    ops_per_pass: usize,
     gap: u64,
 ) -> WorkgroupTrace {
-    let (start, chunk) = wg_block(space, data, wg, wg_count);
+    let (start, chunk) = wg_block(space, data, wg, cfg.workgroups);
     let len = data.len_bytes(space.page_size()).next_power_of_two() / 2;
-    let mut ops = Vec::new();
+    let per_step = 3 + usize::from(twiddle.is_some());
+    let ops_per_pass = (cfg.ops_per_wg / (per_step * passes as usize)).max(1);
+    let mut ops = Vec::with_capacity(passes as usize * ops_per_pass * per_step);
+    let mut step = 0;
     for p in 0..passes {
         let stride = LINE << (p * 2); // strides: 64 B, 256 B, 1 KB, 4 KB, 16 KB, ...
         for i in 0..ops_per_pass as u64 {
@@ -35,7 +41,11 @@ fn butterfly_passes(
             let partner = (own ^ stride) % len.max(LINE);
             ops.push(MemoryOp::read(at(space, data, own), gap));
             ops.push(MemoryOp::read(at(space, data, partner), gap));
+            if let Some(tw) = twiddle {
+                ops.push(MemoryOp::read(at(space, tw, step * LINE), 10));
+            }
             ops.push(MemoryOp::write(at(space, data, own), 10));
+            step += 1;
         }
     }
     WorkgroupTrace::new(ops)
@@ -50,10 +60,8 @@ pub fn bt(
     _rng: &mut SimRng,
 ) -> Vec<WorkgroupTrace> {
     let data = alloc_bytes(space, "bt_data", cfg.footprint_bytes);
-    let passes = 4;
-    let per_pass = (cfg.ops_per_wg / (3 * passes as usize)).max(1);
     (0..cfg.workgroups)
-        .map(|wg| butterfly_passes(space, &data, wg, cfg.workgroups, passes, per_pass, 20))
+        .map(|wg| butterfly_passes(space, cfg, &data, None, wg, 4, 20))
         .collect()
 }
 
@@ -66,10 +74,8 @@ pub fn fwt(
     _rng: &mut SimRng,
 ) -> Vec<WorkgroupTrace> {
     let data = alloc_bytes(space, "fwt_data", cfg.footprint_bytes);
-    let passes = 6;
-    let per_pass = (cfg.ops_per_wg / (3 * passes as usize)).max(1);
     (0..cfg.workgroups)
-        .map(|wg| butterfly_passes(space, &data, wg, cfg.workgroups, passes, per_pass, 20))
+        .map(|wg| butterfly_passes(space, cfg, &data, None, wg, 6, 20))
         .collect()
 }
 
@@ -83,23 +89,8 @@ pub fn fft(
 ) -> Vec<WorkgroupTrace> {
     let data = alloc_bytes(space, "fft_data", cfg.footprint_bytes * 7 / 8);
     let twiddle = alloc_bytes(space, "fft_twiddle", cfg.footprint_bytes / 8);
-    let passes = 5;
-    let per_pass = (cfg.ops_per_wg / (4 * passes as usize)).max(1);
     (0..cfg.workgroups)
-        .map(|wg| {
-            let mut trace =
-                butterfly_passes(space, &data, wg, cfg.workgroups, passes, per_pass, 30);
-            // Interleave twiddle reads: pass p reads twiddle block p.
-            let mut with_twiddle = Vec::with_capacity(trace.ops.len() * 4 / 3);
-            for (i, op) in trace.ops.drain(..).enumerate() {
-                with_twiddle.push(op);
-                if i % 3 == 1 {
-                    let t = (i as u64 / 3) * LINE;
-                    with_twiddle.push(MemoryOp::read(at(space, &twiddle, t), 10));
-                }
-            }
-            WorkgroupTrace::new(with_twiddle)
-        })
+        .map(|wg| butterfly_passes(space, cfg, &data, Some(&twiddle), wg, 5, 30))
         .collect()
 }
 

@@ -1,11 +1,12 @@
 //! Irregular-family generators: KM, PR, SPMV.
 
 use wsg_gpu::{AddressSpace, MemoryOp, WorkgroupTrace};
+use wsg_sim::rng::Zipf;
 use wsg_sim::SimRng;
 
 use crate::catalog::WorkloadConfig;
 
-use super::{alloc_bytes, at, wg_block, LINE};
+use super::{alloc_bytes, at, count_mod, wg_block, LINE};
 
 /// KM (KMeans): every workgroup streams its own points and re-reads the
 /// small centroid table on each step, across several iterations. The hot
@@ -27,11 +28,13 @@ pub fn km(
     let centroids = alloc_bytes(space, "km_centroids", centroid_bytes);
     let assign = alloc_bytes(space, "km_assign", cfg.footprint_bytes / 16);
     let per_iter = (cfg.ops_per_wg as u64 / (3 * cfg.iterations.max(1) as u64)).max(1);
+    let per_wg =
+        cfg.iterations as usize * (2 * per_iter as usize + count_mod(per_iter as usize, 4, 3));
     (0..cfg.workgroups)
         .map(|wg| {
             let (start, _) = wg_block(space, &points, wg, cfg.workgroups);
             let (assign_start, _) = wg_block(space, &assign, wg, cfg.workgroups);
-            let mut ops = Vec::with_capacity(cfg.ops_per_wg);
+            let mut ops = Vec::with_capacity(per_wg);
             for it in 0..cfg.iterations as u64 {
                 for i in 0..per_iter {
                     ops.push(MemoryOp::read(at(space, &points, start + i * LINE), 20));
@@ -61,11 +64,13 @@ pub fn pr(cfg: &WorkloadConfig, space: &mut AddressSpace, rng: &mut SimRng) -> V
     let ps = space.page_size();
     let rank_lines = ranks.len_bytes(ps) / LINE;
     let per_iter = (cfg.ops_per_wg as u64 / (2 * cfg.iterations.max(1) as u64)).max(1);
+    let per_wg = cfg.iterations as usize * (2 * per_iter as usize + 1);
+    let zipf = Zipf::new(rank_lines.max(1), 0.9);
     (0..cfg.workgroups)
         .map(|wg| {
             let (start, _) = wg_block(space, &edges, wg, cfg.workgroups);
             let mut wg_rng = rng.derive(wg);
-            let mut ops = Vec::with_capacity(cfg.ops_per_wg);
+            let mut ops = Vec::with_capacity(per_wg);
             for it in 0..cfg.iterations as u64 {
                 for i in 0..per_iter {
                     // Stream the edge list (own, mostly local partition).
@@ -74,7 +79,7 @@ pub fn pr(cfg: &WorkloadConfig, space: &mut AddressSpace, rng: &mut SimRng) -> V
                         10,
                     ));
                     // Gather the destination rank: Zipf over rank lines.
-                    let hot = wg_rng.zipf(rank_lines.max(1), 0.9);
+                    let hot = zipf.sample(&mut wg_rng);
                     ops.push(MemoryOp::read(at(space, &ranks, hot * LINE), 15));
                 }
                 // Write back own rank once per iteration.
@@ -104,13 +109,14 @@ pub fn spmv(
     let ps = space.page_size();
     let x_lines = x.len_bytes(ps) / LINE;
     let rows = (cfg.ops_per_wg as u64 / 4).max(1);
+    let per_wg = 3 * rows as usize + count_mod(rows as usize, 4, 3);
     (0..cfg.workgroups)
         .map(|wg| {
             let (vstart, _) = wg_block(space, &vals, wg, cfg.workgroups);
             let (cstart, _) = wg_block(space, &colidx, wg, cfg.workgroups);
             let (ystart, _) = wg_block(space, &y, wg, cfg.workgroups);
             let mut wg_rng = rng.derive(wg);
-            let mut ops = Vec::with_capacity(cfg.ops_per_wg);
+            let mut ops = Vec::with_capacity(per_wg);
             for r in 0..rows {
                 ops.push(MemoryOp::read(at(space, &vals, vstart + r * LINE), 10));
                 ops.push(MemoryOp::read(at(space, &colidx, cstart + r * LINE), 10));

@@ -5,7 +5,7 @@ use wsg_sim::SimRng;
 
 use crate::catalog::WorkloadConfig;
 
-use super::{alloc_bytes, at, wg_block, LINE};
+use super::{alloc_bytes, at, count_mod, wg_block, LINE};
 
 /// MM (matrix multiplication): workgroup `(r, c)` of a square grid reads row
 /// block `r` of A (shared with every workgroup in row `r`), gathers column
@@ -29,10 +29,11 @@ pub fn mm(
     let ps = space.page_size();
     let row_pitch = (a.len_bytes(ps) / grid.max(1)).max(LINE) & !(LINE - 1);
     let k_steps = (cfg.ops_per_wg as u64 / 3).max(1);
+    let per_wg = 2 * k_steps as usize + count_mod(k_steps as usize, 4, 3);
     (0..cfg.workgroups)
         .map(|wg| {
             let (r, col) = (wg / grid, wg % grid);
-            let mut ops = Vec::with_capacity(cfg.ops_per_wg);
+            let mut ops = Vec::with_capacity(per_wg);
             for k in 0..k_steps {
                 // A row r, element k: sequential within the shared row.
                 ops.push(MemoryOp::read(at(space, &a, r * row_pitch + k * LINE), 20));
@@ -73,7 +74,7 @@ pub fn mt(
     (0..cfg.workgroups)
         .map(|wg| {
             let (start, _) = wg_block(space, &input, wg, cfg.workgroups);
-            let mut ops = Vec::with_capacity(cfg.ops_per_wg);
+            let mut ops = Vec::with_capacity(cfg.ops_per_wg / 2 * 2);
             for i in 0..cfg.ops_per_wg as u64 / 2 {
                 ops.push(MemoryOp::read(at(space, &input, start + i * LINE), 15));
                 // Transposed write: column-major target.
@@ -105,7 +106,7 @@ pub fn fws(
     (0..cfg.workgroups)
         .map(|wg| {
             let (own_start, _) = wg_block(space, &dist, wg, cfg.workgroups);
-            let mut ops = Vec::with_capacity(cfg.ops_per_wg);
+            let mut ops = Vec::with_capacity(cfg.iterations as usize * 3 * per_iter as usize);
             for k in 0..cfg.iterations as u64 {
                 let pivot_row = (k * 17) % n_rows; // deterministic pivot schedule
                 for i in 0..per_iter {

@@ -69,6 +69,13 @@ pub(crate) fn ops_per_iter(cfg: &WorkloadConfig) -> usize {
     (cfg.ops_per_wg / cfg.iterations.max(1) as usize).max(2)
 }
 
+/// How many `i` in `0..n` satisfy `i % m == r` (for `r < m`): the exact
+/// number of ops a generator loop emits under an every-`m`th condition, so
+/// each workgroup's `Vec` is allocated at its final length.
+pub(crate) fn count_mod(n: usize, m: usize, r: usize) -> usize {
+    (n + m - 1 - r) / m
+}
+
 /// The contiguous byte region of `buf` owned by workgroup `wg` when the
 /// buffer is block-partitioned across all workgroups: `(start_offset,
 /// region_len)`. The region is line-aligned and non-empty.
@@ -115,6 +122,18 @@ mod tests {
         assert_eq!(s0, 0);
         assert_eq!(s1, chunk);
         assert_eq!(chunk, 64 * 4096 / 64);
+    }
+
+    #[test]
+    fn count_mod_matches_a_filtered_count() {
+        for n in 0..40 {
+            for m in 1..9 {
+                for r in 0..m {
+                    let want = (0..n).filter(|i| i % m == r).count();
+                    assert_eq!(count_mod(n, m, r), want, "n={n} m={m} r={r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use wsg_sim::SimRng;
 
 use crate::catalog::WorkloadConfig;
 
-use super::{alloc_bytes, at, ops_per_iter, wg_block, LINE};
+use super::{alloc_bytes, at, count_mod, ops_per_iter, wg_block, LINE};
 
 /// AES: each workgroup encrypts its own contiguous block, re-reading the
 /// expanded-key page constantly. Compute-bound (long gaps, §V-A calls it
@@ -22,10 +22,12 @@ pub fn aes(
     let output = alloc_bytes(space, "aes_output", half);
     let key = alloc_bytes(space, "aes_key", 4096);
     let per_iter = ops_per_iter(cfg);
+    let per_wg = cfg.iterations as usize
+        * (per_iter + count_mod(per_iter, 4, 0) + count_mod(per_iter, 2, 1));
     (0..cfg.workgroups)
         .map(|wg| {
             let (start, chunk) = wg_block(space, &input, wg, cfg.workgroups);
-            let mut ops = Vec::with_capacity(cfg.ops_per_wg);
+            let mut ops = Vec::with_capacity(per_wg);
             for it in 0..cfg.iterations as u64 {
                 for i in 0..per_iter as u64 {
                     let off = start + (it * per_iter as u64 + i) * LINE % chunk.max(LINE);
@@ -58,7 +60,7 @@ pub fn relu(
     (0..cfg.workgroups)
         .map(|wg| {
             let (start, chunk) = wg_block(space, &input, wg, cfg.workgroups);
-            let mut ops = Vec::with_capacity(cfg.ops_per_wg);
+            let mut ops = Vec::with_capacity(cfg.ops_per_wg / 2 * 2);
             for i in 0..cfg.ops_per_wg as u64 / 2 {
                 let off = start + (i * LINE) % chunk.max(LINE);
                 ops.push(MemoryOp::read(at(space, &input, off), 10));
@@ -83,10 +85,12 @@ pub fn fir(
     let output = alloc_bytes(space, "fir_output", half);
     let coeff = alloc_bytes(space, "fir_coeff", 4096);
     let per_iter = ops_per_iter(cfg);
+    let per_wg = cfg.iterations as usize
+        * (per_iter + count_mod(per_iter, 8, 0) + count_mod(per_iter, 2, 0));
     (0..cfg.workgroups)
         .map(|wg| {
             let (start, chunk) = wg_block(space, &input, wg, cfg.workgroups);
-            let mut ops = Vec::with_capacity(cfg.ops_per_wg);
+            let mut ops = Vec::with_capacity(per_wg);
             for it in 0..cfg.iterations as u64 {
                 // Each iteration shifts the window start by one line.
                 let base = start + it * LINE;
@@ -124,11 +128,13 @@ pub fn sc(
     let filter = alloc_bytes(space, "sc_filter", 4096);
     // Model the image as rows of 64 lines.
     let row_bytes = 64 * LINE;
+    let steps = cfg.ops_per_wg * 2 / 3;
+    let per_wg = 2 * steps + count_mod(steps, 4, 0) + count_mod(steps, 8, 7);
     (0..cfg.workgroups)
         .map(|wg| {
             let (start, _) = wg_block(space, &image, wg, cfg.workgroups);
-            let mut ops = Vec::with_capacity(cfg.ops_per_wg);
-            for i in 0..cfg.ops_per_wg as u64 * 2 / 3 {
+            let mut ops = Vec::with_capacity(per_wg);
+            for i in 0..steps as u64 {
                 // Read a 3-row window column by column: same x, rows r-1..r+1.
                 let col = (i % 8) * LINE;
                 let row = (i / 8) % 4;
@@ -170,7 +176,7 @@ pub fn i2c(
         .map(|wg| {
             let (in_start, _) = wg_block(space, &input, wg, cfg.workgroups);
             let (out_start, _) = wg_block(space, &output, wg, cfg.workgroups);
-            let mut ops = Vec::with_capacity(cfg.ops_per_wg);
+            let mut ops = Vec::with_capacity(cfg.ops_per_wg / 3 * 3);
             let (_, in_chunk) = wg_block(space, &input, wg, cfg.workgroups);
             for i in 0..cfg.ops_per_wg as u64 / 3 {
                 // Window advances half a window per step: each line is read

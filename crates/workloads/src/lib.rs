@@ -86,6 +86,24 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// The CUs keep each workgroup's `Vec` until its last op issues, so
+    /// spare capacity would stay resident for the whole run.
+    #[test]
+    fn every_workgroup_is_allocated_at_its_final_length() {
+        for scale in [Scale::Unit, Scale::Bench] {
+            for id in BenchmarkId::all() {
+                let mut space = AddressSpace::new(PageSize::Size4K, 48);
+                for (i, wg) in generate(id, scale, &mut space, 42).iter().enumerate() {
+                    assert_eq!(
+                        wg.ops.capacity(),
+                        wg.ops.len(),
+                        "{id:?} at {scale:?}: workgroup {i} has spare capacity"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn all_addresses_fall_in_allocated_buffers() {
         for id in BenchmarkId::all() {

@@ -64,7 +64,9 @@ impl TlbConfig {
 /// construction, and validity / prefetched-ness are one bitmask word per
 /// set. The hot set-probe loop therefore walks a handful of contiguous
 /// tag words (eight ways per cache line) guided by the set's valid mask,
-/// instead of striding over five-field entry structs.
+/// instead of striding over five-field entry structs. All five planes
+/// share one allocation at fixed offsets, so building a TLB is one
+/// zeroed allocation.
 ///
 /// # Example
 ///
@@ -79,20 +81,27 @@ impl TlbConfig {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     cfg: TlbConfig,
-    /// VPN tag plane, indexed `set * ways + way`.
-    vpns: Vec<Vpn>,
-    /// PFN plane, same indexing as `vpns`.
-    pfns: Vec<Pfn>,
-    /// LRU stamp plane, same indexing (higher = more recently used;
-    /// speculative LRU-position fills use stamp 0, below every live demand
-    /// stamp).
-    stamps: Vec<u64>,
-    /// One validity bitmask per set, bit `way`.
-    valid: Vec<u64>,
-    /// One prefetched-tag bitmask per set, bit `way` (HDPAT proactive
-    /// delivery attribution — Fig 16's "proactive" category and the
-    /// prefetch-accuracy statistic).
-    prefetched: Vec<u64>,
+    /// The five planes, back to back at fixed offsets (`E` entries, `S`
+    /// sets):
+    ///
+    /// * `[0, E)` — VPN tags, indexed `set * ways + way`;
+    /// * `[E, 2E)` — PFNs, same indexing;
+    /// * `[2E, 3E)` — LRU stamps, same indexing (higher = more recently
+    ///   used; speculative LRU-position fills use stamp 0, below every live
+    ///   demand stamp);
+    /// * `[3E, 3E + S)` — one validity bitmask per set, bit `way`;
+    /// * `[3E + S, 3E + 2S)` — one prefetched-tag bitmask per set, bit
+    ///   `way` (HDPAT proactive delivery attribution — Fig 16's "proactive"
+    ///   category and the prefetch-accuracy statistic).
+    planes: Box<[u64]>,
+    /// Start of the PFN plane (`E`).
+    pfns_at: usize,
+    /// Start of the stamp plane (`2E`).
+    stamps_at: usize,
+    /// Start of the validity plane (`3E`).
+    valid_at: usize,
+    /// Start of the prefetched plane (`3E + S`).
+    prefetched_at: usize,
     /// Valid entries, counted from fills and evictions; debug builds check
     /// it against the valid planes at every fill and eviction.
     len: usize,
@@ -114,19 +123,70 @@ impl Tlb {
         assert!(cfg.sets.is_power_of_two(), "sets must be a power of two");
         assert!(cfg.ways > 0, "associativity must be positive");
         assert!(cfg.ways <= 64, "at most 64 ways (one mask word per set)");
+        let entries = cfg.entries();
         Self {
             cfg,
-            vpns: vec![Vpn(0); cfg.entries()],
-            pfns: vec![Pfn(0); cfg.entries()],
-            stamps: vec![0; cfg.entries()],
-            valid: vec![0; cfg.sets],
-            prefetched: vec![0; cfg.sets],
+            planes: vec![0; 3 * entries + 2 * cfg.sets].into_boxed_slice(),
+            pfns_at: entries,
+            stamps_at: 2 * entries,
+            valid_at: 3 * entries,
+            prefetched_at: 3 * entries + cfg.sets,
             len: 0,
             tick: 0,
             hits: 0,
             misses: 0,
             prefetched_hits: 0,
         }
+    }
+
+    /// The VPN tag of entry `idx`.
+    #[inline]
+    fn vpn(&self, idx: usize) -> Vpn {
+        Vpn(self.planes[idx])
+    }
+
+    /// The PFN of entry `idx`.
+    #[inline]
+    fn pfn(&self, idx: usize) -> Pfn {
+        Pfn(self.planes[self.pfns_at + idx])
+    }
+
+    /// The LRU stamp of entry `idx`.
+    #[inline]
+    fn stamp(&self, idx: usize) -> u64 {
+        self.planes[self.stamps_at + idx]
+    }
+
+    /// The validity mask of `set`.
+    #[inline]
+    fn valid(&self, set: usize) -> u64 {
+        self.planes[self.valid_at + set]
+    }
+
+    /// The prefetched-tag mask of `set`.
+    #[inline]
+    fn prefetched(&self, set: usize) -> u64 {
+        self.planes[self.prefetched_at + set]
+    }
+
+    #[inline]
+    fn pfn_mut(&mut self, idx: usize) -> &mut u64 {
+        &mut self.planes[self.pfns_at + idx]
+    }
+
+    #[inline]
+    fn stamp_mut(&mut self, idx: usize) -> &mut u64 {
+        &mut self.planes[self.stamps_at + idx]
+    }
+
+    #[inline]
+    fn valid_mut(&mut self, set: usize) -> &mut u64 {
+        &mut self.planes[self.valid_at + set]
+    }
+
+    #[inline]
+    fn prefetched_mut(&mut self, set: usize) -> &mut u64 {
+        &mut self.planes[self.prefetched_at + set]
     }
 
     /// Visits this TLB's telemetry counters in their fixed order.
@@ -149,9 +209,8 @@ impl Tlb {
         );
         debug_assert_eq!(
             self.len,
-            self.valid
-                .iter()
-                .map(|m| m.count_ones() as usize)
+            (0..self.cfg.sets)
+                .map(|set| self.valid(set).count_ones() as usize)
                 .sum::<usize>(),
             "tlb: entry count diverged from the valid entries (entries lost or duplicated)"
         );
@@ -172,10 +231,10 @@ impl Tlb {
     #[inline]
     fn find_way(&self, set: usize, vpn: Vpn) -> Option<usize> {
         let start = set * self.cfg.ways;
-        let mut mask = self.valid[set];
+        let mut mask = self.valid(set);
         while mask != 0 {
             let way = mask.trailing_zeros() as usize;
-            if self.vpns[start + way] == vpn {
+            if self.vpn(start + way) == vpn {
                 return Some(way);
             }
             mask &= mask - 1;
@@ -199,14 +258,14 @@ impl Tlb {
         match self.find_way(set, vpn) {
             Some(way) => {
                 let idx = set * self.cfg.ways + way;
-                self.stamps[idx] = self.tick;
-                let was_prefetched = self.prefetched[set] & (1 << way) != 0;
-                self.prefetched[set] &= !(1 << way);
+                *self.stamp_mut(idx) = self.tick;
+                let was_prefetched = self.prefetched(set) & (1 << way) != 0;
+                *self.prefetched_mut(set) &= !(1 << way);
                 self.hits += 1;
                 if was_prefetched {
                     self.prefetched_hits += 1;
                 }
-                Some((self.pfns[idx], was_prefetched))
+                Some((self.pfn(idx), was_prefetched))
             }
             None => {
                 self.misses += 1;
@@ -219,7 +278,7 @@ impl Tlb {
     pub fn probe(&self, vpn: Vpn) -> Option<Pfn> {
         let set = self.set_of(vpn);
         self.find_way(set, vpn)
-            .map(|way| self.pfns[set * self.cfg.ways + way])
+            .map(|way| self.pfn(set * self.cfg.ways + way))
     }
 
     /// Inserts a translation at the MRU position, evicting the set's LRU
@@ -241,14 +300,14 @@ impl Tlb {
     #[inline]
     fn write_entry(&mut self, set: usize, way: usize, vpn: Vpn, pfn: Pfn, stamp: u64, pf: bool) {
         let idx = set * self.cfg.ways + way;
-        self.vpns[idx] = vpn;
-        self.pfns[idx] = pfn;
-        self.stamps[idx] = stamp;
-        self.valid[set] |= 1 << way;
+        self.planes[idx] = vpn.0;
+        *self.pfn_mut(idx) = pfn.0;
+        *self.stamp_mut(idx) = stamp;
+        *self.valid_mut(set) |= 1 << way;
         if pf {
-            self.prefetched[set] |= 1 << way;
+            *self.prefetched_mut(set) |= 1 << way;
         } else {
-            self.prefetched[set] &= !(1 << way);
+            *self.prefetched_mut(set) &= !(1 << way);
         }
     }
 
@@ -269,14 +328,14 @@ impl Tlb {
         // demand-hot entry to the LRU position; a demand refresh clears it.
         if let Some(way) = self.find_way(set, vpn) {
             let idx = set * self.cfg.ways + way;
-            self.pfns[idx] = pfn;
+            *self.pfn_mut(idx) = pfn.0;
             if !lru_insert {
-                self.stamps[idx] = tick;
+                *self.stamp_mut(idx) = tick;
             }
             if prefetched {
-                self.prefetched[set] |= 1 << way;
+                *self.prefetched_mut(set) |= 1 << way;
             } else {
-                self.prefetched[set] &= !(1 << way);
+                *self.prefetched_mut(set) &= !(1 << way);
             }
             return None;
         }
@@ -286,7 +345,7 @@ impl Tlb {
         } else {
             (1u64 << self.cfg.ways) - 1
         };
-        let free = !self.valid[set] & ways_mask;
+        let free = !self.valid(set) & ways_mask;
         if free != 0 {
             let way = free.trailing_zeros() as usize;
             self.write_entry(set, way, vpn, pfn, tick, prefetched);
@@ -300,11 +359,11 @@ impl Tlb {
         let start = set * self.cfg.ways;
         let mut victim = 0;
         for way in 1..self.cfg.ways {
-            if self.stamps[start + way] < self.stamps[start + victim] {
+            if self.stamp(start + way) < self.stamp(start + victim) {
                 victim = way;
             }
         }
-        let evicted = (self.vpns[start + victim], self.pfns[start + victim]);
+        let evicted = (self.vpn(start + victim), self.pfn(start + victim));
         self.write_entry(set, victim, vpn, pfn, tick, prefetched);
         self.check_occupancy();
         Some(evicted)
@@ -315,7 +374,7 @@ impl Tlb {
         let set = self.set_of(vpn);
         match self.find_way(set, vpn) {
             Some(way) => {
-                self.valid[set] &= !(1 << way);
+                *self.valid_mut(set) &= !(1 << way);
                 self.len -= 1;
                 self.check_occupancy();
                 true
@@ -474,7 +533,7 @@ mod tests {
         let mut t = tiny();
         t.fill(Vpn(0), Pfn(0), false);
         // Corrupt the valid plane: an entry appears from nowhere.
-        t.valid[1] |= 1;
+        *t.valid_mut(1) |= 1;
         t.fill(Vpn(2), Pfn(2), false);
     }
 
