@@ -45,13 +45,16 @@ cargo test -q
 echo "== workspace tests"
 cargo test --workspace -q
 
-# Release builds: the structure-vs-model proptests and the golden digests at
-# full optimization, then again with debug assertions on, so the structures'
-# invariant checks (DESIGN.md §10.5) run over every golden point in a
-# release-optimised build.
+# Release builds: the structure-vs-model proptests (the event queue's are in
+# wsg-sim, whose unit tests also show a past push panicking without debug
+# assertions) and the golden digests at full optimization, then again with
+# debug assertions on, so the structures' invariant checks (DESIGN.md §10.5)
+# run over every golden point in a release-optimised build.
 echo "== release equivalence proptests + golden digests, with and without debug assertions"
 cargo test --release --test equivalence --test golden_digests -q
+cargo test --release -p wsg-sim -q
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true cargo test --release --test equivalence --test golden_digests -q
+CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true cargo test --release -p wsg-sim -q
 
 echo "== telemetry artifacts: 3 benchmarks x 2 policies, --jobs 1 vs --jobs 4"
 mkdir -p target/ci
@@ -168,7 +171,7 @@ cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 echo "== perf-trajectory gate (fig14 vs pre-PR-4 golden, median of 3, -10% events/s floor)"
 for i in 1 2 3; do
-  ./target/release/hdpat-sim figure fig14 --scale bench --no-cache \
+  ./target/release/hdpat-sim figure fig14 --scale bench \
       --perf-out "target/ci/BENCH_PR9_serial_${i}.json" > "target/ci/fig14_${i}.txt"
   cmp tests/golden/fig14_bench.txt "target/ci/fig14_${i}.txt"
   grep -q '"schema": 2' "target/ci/BENCH_PR9_serial_${i}.json"

@@ -21,11 +21,11 @@
 //!
 //! `--jobs N` sets the sweep worker count (default: available parallelism).
 //! Simulation points are deduplicated through a per-invocation run cache and
-//! executed across the workers; `--no-cache` disables the deduplication.
-//! Output is byte-identical for every `--jobs` value, including `--jobs 1`
-//! (the serial path), and with or without the cache. `--progress` adds a
-//! live completed/total + events/sec + ETA line on stderr during sweeps;
-//! stdout stays byte-identical.
+//! executed across the workers. Output is byte-identical for every `--jobs`
+//! value, including `--jobs 1` (the serial path), and equal to simulating
+//! every point afresh. `--progress` adds a live completed/total +
+//! events/sec + ETA line on stderr during sweeps; stdout stays
+//! byte-identical.
 //!
 //! `--cache-dir DIR` attaches the persistent content-addressed run cache
 //! (DESIGN.md §14) to sweeps, `serve`, and `replay`, so identical
@@ -43,28 +43,13 @@ use wsg_bench::{figures, regen, serving};
 use wsg_sim::{telemetry::TelemetrySink, trace::TraceSink};
 use wsg_workloads::{BenchmarkId, Scale};
 
-fn parse_benchmark(s: &str) -> Option<BenchmarkId> {
-    BenchmarkId::all()
-        .into_iter()
-        .find(|b| b.info().abbr.eq_ignore_ascii_case(s))
-}
-
 fn parse_policy(s: &str) -> Option<PolicyKind> {
     PolicyKind::from_token(s)
 }
 
-fn parse_scale(s: &str) -> Option<Scale> {
-    match s.to_ascii_lowercase().as_str() {
-        "unit" => Some(Scale::Unit),
-        "bench" => Some(Scale::Bench),
-        "full" => Some(Scale::Full),
-        _ => None,
-    }
-}
-
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  hdpat-sim list\n  hdpat-sim run <BENCH> <POLICY> [--scale unit|bench|full] [--seed N]\n  hdpat-sim compare <BENCH> [--scale ...] [--jobs N] [--no-cache] [--progress]\n  hdpat-sim figure <NAME|all> [--scale ...] [--jobs N] [--no-cache] [--progress] [--perf-out FILE]\n  hdpat-sim trace <BENCH> [--scale ...] [--seed N] [--out FILE] [--policy P]\n  hdpat-sim timeline <BENCH> --out FILE [--interval N] [--format csv|json|perfetto] [--policy P] [--scale ...] [--seed N]\n  hdpat-sim heatmap <BENCH> --out FILE [--interval N] [--policy P] [--scale ...] [--seed N]\n  hdpat-sim regen-experiments [--scale ...] [--jobs N] [--check] [--path FILE]\n  hdpat-sim serve (--socket PATH | --stdio) [--jobs N] [--cache-dir DIR] [--cache-budget BYTES] [--ops-log FILE] [--metrics-out FILE] [--metrics-interval SECS]\n  hdpat-sim replay <MIX> [--socket PATH] [--shutdown] [--out FILE] [--stats-out FILE] [--jobs N] [--cache-dir DIR] [--cache-budget BYTES]\n  hdpat-sim emit-mix fig14 [--scale ...] [--seed N] [--out FILE]\n  hdpat-sim regen-protocol [--check] [--path FILE]\n\nsweep commands also accept --cache-dir DIR [--cache-budget BYTES] for the\npersistent cross-process run cache (DESIGN.md \u{a7}14)."
+        "usage:\n  hdpat-sim list\n  hdpat-sim run <BENCH> <POLICY> [--scale unit|bench|full] [--seed N]\n  hdpat-sim compare <BENCH> [--scale ...] [--jobs N] [--progress]\n  hdpat-sim figure <NAME|all> [--scale ...] [--jobs N] [--progress] [--perf-out FILE]\n  hdpat-sim trace <BENCH> [--scale ...] [--seed N] [--out FILE] [--policy P]\n  hdpat-sim timeline <BENCH> --out FILE [--interval N] [--format csv|json|perfetto] [--policy P] [--scale ...] [--seed N]\n  hdpat-sim heatmap <BENCH> --out FILE [--interval N] [--policy P] [--scale ...] [--seed N]\n  hdpat-sim regen-experiments [--scale ...] [--jobs N] [--check] [--path FILE]\n  hdpat-sim serve (--socket PATH | --stdio) [--jobs N] [--cache-dir DIR] [--cache-budget BYTES] [--ops-log FILE] [--metrics-out FILE] [--metrics-interval SECS]\n  hdpat-sim replay <MIX> [--socket PATH] [--shutdown] [--out FILE] [--stats-out FILE] [--jobs N] [--cache-dir DIR] [--cache-budget BYTES]\n  hdpat-sim emit-mix fig14 [--scale ...] [--seed N] [--out FILE]\n  hdpat-sim regen-protocol [--check] [--path FILE]\n\nsweep commands also accept --cache-dir DIR [--cache-budget BYTES] for the\npersistent cross-process run cache (DESIGN.md \u{a7}14)."
     );
     std::process::exit(2);
 }
@@ -79,7 +64,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
     let scale = flag(&args, "--scale")
-        .map(|s| parse_scale(&s).unwrap_or_else(|| usage()))
+        .map(|s| Scale::from_token(&s).unwrap_or_else(|| usage()))
         .unwrap_or(Scale::Bench);
     let seed: u64 = flag(&args, "--seed")
         .map(|s| s.parse().unwrap_or_else(|_| usage()))
@@ -88,14 +73,7 @@ fn main() {
         Some(j) => j.parse().unwrap_or_else(|_| usage()),
         None => wsg_sim::pool::default_jobs(),
     };
-    // `--no-cache` disables run deduplication (every point simulates
-    // fresh, like the pre-sweep serial harness); output is identical either
-    // way, so this exists only for cache-speedup measurements.
-    let ctx = if args.iter().any(|a| a == "--no-cache") {
-        SweepCtx::without_cache(jobs)
-    } else {
-        SweepCtx::new(jobs)
-    };
+    let ctx = SweepCtx::new(jobs);
     // `--progress` reports live sweep progress on stderr; the deterministic
     // stdout report is unaffected.
     let ctx = if args.iter().any(|a| a == "--progress") {
@@ -125,7 +103,7 @@ fn main() {
         "run" => {
             let b = args
                 .get(1)
-                .and_then(|s| parse_benchmark(s))
+                .and_then(|s| BenchmarkId::from_abbr(s))
                 .unwrap_or_else(|| usage());
             let p = args
                 .get(2)
@@ -136,7 +114,7 @@ fn main() {
         "compare" => {
             let b = args
                 .get(1)
-                .and_then(|s| parse_benchmark(s))
+                .and_then(|s| BenchmarkId::from_abbr(s))
                 .unwrap_or_else(|| usage());
             cmd_compare(&ctx, b, scale, seed);
         }
@@ -154,7 +132,7 @@ fn main() {
                 .cloned()
                 .or_else(|| flag(&args, "--benchmark"))
                 .as_deref()
-                .and_then(parse_benchmark)
+                .and_then(BenchmarkId::from_abbr)
                 .unwrap_or_else(|| usage());
             match flag(&args, "--out") {
                 Some(out) => {
@@ -173,7 +151,7 @@ fn main() {
                 .cloned()
                 .or_else(|| flag(&args, "--benchmark"))
                 .as_deref()
-                .and_then(parse_benchmark)
+                .and_then(BenchmarkId::from_abbr)
                 .unwrap_or_else(|| usage());
             let p = flag(&args, "--policy")
                 .map(|s| parse_policy(&s).unwrap_or_else(|| usage()))

@@ -108,7 +108,7 @@ mod tests {
     #[test]
     fn experiments_md_has_markers_for_every_registry_entry() {
         let doc = include_str!("../../../EXPERIMENTS.md");
-        let ctx = SweepCtx::serial();
+        let ctx = SweepCtx::new(1);
         for (name, _) in figures::all(&ctx, Scale::Unit) {
             if let Err(e) = splice(doc, name, "") {
                 panic!("EXPERIMENTS.md: {e}");

@@ -45,7 +45,6 @@ use std::fmt::Write as _;
 use wsg_gpu::{GpmConfig, IommuConfig, SystemConfig};
 use wsg_mem::{CacheConfig, HbmConfig};
 use wsg_noc::LinkParams;
-use wsg_workloads::Scale;
 use wsg_xlat::TlbConfig;
 
 use super::RunConfig;
@@ -78,7 +77,7 @@ pub fn fingerprint(cfg: &RunConfig) -> String {
         s,
         "|bench={}|scale={}|seed={seed}",
         benchmark.info().abbr,
-        scale_token(*scale)
+        scale.token()
     );
     if let Some(MigrationConfig {
         streak_threshold,
@@ -91,14 +90,6 @@ pub fn fingerprint(cfg: &RunConfig) -> String {
         );
     }
     s
-}
-
-fn scale_token(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Full => "full",
-        Scale::Bench => "bench",
-        Scale::Unit => "unit",
-    }
 }
 
 fn push_system(s: &mut String, system: &SystemConfig) {
@@ -248,7 +239,7 @@ fn push_policy(s: &mut String, policy: &PolicyKind) {
 
 #[cfg(test)]
 mod tests {
-    use wsg_workloads::BenchmarkId;
+    use wsg_workloads::{BenchmarkId, Scale};
 
     use super::*;
 

@@ -308,11 +308,12 @@ impl RunCache {
 /// * Each point is fully specified by its [`RunConfig`] (including the
 ///   seed), so where and when it executes cannot affect its metrics.
 /// * Consequently the output is byte-identical for every `jobs` value and
-///   for cached vs uncached execution (`tests/sweep_determinism.rs`
-///   enforces this) — `jobs` and the cache only change wall-clock time.
+///   equal to a plain [`run`] of each point, simulated or answered from the
+///   cache (`tests/sweep_determinism.rs` enforces this) — `jobs` and the
+///   cache only change wall-clock time.
 #[derive(Debug)]
 pub struct SweepCtx {
-    cache: Option<RunCache>,
+    cache: RunCache,
     jobs: usize,
     hits: AtomicU64,
     disk_hits: AtomicU64,
@@ -335,10 +336,10 @@ struct Progress {
 
 impl SweepCtx {
     /// A context running up to `jobs` simulations concurrently (clamped to
-    /// at least 1), with caching enabled.
+    /// at least 1) over a fresh in-memory [`RunCache`].
     pub fn new(jobs: usize) -> Self {
         Self {
-            cache: Some(RunCache::new()),
+            cache: RunCache::new(),
             jobs: jobs.max(1),
             hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -354,18 +355,14 @@ impl SweepCtx {
     /// an optimization — results are byte-identical with and without the
     /// disk cache (`tests/sweep_determinism.rs`), only wall-clock time
     /// changes.
-    ///
-    /// The disk tier sits behind the in-memory one, so it only applies to
-    /// contexts with caching enabled ([`SweepCtx::new`]); attaching it to a
-    /// [`SweepCtx::without_cache`] context is a no-op by construction.
     pub fn with_disk_cache(mut self, disk: DiskCache) -> Self {
-        self.cache = self.cache.map(|cache| cache.with_disk(disk));
+        self.cache = self.cache.with_disk(disk);
         self
     }
 
     /// The attached disk cache, if any — for hit-rate reporting.
     pub fn disk_cache(&self) -> Option<&DiskCache> {
-        self.cache.as_ref()?.disk()
+        self.cache.disk()
     }
 
     /// Enables the live progress reporter: every completed simulation
@@ -422,27 +419,6 @@ impl SweepCtx {
         }
     }
 
-    /// A serial context (`jobs = 1`): today's exact one-at-a-time behaviour,
-    /// still with cross-figure caching.
-    pub fn serial() -> Self {
-        Self::new(1)
-    }
-
-    /// A context sized to the host's available parallelism.
-    pub fn auto() -> Self {
-        Self::new(wsg_sim::pool::default_jobs())
-    }
-
-    /// A context with the run cache disabled: every sweep point is simulated
-    /// fresh, even within a single [`SweepCtx::sweep`] call. Exists to prove
-    /// the cache is purely an optimization.
-    pub fn without_cache(jobs: usize) -> Self {
-        Self {
-            cache: None,
-            ..Self::new(jobs)
-        }
-    }
-
     /// The worker-thread budget.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -484,28 +460,11 @@ impl SweepCtx {
 
     /// Runs every point and returns metrics **in input order**.
     ///
-    /// Duplicate and already-cached points are simulated once (unless the
-    /// cache is disabled); the unique remainder is executed across the
-    /// worker pool. See the type-level determinism contract.
+    /// Duplicate and already-cached points are simulated once; the unique
+    /// remainder is executed across the worker pool. See the type-level
+    /// determinism contract.
     pub fn sweep(&self, cfgs: &[RunConfig]) -> Vec<Arc<Metrics>> {
-        let Some(cache) = &self.cache else {
-            self.misses.fetch_add(cfgs.len() as u64, Ordering::Relaxed);
-            let reporting = self.announce_runs(cfgs.len());
-            let out = wsg_sim::pool::run_indexed_with(
-                self.jobs,
-                cfgs.len(),
-                |i| {
-                    let m = Arc::new(run(&cfgs[i]));
-                    self.events.fetch_add(m.sim_events, Ordering::Relaxed);
-                    m
-                },
-                |_| self.report_progress(),
-            );
-            if reporting && !cfgs.is_empty() {
-                eprintln!();
-            }
-            return out;
-        };
+        let cache = &self.cache;
         let keys: Vec<String> = cfgs.iter().map(RunConfig::fingerprint).collect();
         // Unique unresolved points, in first-occurrence order. Each unique
         // point is looked up once; a disk hit is promoted into memory (so
@@ -556,12 +515,6 @@ impl SweepCtx {
     }
 }
 
-impl Default for SweepCtx {
-    fn default() -> Self {
-        Self::auto()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,7 +538,7 @@ mod tests {
     fn sweep_dedups_and_preserves_input_order() {
         let relu = RunConfig::new(BenchmarkId::Relu, Scale::Unit, PolicyKind::Naive);
         let aes = RunConfig::new(BenchmarkId::Aes, Scale::Unit, PolicyKind::Naive);
-        let ctx = SweepCtx::serial();
+        let ctx = SweepCtx::new(1);
         let out = ctx.sweep(&[relu.clone(), aes.clone(), relu.clone()]);
         assert_eq!(out.len(), 3);
         // Duplicate points resolve to the same Arc, simulated once.
@@ -603,7 +556,7 @@ mod tests {
     fn sweep_keeps_a_migrating_point_apart_from_its_plain_twin() {
         let plain = RunConfig::new(BenchmarkId::Relu, Scale::Unit, PolicyKind::Naive);
         let migrating = plain.clone().with_migration(MigrationConfig::default());
-        let ctx = SweepCtx::serial();
+        let ctx = SweepCtx::new(1);
         let out = ctx.sweep(&[plain, migrating]);
         assert_eq!(ctx.cache_stats(), (0, 2), "both points simulate");
         assert_eq!(out[0].pages_migrated, 0);
@@ -620,11 +573,7 @@ mod tests {
             .iter()
             .map(|c| run(c).to_deterministic_string())
             .collect();
-        for ctx in [
-            SweepCtx::serial(),
-            SweepCtx::new(4),
-            SweepCtx::without_cache(4),
-        ] {
+        for ctx in [SweepCtx::new(1), SweepCtx::new(4)] {
             let got: Vec<String> = ctx
                 .sweep(&cfgs)
                 .iter()
@@ -642,14 +591,14 @@ mod tests {
         let cfg = RunConfig::new(BenchmarkId::Relu, Scale::Unit, PolicyKind::Naive);
 
         // First context: cold disk, the point is simulated and written back.
-        let warm = SweepCtx::serial().with_disk_cache(DiskCache::open(&dir, None).unwrap());
+        let warm = SweepCtx::new(1).with_disk_cache(DiskCache::open(&dir, None).unwrap());
         let first = warm.run(&cfg);
         assert_eq!(warm.cache_stats(), (0, 1));
         assert_eq!(warm.disk_hits(), 0);
 
         // Second context (fresh memory cache, same directory): served from
         // disk, nothing simulated, bytes identical.
-        let cold = SweepCtx::serial().with_disk_cache(DiskCache::open(&dir, None).unwrap());
+        let cold = SweepCtx::new(1).with_disk_cache(DiskCache::open(&dir, None).unwrap());
         let out = cold.sweep(&[cfg.clone(), cfg.clone()]);
         assert_eq!(cold.cache_stats(), (1, 0), "no simulation on the reload");
         assert_eq!(cold.disk_hits(), 1);

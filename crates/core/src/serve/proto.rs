@@ -140,33 +140,6 @@ impl ProtoError {
     }
 }
 
-/// Looks a benchmark up by its Table II abbreviation (ASCII
-/// case-insensitive), e.g. `"SPMV"`.
-pub fn parse_benchmark(token: &str) -> Option<BenchmarkId> {
-    BenchmarkId::all()
-        .into_iter()
-        .find(|b| b.info().abbr.eq_ignore_ascii_case(token))
-}
-
-/// Looks a workload scale up by its wire token (ASCII case-insensitive).
-pub fn parse_scale(token: &str) -> Option<Scale> {
-    match token.to_ascii_lowercase().as_str() {
-        "unit" => Some(Scale::Unit),
-        "bench" => Some(Scale::Bench),
-        "full" => Some(Scale::Full),
-        _ => None,
-    }
-}
-
-/// The wire token of a workload scale.
-pub fn scale_token(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Unit => "unit",
-        Scale::Bench => "bench",
-        Scale::Full => "full",
-    }
-}
-
 impl Request {
     /// Parses and validates one request line.
     pub fn parse(line: &str) -> Result<Request, ProtoError> {
@@ -232,7 +205,7 @@ impl Request {
                     some_id.clone(),
                 )
             })?;
-        let benchmark = parse_benchmark(bench_token).ok_or_else(|| {
+        let benchmark = BenchmarkId::from_abbr(bench_token).ok_or_else(|| {
             ProtoError::new(
                 codes::UNKNOWN_BENCHMARK,
                 format!("unknown benchmark `{bench_token}`; see `hdpat-sim list`"),
@@ -263,7 +236,7 @@ impl Request {
                         some_id.clone(),
                     )
                 })?;
-                parse_scale(token).ok_or_else(|| {
+                Scale::from_token(token).ok_or_else(|| {
                     ProtoError::new(
                         codes::UNKNOWN_SCALE,
                         format!("unknown scale `{token}`; use unit, bench, or full"),
@@ -323,7 +296,7 @@ pub fn submit_line(
         ("id".into(), Json::Str(id.into())),
         ("benchmark".into(), Json::Str(benchmark.info().abbr.into())),
         ("policy".into(), Json::Str(policy_token.into())),
-        ("scale".into(), Json::Str(scale_token(scale).into())),
+        ("scale".into(), Json::Str(scale.token().into())),
         ("seed".into(), Json::U64(seed)),
     ])
     .to_line()

@@ -347,8 +347,6 @@ impl<O: Observer> Simulation<O> {
                     mshrs: 32,
                 })
             }),
-            // 32 MSHRs at the paper's 1024-entry scale; shrinks with the
-            // table so the blocking behaviour is preserved at reduced scale.
             // 32 MSHRs x 8 target slots at the paper's 1024-entry scale;
             // shrinks with the table so the blocking behaviour of Fig 19 is
             // preserved at reduced scale.
@@ -458,11 +456,10 @@ impl<O: Observer> Simulation<O> {
         )]
         let wall_start = std::time::Instant::now();
         // Batched dispatch (DESIGN.md §16): drain one whole calendar bucket
-        // per iteration instead of popping per event, amortizing the queue's
-        // bitmap scan and clock bookkeeping. `drain_bucket` delivers the
-        // exact per-pop `(time, payload)` stream — handlers scheduling more
-        // work at `t` see it arrive in a later batch, just as later pops
-        // would have delivered it.
+        // per iteration, amortizing the queue's bitmap scan and clock
+        // bookkeeping. `drain_bucket` delivers the `(time, seq)` stream of
+        // the reference heap queue — handlers scheduling more work at `t`
+        // see it arrive in a later batch, after the current one.
         let mut batch: Vec<Event> = Vec::new();
         // Sampled phase profiler: one batch in SELFPROF_PERIOD is timed, so
         // the clock reads cost nothing measurable. Host time lands in

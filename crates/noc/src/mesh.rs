@@ -170,24 +170,6 @@ impl Mesh {
         (from.y as usize * self.width as usize + from.x as usize) * 4 + dir
     }
 
-    /// Inverse of [`Mesh::link_index`]: the `(from, to)` endpoints of slot
-    /// `idx`. Slots on the mesh boundary point off-grid and are never
-    /// reserved; callers iterate only over slots with traffic.
-    fn link_endpoints(&self, idx: usize) -> (Coord, Coord) {
-        let tile = idx / 4;
-        let from = Coord::new(
-            (tile % self.width as usize) as u16,
-            (tile / self.width as usize) as u16,
-        );
-        let to = match idx % 4 {
-            0 => Coord::new(from.x + 1, from.y),
-            1 => Coord::new(from.x.wrapping_sub(1), from.y),
-            2 => Coord::new(from.x, from.y + 1),
-            _ => Coord::new(from.x, from.y.wrapping_sub(1)),
-        };
-        (from, to)
-    }
-
     /// Injects a packet of `bytes` payload from `from` to `to` at cycle
     /// `depart` and returns its delivery outcome. Reserves bandwidth on
     /// every link of the XY route.
@@ -301,31 +283,6 @@ impl Mesh {
             .iter()
             .map(|l| (l.busy_cycles as f64 / end as f64).min(1.0))
             .fold(0.0, f64::max)
-    }
-
-    /// The `n` busiest links by packet count: `(from, to, packets, busy_cycles, queue_horizon)`.
-    pub fn top_links(&self, n: usize) -> Vec<(Coord, Coord, u64, u64, Cycle)> {
-        let mut v: Vec<_> = self
-            .links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.packets > 0)
-            .map(|(idx, l)| {
-                let (a, b) = self.link_endpoints(idx);
-                (a, b, l.packets, l.busy_cycles, l.next_free)
-            })
-            .collect();
-        v.sort_by_key(|x| std::cmp::Reverse(x.2));
-        v.truncate(n);
-        v
-    }
-
-    /// Resets traffic accounting and link reservations (topology retained).
-    pub fn reset(&mut self) {
-        self.links.fill(LinkState::default());
-        self.total_bytes = 0;
-        self.total_packets = 0;
-        self.total_hop_bytes = 0;
     }
 }
 
@@ -441,13 +398,11 @@ mod tests {
     }
 
     #[test]
-    fn peak_utilization_and_reset() {
+    fn peak_utilization_reads_the_busiest_link() {
         let mut m = small();
+        assert_eq!(m.peak_link_utilization(100), 0.0);
         m.send(Coord::new(0, 0), Coord::new(1, 0), 80, 0);
         assert!(m.peak_link_utilization(100) > 0.0);
-        m.reset();
-        assert_eq!(m.total_bytes(), 0);
-        assert_eq!(m.peak_link_utilization(100), 0.0);
     }
 
     #[test]

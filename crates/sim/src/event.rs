@@ -2,11 +2,12 @@
 //!
 //! Implemented as a two-level *calendar queue* (DESIGN.md §11): a ring of
 //! per-cycle FIFO buckets covering the near future, backed by a sorted
-//! overflow heap for far-future events. Push and pop are O(1) on the ring —
-//! the common case by far in the simulator's hot loop — while delivery order
-//! stays exactly the `(time, insertion sequence)` order of the original
-//! `BinaryHeap` implementation (`tests/equivalence.rs` proves the two
-//! pop-for-pop identical under arbitrary interleavings). Bucket buffers
+//! overflow heap for far-future events. Push is O(1) on the ring — the
+//! common case by far in the simulator's hot loop — and
+//! [`EventQueue::drain_bucket`], the one way events come out, hands over a
+//! whole timestamp at a time in exactly the `(time, insertion sequence)`
+//! order of the original `BinaryHeap` implementation (`tests/equivalence.rs`
+//! proves the two identical under arbitrary interleavings). Bucket buffers
 //! circulate through a LIFO pool and a drained bucket is handed to the
 //! caller by swapping buffers, so the hot loop neither copies events out of
 //! the ring nor pushes into a buffer that has gone cold.
@@ -16,8 +17,8 @@ use std::collections::BinaryHeap;
 
 use crate::time::Cycle;
 
-/// Width of the calendar ring: how far ahead of the window base an event may
-/// land and still get an O(1) bucket. Must be a power of two (the bucket
+/// Width of the calendar ring: how far ahead of the current time an event
+/// may land and still get an O(1) bucket. Must be a power of two (the bucket
 /// index is `time % HORIZON`) and a multiple of 64 (the occupancy bitmap is
 /// scanned a `u64` word at a time), at most 4096 (the one-`u64` summary's
 /// cyclic rotation needs `WORDS` to divide 64). 99.7% of the engine's push
@@ -35,36 +36,30 @@ const _: () = assert!(HORIZON.is_power_of_two() && HORIZON.is_multiple_of(64) &&
 /// keeps simulations reproducible regardless of container internals.
 ///
 /// The queue tracks the current simulation time ([`EventQueue::now`]), which
-/// advances monotonically as events are popped. Pushing an event in the past
-/// is a logic error and panics in debug builds.
+/// advances monotonically as [`EventQueue::drain_bucket`] delivers events.
+/// Pushing an event in the past is a logic error and panics in every build
+/// profile.
 ///
 /// # Structure
 ///
-/// Three tiers, strictly ordered in time, so the earliest `(time, seq)`
-/// entry is always at the front of the first non-empty tier:
+/// Two tiers, strictly ordered in time, so the earliest `(time, seq)` entry
+/// is always at the front of the first non-empty tier:
 ///
 /// * **Ring** — `HORIZON` per-cycle FIFO buckets covering
-///   `[base, base + HORIZON)`, where `base` only ever advances. Each
-///   occupied bucket holds the events of exactly one timestamp in insertion
-///   order, so FIFO order *is* sequence order. A two-level occupancy bitmap
-///   (a bit per bucket, a summary bit per word) finds the next occupied
-///   bucket in a handful of `trailing_zeros` operations. An empty bucket
-///   owns no buffer: the first push takes the most recently released one
-///   from a LIFO pool, and draining the bucket swaps its buffer into the
-///   caller's batch `Vec`, whose old buffer goes back to the pool.
-///   [`EventQueue::pop`] instead moves the head bucket, reversed, into a
-///   front `Vec` and pops its tail, so draining a bucket one event at a
-///   time stays O(1) per event; the front holds the head timestamp and is
-///   delivered before the ring.
+///   `[now, now + HORIZON)`. Each occupied bucket holds the events of
+///   exactly one timestamp in insertion order, so FIFO order *is* sequence
+///   order. A two-level occupancy bitmap (a bit per bucket, a summary bit
+///   per word) finds the next occupied bucket in a handful of
+///   `trailing_zeros` operations. An empty bucket owns no buffer: the first
+///   push takes the most recently released one from a LIFO pool, and
+///   draining the bucket swaps its buffer into the caller's batch `Vec`,
+///   whose old buffer goes back to the pool.
 /// * **Overflow** — a `(time, seq)`-sorted heap for events at or beyond
-///   `base + HORIZON`. Whenever `base` advances, entries that came inside
-///   the window migrate into their ring buckets in heap order; an overflow
+///   `now + HORIZON`. Whenever `now` advances, entries that came inside the
+///   window migrate into their ring buckets in heap order; an overflow
 ///   entry always migrates before any direct push to the same cycle can
 ///   occur (the window had not reached that cycle yet), so bucket FIFO
 ///   order still equals sequence order.
-/// * **Backlog** — a sorted heap for events below `base`. Unreachable in
-///   debug builds (pushing the past panics); in release builds it preserves
-///   the heap-order delivery of erroneous past pushes.
 ///
 /// # Example
 ///
@@ -73,8 +68,12 @@ const _: () = assert!(HORIZON.is_power_of_two() && HORIZON.is_multiple_of(64) &&
 /// q.push(100, "b");
 /// q.push(100, "c");
 /// q.push(50, "a");
-/// let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-/// assert_eq!(order, vec![(50, "a"), (100, "b"), (100, "c")]);
+/// let mut batch = Vec::new();
+/// assert_eq!(q.drain_bucket(&mut batch), 1);
+/// assert_eq!((q.now(), batch.as_slice()), (50, ["a"].as_slice()));
+/// batch.clear();
+/// assert_eq!(q.drain_bucket(&mut batch), 2);
+/// assert_eq!((q.now(), batch.as_slice()), (100, ["b", "c"].as_slice()));
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
@@ -83,25 +82,18 @@ pub struct EventQueue<E> {
     buckets: Vec<Vec<E>>,
     /// Empty bucket buffers, most recently released last.
     pool: Vec<Vec<E>>,
-    /// The rest of a bucket that [`EventQueue::pop`] has started on, in
-    /// reverse delivery order; every entry is at `front_time`, which equals
-    /// `base` while it is non-empty.
-    front: Vec<E>,
-    front_time: Cycle,
     /// Occupancy bit per bucket.
     words: [u64; WORDS],
     /// Occupancy bit per `words` entry.
     summary: u64,
-    /// Start of the ring window `[base, base + HORIZON)`. Monotone.
-    base: Cycle,
+    /// Current simulation time: the timestamp of the last drained bucket,
+    /// and the start of the ring window `[now, now + HORIZON)`. Monotone.
+    now: Cycle,
     /// Events resident in the ring.
     ring_len: usize,
-    /// Events at `time >= base + HORIZON`, in `(time, seq)` order.
+    /// Events at `time >= now + HORIZON`, in `(time, seq)` order.
     overflow: BinaryHeap<Entry<E>>,
-    /// Events at `time < base` (release-mode past pushes only).
-    backlog: BinaryHeap<Entry<E>>,
-    now: Cycle,
-    seq: u64,
+    /// Events ever pushed; also the next push's insertion sequence number.
     pushed: u64,
     popped: u64,
 }
@@ -158,16 +150,11 @@ impl<E> EventQueue<E> {
         Self {
             buckets,
             pool: Vec::new(),
-            front: Vec::new(),
-            front_time: 0,
             words: [0; WORDS],
             summary: 0,
-            base: 0,
+            now: 0,
             ring_len: 0,
             overflow: BinaryHeap::with_capacity(far),
-            backlog: BinaryHeap::new(),
-            now: 0,
-            seq: 0,
             pushed: 0,
             popped: 0,
         }
@@ -211,21 +198,17 @@ impl<E> EventQueue<E> {
         Some(w * 64 + self.words[w].trailing_zeros() as usize)
     }
 
-    /// Absolute time of ring bucket `idx`, given the window base slot.
-    fn bucket_time(&self, idx: usize, from: usize) -> Cycle {
-        self.base + ((idx + HORIZON - from) % HORIZON) as Cycle
-    }
-
-    /// Advances the window base, migrating overflow entries that came inside
-    /// the window into their ring buckets in `(time, seq)` order.
-    fn advance_base(&mut self, to: Cycle) {
-        self.base = to;
+    /// Advances the clock, and with it the ring window, to `to`, migrating
+    /// overflow entries that came inside the window into their ring buckets
+    /// in `(time, seq)` order.
+    fn advance_to(&mut self, to: Cycle) {
+        self.now = to;
         while let Some(head) = self.overflow.peek() {
-            // No overflow: every overflow entry's time is >= the new base
-            // (it exceeded the old base by a full horizon, and `to` is
+            // No overflow: every overflow entry's time is >= the new clock
+            // (it exceeded the old clock by a full horizon, and `to` is
             // either a ring time inside the old window or the overflow
             // minimum itself).
-            if head.time - self.base >= HORIZON as Cycle {
+            if head.time - self.now >= HORIZON as Cycle {
                 break;
             }
             let entry = match self.overflow.pop() {
@@ -237,7 +220,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Appends `payload` to the ring bucket of `time`, which the caller
-    /// guarantees lies in `[base, base + HORIZON)`. A bucket's first event
+    /// guarantees lies in `[now, now + HORIZON)`. A bucket's first event
     /// brings in the most recently released pool buffer, still warm in the
     /// CPU cache from the batch it last carried.
     fn push_ring(&mut self, time: Cycle, payload: E) {
@@ -256,244 +239,100 @@ impl<E> EventQueue<E> {
         self.ring_len += 1;
     }
 
-    /// Returns an emptied buffer to the pool.
-    fn recycle(&mut self, buf: Vec<E>) {
-        debug_assert!(buf.is_empty(), "recycled a non-empty bucket buffer");
-        if buf.capacity() > 0 {
-            self.pool.push(buf);
-        }
-    }
-
     /// Moves the whole of occupied ring bucket `idx` to the end of `out`:
     /// an O(1) buffer swap when `out` is empty, an append otherwise. The
-    /// buffer left over goes back to the pool. Returns the event count.
-    fn take_bucket(&mut self, idx: usize, out: &mut Vec<E>) -> usize {
+    /// buffer left over goes back to the pool.
+    fn take_bucket(&mut self, idx: usize, out: &mut Vec<E>) {
         let bucket = &mut self.buckets[idx];
-        let n = bucket.len();
+        self.ring_len -= bucket.len();
         if out.is_empty() {
             std::mem::swap(bucket, out);
         } else {
             out.append(bucket);
         }
         let spare = std::mem::take(bucket);
-        self.recycle(spare);
-        self.clear_bit(idx);
-        self.ring_len -= n;
-        n
-    }
-
-    /// The earliest occupied ring bucket and its time. Caller guarantees
-    /// `ring_len > 0`.
-    fn first_bucket(&self) -> (usize, Cycle) {
-        let from = (self.base % HORIZON as Cycle) as usize;
-        let idx = match self.next_occupied(from) {
-            Some(i) => i,
-            None => unreachable!("ring_len > 0 with an empty occupancy bitmap"),
-        };
-        (idx, self.bucket_time(idx, from))
-    }
-
-    /// Pops the front's next event, returning its buffer to the pool once
-    /// empty. Caller guarantees the front is non-empty.
-    fn pop_front(&mut self) -> (Cycle, E) {
-        let payload = match self.front.pop() {
-            Some(p) => p,
-            None => unreachable!("pop_front on an empty front"),
-        };
-        if self.front.is_empty() {
-            let buf = std::mem::take(&mut self.front);
-            self.recycle(buf);
+        if spare.capacity() > 0 {
+            self.pool.push(spare);
         }
-        (self.front_time, payload)
-    }
-
-    /// Pops the earliest ring event by moving its whole bucket, reversed,
-    /// to the front. Caller guarantees `ring_len > 0` and an empty front.
-    fn pop_ring(&mut self) -> (Cycle, E) {
-        let (idx, time) = self.first_bucket();
-        let mut bucket = std::mem::take(&mut self.buckets[idx]);
         self.clear_bit(idx);
-        self.ring_len -= bucket.len();
-        bucket.reverse();
-        self.front = bucket;
-        self.front_time = time;
-        self.advance_base(time);
-        self.pop_front()
     }
 
     /// Schedules `payload` to fire at absolute cycle `time`.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `time` is earlier than the current time.
+    /// Panics — in all build profiles — if `time` is earlier than the
+    /// current time.
     pub fn push(&mut self, time: Cycle, payload: E) {
-        debug_assert!(
-            time >= self.now,
-            "event scheduled in the past: {} < {}",
-            time,
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.pushed += 1;
-        if time < self.base {
-            // Release-only: a past push (or a push between a regressed `now`
-            // and `base`) cannot enter the ring; the backlog heap preserves
-            // its (time, seq) delivery slot ahead of every ring entry.
-            self.backlog.push(Entry { time, seq, payload });
-        } else if time - self.base < HORIZON as Cycle {
+        if time < self.now {
+            panic!("event scheduled in the past: {} < {}", time, self.now);
+        } else if time - self.now < HORIZON as Cycle {
             self.push_ring(time, payload);
         } else {
-            self.overflow.push(Entry { time, seq, payload });
+            self.overflow.push(Entry {
+                time,
+                seq: self.pushed,
+                payload,
+            });
         }
-    }
-
-    /// Schedules `payload` to fire `delay` cycles after the current time.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `now + delay` overflows the cycle counter.
-    /// Release builds clamp the event to `Cycle::MAX`.
-    pub fn push_after(&mut self, delay: Cycle, payload: E) {
-        match self.now.checked_add(delay) {
-            Some(time) => self.push(time, payload),
-            None => {
-                if cfg!(debug_assertions) {
-                    panic!(
-                        "push_after delay overflow: {} + {} wraps the cycle counter",
-                        self.now, delay
-                    );
-                }
-                self.push(Cycle::MAX, payload);
-            }
-        }
-    }
-
-    /// Removes and returns the earliest event, advancing the clock to its
-    /// timestamp. Returns `None` when the queue is empty.
-    pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let (time, payload) = if let Some(e) = self.backlog.pop() {
-            (e.time, e.payload)
-        } else if !self.front.is_empty() {
-            self.pop_front()
-        } else if self.ring_len > 0 {
-            self.pop_ring()
-        } else if let Some(e) = self.overflow.pop() {
-            self.advance_base(e.time);
-            (e.time, e.payload)
-        } else {
-            return None;
-        };
-        debug_assert!(time >= self.now, "time ran backwards");
-        self.now = time;
-        self.popped += 1;
-        Some((time, payload))
+        self.pushed += 1;
     }
 
     /// Removes every pending event of the earliest timestamp — one whole
-    /// calendar bucket — appending the payloads to `out` in delivery order
-    /// and advancing the clock to that timestamp. Returns the number of
-    /// events drained (0 iff the queue is empty; `out` is untouched then).
-    ///
-    /// This is the batched form of [`EventQueue::pop`]: a sequence of
-    /// `drain_bucket` calls delivers exactly the same `(time, payload)`
-    /// stream as a sequence of `pop` calls — including events pushed *between*
-    /// batches at the just-drained timestamp, which land in the (re-based)
-    /// ring bucket and come out in the next batch, after the current one,
-    /// exactly where their higher sequence numbers place them. Batching amortizes the occupancy-bitmap scan,
-    /// base advance and `now` update over the bucket.
+    /// calendar bucket — appending the payloads to `out` in `(time, seq)`
+    /// order and advancing the clock to that timestamp. Returns the number
+    /// of events drained (0 iff the queue is empty; `out` is untouched
+    /// then). This is the only way events leave the queue.
     ///
     /// A bucket holds exactly one timestamp, so the batch never spans
     /// cycles; handlers can treat [`EventQueue::now`] as constant across it.
+    /// Events pushed at the just-drained timestamp while the batch is being
+    /// handled land in the (now empty) bucket of `now` and come out in the
+    /// next batch, after the current one, exactly where their higher
+    /// sequence numbers place them.
     ///
     /// Pass an empty `out` in the hot loop: the bucket's buffer is then
     /// swapped into it with no copy, and `out`'s old buffer joins the pool
     /// that future pushes draw from. A non-empty `out` is appended to.
     pub fn drain_bucket(&mut self, out: &mut Vec<E>) -> usize {
         let start = out.len();
-        let time = if let Some(head) = self.backlog.peek() {
-            // Release-mode past pushes: drain the equal-time run in heap
-            // (time, seq) order. Backlog times sit below `base`, so they
-            // always precede every ring and overflow entry.
-            let t = head.time;
-            while let Some(h) = self.backlog.peek() {
-                if h.time != t {
-                    break;
-                }
-                match self.backlog.pop() {
-                    Some(e) => out.push(e.payload),
-                    None => unreachable!("peeked entry vanished"),
-                }
-            }
-            t
-        } else if !self.front.is_empty() {
-            // A bucket partly consumed by `pop`: its rest, then any events
-            // pushed at the same time since (the ring bucket at `base`).
-            let t = self.front_time;
-            out.extend(self.front.drain(..).rev());
-            let buf = std::mem::take(&mut self.front);
-            self.recycle(buf);
-            let idx = (t % HORIZON as Cycle) as usize;
-            if self.occupied(idx) {
-                self.take_bucket(idx, out);
-            }
-            t
-        } else if self.ring_len > 0 {
-            let (idx, t) = self.first_bucket();
+        let from = (self.now % HORIZON as Cycle) as usize;
+        if let Some(idx) = self.next_occupied(from) {
+            let time = self.now + ((idx + HORIZON - from) % HORIZON) as Cycle;
             self.take_bucket(idx, out);
-            // Migrating after the drain is equivalent to the per-pop
-            // interleaving: an occupied ring bucket at `t` precludes
-            // overflow entries at `t` (overflow starts a full horizon past
-            // the base), so no migration can extend the current batch.
-            self.advance_base(t);
-            t
+            // Migrating after the drain cannot extend the batch: an occupied
+            // ring bucket at `time` precludes overflow entries at `time`
+            // (overflow starts a full horizon past the old clock).
+            self.advance_to(time);
         } else if let Some(e) = self.overflow.pop() {
-            let t = e.time;
             out.push(e.payload);
             // Same-time overflow siblings migrate into the ring bucket for
-            // `t` (in heap order, i.e. ascending seq — all above `e`'s) and
-            // belong to this batch. The bucket cannot hold anything else:
-            // the ring was empty, and a migrated time `t' > t` with
-            // `t' ≡ t (mod HORIZON)` would be a full horizon out, beyond
-            // the migration window.
-            self.advance_base(t);
-            let idx = (t % HORIZON as Cycle) as usize;
+            // `e.time` (in heap order, i.e. ascending seq — all above `e`'s)
+            // and belong to this batch. The bucket cannot hold anything
+            // else: the ring was empty, and a migrated time `t' > e.time`
+            // with `t' ≡ e.time (mod HORIZON)` would be a full horizon out,
+            // beyond the migration window.
+            self.advance_to(e.time);
+            let idx = (e.time % HORIZON as Cycle) as usize;
             if self.occupied(idx) {
                 self.take_bucket(idx, out);
             }
-            t
         } else {
             return 0;
-        };
+        }
         let n = out.len() - start;
-        debug_assert!(time >= self.now, "time ran backwards");
-        self.now = time;
         self.popped += n as u64;
         n
     }
 
-    /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<Cycle> {
-        if let Some(e) = self.backlog.peek() {
-            return Some(e.time);
-        }
-        if !self.front.is_empty() {
-            return Some(self.front_time);
-        }
-        if self.ring_len > 0 {
-            return Some(self.first_bucket().1);
-        }
-        self.overflow.peek().map(|e| e.time)
-    }
-
-    /// Current simulation time (the timestamp of the last popped event).
+    /// Current simulation time (the timestamp of the last drained bucket).
     pub fn now(&self) -> Cycle {
         self.now
     }
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        self.front.len() + self.ring_len + self.overflow.len() + self.backlog.len()
+        self.ring_len + self.overflow.len()
     }
 
     /// Whether no events are pending.
@@ -501,18 +340,13 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Total number of events ever pushed (throughput accounting).
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Total number of events ever popped.
+    /// Total number of events ever delivered.
     pub fn total_popped(&self) -> u64 {
         self.popped
     }
 
     /// End-of-simulation conservation check: asserts every pushed event was
-    /// popped (the queue fully drained) and returns `(pushed, popped)`.
+    /// delivered (the queue fully drained) and returns `(pushed, popped)`.
     ///
     /// # Panics
     ///
@@ -534,16 +368,25 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
+    /// Drains the whole queue through [`EventQueue::drain_bucket`], pairing
+    /// every payload with the clock at its delivery.
+    fn drain_all<E>(q: &mut EventQueue<E>) -> Vec<(Cycle, E)> {
+        let (mut delivered, mut batch) = (Vec::new(), Vec::new());
+        while q.drain_bucket(&mut batch) > 0 {
+            let t = q.now();
+            delivered.extend(batch.drain(..).map(|e| (t, e)));
+        }
+        delivered
+    }
+
     #[test]
-    fn pops_in_time_order() {
+    fn delivers_in_time_order() {
         let mut q = EventQueue::new();
         q.push(30, 3);
         q.push(10, 1);
         q.push(20, 2);
-        assert_eq!(q.pop(), Some((10, 1)));
-        assert_eq!(q.pop(), Some((20, 2)));
-        assert_eq!(q.pop(), Some((30, 3)));
-        assert_eq!(q.pop(), None);
+        assert_eq!(drain_all(&mut q), vec![(10, 1), (20, 2), (30, 3)]);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -552,32 +395,23 @@ mod tests {
         for i in 0..100 {
             q.push(7, i);
         }
-        for i in 0..100 {
-            assert_eq!(q.pop(), Some((7, i)));
-        }
+        let expect: Vec<_> = (0..100).map(|i| (7, i)).collect();
+        assert_eq!(drain_all(&mut q), expect);
     }
 
     #[test]
-    fn clock_advances_on_pop() {
+    fn clock_advances_on_drain() {
         let mut q = EventQueue::new();
         assert_eq!(q.now(), 0);
         q.push(42, ());
-        q.pop();
+        assert_eq!(q.now(), 0, "push does not move the clock");
+        drain_all(&mut q);
         assert_eq!(q.now(), 42);
     }
 
     #[test]
-    fn push_after_is_relative() {
-        let mut q = EventQueue::new();
-        q.push(100, "first");
-        q.pop();
-        q.push_after(5, "second");
-        assert_eq!(q.pop(), Some((105, "second")));
-    }
-
-    #[test]
     fn far_future_events_cross_the_horizon() {
-        // Events beyond base + HORIZON take the overflow path and must still
+        // Events beyond now + HORIZON take the overflow path and must still
         // deliver in (time, seq) order after migrating back into the ring.
         let mut q = EventQueue::new();
         let far = HORIZON as Cycle * 3 + 17;
@@ -585,11 +419,15 @@ mod tests {
         q.push(5, "near");
         q.push(far, "far-c");
         q.push(far + 1, "far-d");
-        assert_eq!(q.pop(), Some((5, "near")));
-        assert_eq!(q.pop(), Some((far, "far-b")));
-        assert_eq!(q.pop(), Some((far, "far-c")));
-        assert_eq!(q.pop(), Some((far + 1, "far-d")));
-        assert_eq!(q.pop(), None);
+        assert_eq!(
+            drain_all(&mut q),
+            vec![
+                (5, "near"),
+                (far, "far-b"),
+                (far, "far-c"),
+                (far + 1, "far-d")
+            ]
+        );
     }
 
     #[test]
@@ -601,10 +439,11 @@ mod tests {
         let t = HORIZON as Cycle + 100;
         q.push(t, 0); // overflow (window is [0, HORIZON))
         q.push(200, 1); // ring
-        assert_eq!(q.pop(), Some((200, 1))); // base -> 200, t migrates
+        let mut out = Vec::new();
+        assert_eq!(q.drain_bucket(&mut out), 1); // now -> 200, t migrates
+        assert_eq!((q.now(), out.as_slice()), (200, [1].as_slice()));
         q.push(t, 2); // direct push into the same bucket
-        assert_eq!(q.pop(), Some((t, 0)));
-        assert_eq!(q.pop(), Some((t, 2)));
+        assert_eq!(drain_all(&mut q), vec![(t, 0), (t, 2)]);
     }
 
     #[test]
@@ -613,40 +452,17 @@ mod tests {
         for i in 0..10u64 {
             let t = i * (HORIZON as Cycle / 2 + 3);
             q.push(t, i);
-            assert_eq!(q.pop(), Some((t, i)));
+            assert_eq!(drain_all(&mut q), vec![(t, i)]);
         }
-        assert_eq!(q.pop(), None);
     }
 
     #[test]
     #[should_panic(expected = "event scheduled in the past")]
-    #[cfg(debug_assertions)]
-    fn pushing_into_the_past_panics() {
+    fn pushing_into_the_past_panics_in_every_profile() {
         let mut q = EventQueue::new();
         q.push(10, ());
-        q.pop();
+        drain_all(&mut q);
         q.push(5, ());
-    }
-
-    #[test]
-    #[should_panic(expected = "delay overflow")]
-    #[cfg(debug_assertions)]
-    fn push_after_overflow_panics_in_debug() {
-        let mut q = EventQueue::new();
-        q.push(10, ());
-        q.pop();
-        q.push_after(Cycle::MAX, ());
-    }
-
-    #[test]
-    #[should_panic(expected = "time ran backwards")]
-    #[cfg(debug_assertions)]
-    fn pop_behind_a_corrupted_clock_panics() {
-        let mut q = EventQueue::new();
-        q.push(25, ());
-        // Corrupt the clock past the pending event.
-        q.now = 30;
-        q.pop();
     }
 
     #[test]
@@ -654,19 +470,10 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(1, ());
         q.push(2, ());
-        q.pop();
-        assert_eq!(q.total_pushed(), 2);
+        q.drain_bucket(&mut Vec::new());
         assert_eq!(q.total_popped(), 1);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn peek_does_not_advance_time() {
-        let mut q = EventQueue::new();
-        q.push(9, ());
-        assert_eq!(q.peek_time(), Some(9));
-        assert_eq!(q.now(), 0);
     }
 
     #[test]
@@ -674,8 +481,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(1, ());
         q.push(2, ());
-        q.pop();
-        q.pop();
+        drain_all(&mut q);
         assert_eq!(q.drain_check(), (2, 2));
     }
 
@@ -708,58 +514,18 @@ mod tests {
     }
 
     #[test]
-    fn drain_bucket_matches_pop_for_pop_delivery() {
-        // The same synthetic workload (each event spawns follow-ups, some at
-        // the current cycle) delivered per-pop and per-batch must produce an
-        // identical (time, payload) stream.
-        let step = |t: Cycle, n: u32| -> Vec<(Cycle, u32)> {
-            let h = (n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ t;
-            if n < 300 {
-                // One same-cycle spawn (h % 3 == 0 often) and one spread out
-                // across ring and overflow distances.
-                vec![
-                    (t + (h % 3), n * 2 + 1),
-                    (t + (h % (3 * HORIZON as Cycle / 2)), n * 2 + 2),
-                ]
-            } else {
-                Vec::new()
-            }
-        };
-
-        let mut per_pop = EventQueue::new();
-        per_pop.push(0, 0u32);
-        let mut pop_order = Vec::new();
-        while let Some((t, n)) = per_pop.pop() {
-            pop_order.push((t, n));
-            for (ct, c) in step(t, n) {
-                per_pop.push(ct, c);
-            }
-        }
-
-        let mut batched = EventQueue::new();
-        batched.push(0, 0u32);
-        let mut batch_order = Vec::new();
-        let mut batch = Vec::new();
-        loop {
-            if batched.drain_bucket(&mut batch) == 0 {
-                break;
-            }
-            let t = batched.now();
-            for n in batch.drain(..) {
-                batch_order.push((t, n));
-                for (ct, c) in step(t, n) {
-                    batched.push(ct, c);
-                }
-            }
-        }
-
-        assert_eq!(pop_order, batch_order);
-        assert_eq!(per_pop.drain_check(), batched.drain_check());
+    fn drain_bucket_appends_behind_a_non_empty_batch() {
+        let mut q = EventQueue::new();
+        q.push(4, 1);
+        q.push(4, 2);
+        let mut out = vec![0];
+        assert_eq!(q.drain_bucket(&mut out), 2);
+        assert_eq!(out, vec![0, 1, 2]);
     }
 
     #[test]
     fn drain_bucket_pulls_same_time_overflow_siblings() {
-        // With the ring empty, popping an overflow head migrates its
+        // With the ring empty, draining an overflow head migrates its
         // same-time siblings into the ring; the batch must include them.
         let mut q = EventQueue::new();
         let far = HORIZON as Cycle * 2 + 5;
@@ -854,7 +620,7 @@ mod tests {
                 "{buffers} buffers for a peak of {peak_occupied} occupied buckets"
             );
         }
-        assert!(q.overflow.is_empty() && q.front.is_empty());
+        assert!(q.overflow.is_empty());
         assert_eq!(q.drain_check(), (EVENTS, EVENTS));
     }
 

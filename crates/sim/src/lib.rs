@@ -30,7 +30,7 @@
 //! # Example
 //!
 //! ```
-//! use wsg_sim::{EventQueue, Cycle};
+//! use wsg_sim::EventQueue;
 //!
 //! #[derive(Debug, PartialEq)]
 //! enum Ev { Ping(u32) }
@@ -38,8 +38,10 @@
 //! let mut q = EventQueue::new();
 //! q.push(10, Ev::Ping(1));
 //! q.push(5, Ev::Ping(0));
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!((t, ev), (5, Ev::Ping(0)));
+//! // Events come out one timestamp (one calendar bucket) at a time.
+//! let mut batch = Vec::new();
+//! assert_eq!(q.drain_bucket(&mut batch), 1);
+//! assert_eq!(batch, [Ev::Ping(0)]);
 //! assert_eq!(q.now(), 5);
 //! ```
 

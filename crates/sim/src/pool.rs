@@ -21,10 +21,10 @@
 //! ```
 //! use wsg_sim::pool;
 //!
-//! let squares = pool::run_indexed(4, 8, |i| i * i);
+//! let squares = pool::run_indexed_with(4, 8, |i| i * i, |_| {});
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! // Input order is preserved regardless of the worker count:
-//! assert_eq!(squares, pool::run_indexed(1, 8, |i| i * i));
+//! assert_eq!(squares, pool::run_indexed_with(1, 8, |i| i * i, |_| {}));
 //! ```
 
 #![expect(
@@ -54,24 +54,17 @@ pub fn default_jobs() -> usize {
 /// spawned at all. `f` must be safe to call concurrently from multiple
 /// threads; each index is handed to exactly one worker.
 ///
+/// `on_done(i)` runs after job `i` finishes (on the worker thread that ran
+/// it, in completion — not index — order). The observer exists for live
+/// progress reporting; it must not influence results. Pass `|_| {}` for
+/// none.
+///
 /// # Panics
 ///
 /// Propagates the first panic raised by `f`. A panicking job aborts the
 /// pool promptly: the other workers stop at their next job boundary
 /// instead of draining the remaining indices, so a failure in run 2 of a
 /// 500-run sweep does not surface minutes later.
-pub fn run_indexed<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed_with(jobs, n, f, |_| {})
-}
-
-/// [`run_indexed`] with a completion observer: `on_done(i)` runs after job
-/// `i` finishes (on the worker thread that ran it, in completion — not
-/// index — order). The observer exists for live progress reporting; it must
-/// not influence results.
 pub fn run_indexed_with<T, F, O>(jobs: usize, n: usize, f: F, on_done: O) -> Vec<T>
 where
     T: Send,
@@ -162,7 +155,7 @@ pub type Task = Box<dyn FnOnce() + Send>;
 /// A long-lived service worker pool: `jobs` threads repeatedly ask a
 /// caller-supplied `fetch` closure for the next task and run it.
 ///
-/// Where [`run_indexed`] fans a *fixed batch* of independent jobs out and
+/// Where [`run_indexed_with`] fans a *fixed batch* of independent jobs out and
 /// joins, `TaskPool` serves an *open-ended stream* — the request scheduler of
 /// the `hdpat-sim serve` daemon feeds it submissions as clients produce
 /// them. Scheduling policy lives entirely in `fetch` (the pool imposes no
@@ -275,36 +268,38 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree() {
-        let serial = run_indexed(1, 100, |i| i as u64 * 3 + 1);
+        let serial = run_indexed_with(1, 100, |i| i as u64 * 3 + 1, |_| {});
         for jobs in [2, 4, 7] {
-            assert_eq!(serial, run_indexed(jobs, 100, |i| i as u64 * 3 + 1));
+            let parallel = run_indexed_with(jobs, 100, |i| i as u64 * 3 + 1, |_| {});
+            assert_eq!(serial, parallel);
         }
     }
 
     #[test]
     fn empty_and_single_inputs() {
-        let empty: Vec<u32> = run_indexed(4, 0, |_| 1);
+        let empty: Vec<u32> = run_indexed_with(4, 0, |_| 1, |_| {});
         assert!(empty.is_empty());
-        assert_eq!(run_indexed(4, 1, |i| i + 10), vec![10]);
+        assert_eq!(run_indexed_with(4, 1, |i| i + 10, |_| {}), vec![10]);
     }
 
     #[test]
     fn more_jobs_than_items() {
-        assert_eq!(run_indexed(16, 3, |i| i), vec![0, 1, 2]);
+        assert_eq!(run_indexed_with(16, 3, |i| i, |_| {}), vec![0, 1, 2]);
     }
 
     #[test]
     fn results_keep_input_order_under_skew() {
         // Early indices do the most work, so late indices finish first on a
         // multi-core host; order must still be by index.
-        let out = run_indexed(4, 32, |i| {
+        let skewed = |i: usize| {
             let spin = (32 - i) * 10_000;
             let mut acc = 0u64;
             for k in 0..spin {
                 acc = acc.wrapping_add(k as u64);
             }
             (i, acc)
-        });
+        };
+        let out = run_indexed_with(4, 32, skewed, |_| {});
         for (idx, (i, _)) in out.iter().enumerate() {
             assert_eq!(idx, *i);
         }
@@ -318,12 +313,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
-        let _ = run_indexed(2, 8, |i| {
+        let job = |i| {
             if i == 5 {
                 panic!("boom");
             }
             i
-        });
+        };
+        let _ = run_indexed_with(2, 8, job, |_| {});
     }
 
     #[test]
@@ -336,14 +332,15 @@ mod tests {
         let executed = AtomicUsize::new(0);
         let n = 256;
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_indexed(2, n, |i| {
+            let job = |i| {
                 if i == 0 {
                     panic!("early failure");
                 }
                 std::thread::sleep(std::time::Duration::from_millis(2));
                 executed.fetch_add(1, Ordering::Relaxed);
                 i
-            })
+            };
+            run_indexed_with(2, n, job, |_| {})
         }));
         let payload = result.expect_err("panic must propagate");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");

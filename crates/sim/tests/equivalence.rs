@@ -1,16 +1,17 @@
 //! Structural-equivalence proptests for the PR 4 hot-loop replacements
-//! (DESIGN.md §11): the calendar [`EventQueue`] must pop in exactly the order
-//! the original `BinaryHeap` implementation did, and [`HashIndex`] must be
-//! observationally identical to the `BTreeMap`s it replaced.
+//! (DESIGN.md §11): the calendar [`EventQueue`], delivering through
+//! [`EventQueue::drain_bucket`], must hand out exactly the `(time, seq)`
+//! stream of the original `BinaryHeap` implementation, and [`HashIndex`]
+//! must be observationally identical to the `BTreeMap`s it replaced.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use proptest::prelude::*;
-use wsg_sim::{EventQueue, HashIndex};
+use wsg_sim::{Cycle, EventQueue, HashIndex};
 
 /// Reference model: the pre-PR-4 `BinaryHeap` event queue. Entries are
-/// ordered by `(time, insertion seq)`; `now` is the last popped timestamp.
+/// ordered by `(time, insertion seq)`; `now` is the last delivered timestamp.
 struct HeapQueue {
     heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
     now: u64,
@@ -31,73 +32,111 @@ impl HeapQueue {
         self.seq += 1;
     }
 
-    fn pop(&mut self) -> Option<(u64, u64)> {
-        let Reverse((time, _, payload)) = self.heap.pop()?;
-        self.now = time;
-        Some((time, payload))
+    /// Pops every entry at the earliest pending time, in insertion order,
+    /// and moves `now` to that time: the model of one `drain_bucket`.
+    fn pop_earliest(&mut self) -> Vec<u64> {
+        let Some(&Reverse((t, _, _))) = self.heap.peek() else {
+            return Vec::new();
+        };
+        self.now = t;
+        let mut out = Vec::new();
+        while let Some(&Reverse((ht, _, p))) = self.heap.peek() {
+            if ht != t {
+                break;
+            }
+            self.heap.pop();
+            out.push(p);
+        }
+        out
     }
+}
 
-    fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
+/// One delivery on both sides: drains a bucket of `cal` into `batch` —
+/// emptied first (the buffer-swap path), or left holding a stale head when
+/// `stale` (the append path) — and checks it against one
+/// [`HeapQueue::pop_earliest`]. Returns the delivered payloads (empty once
+/// both queues are exhausted).
+fn drain_both(
+    cal: &mut EventQueue<u64>,
+    heap: &mut HeapQueue,
+    batch: &mut Vec<u64>,
+    stale: bool,
+) -> Vec<u64> {
+    batch.clear();
+    if stale {
+        batch.push(u64::MAX);
     }
+    let start = batch.len();
+    let n = cal.drain_bucket(batch);
+    let expect = heap.pop_earliest();
+    assert_eq!(batch.len(), start + n);
+    assert_eq!(&batch[start..], expect.as_slice());
+    if stale {
+        assert_eq!(batch[0], u64::MAX, "the append path overwrote the head");
+    }
+    assert_eq!(cal.now(), heap.now);
+    assert!(
+        heap.heap
+            .peek()
+            .is_none_or(|Reverse((t, _, _))| *t != heap.now),
+        "drain_bucket left same-time events behind"
+    );
+    expect
+}
+
+/// Drains both queues to the end, checking every batch.
+fn drain_rest(cal: &mut EventQueue<u64>, heap: &mut HeapQueue) {
+    let mut batch = Vec::new();
+    while !drain_both(cal, heap, &mut batch, false).is_empty() {}
+    assert!(cal.is_empty() && heap.heap.is_empty());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Identical push sequences produce identical pop sequences, interleaved
-    /// pops included. Deltas span the calendar ring horizon on both sides, so
-    /// ring buckets, wrap-around, and the far-future overflow heap are all
-    /// exercised against the heap model.
+    /// Identical push sequences produce identical batch sequences,
+    /// interleaved drains included. Deltas span the calendar ring horizon on
+    /// both sides, so ring buckets, wrap-around, and the far-future overflow
+    /// heap are all exercised against the heap model.
     #[test]
     fn calendar_queue_matches_binary_heap(
         ops in proptest::collection::vec((0u64..4, 0u64..10_000), 1..600)
     ) {
         let mut cal: EventQueue<u64> = EventQueue::new();
         let mut heap = HeapQueue::new();
+        let mut batch = Vec::new();
         for (id, &(kind, delta)) in ops.iter().enumerate() {
-            match kind {
+            let at = match kind {
                 // Near-future push: lands in the ring (delta < horizon).
-                0 => {
-                    cal.push(cal.now() + delta % 64, id as u64);
-                    heap.push(heap.now + delta % 64, id as u64);
-                }
-                1 => {
-                    cal.push(cal.now() + delta, id as u64);
-                    heap.push(heap.now + delta, id as u64);
-                }
+                0 => Some(delta % 64),
+                1 => Some(delta),
                 // Far-future push: forces the overflow path and later
                 // migration back into the ring.
-                2 => {
-                    cal.push(cal.now() + delta * 50, id as u64);
-                    heap.push(heap.now + delta * 50, id as u64);
+                2 => Some(delta * 50),
+                _ => None,
+            };
+            match at {
+                Some(dt) => {
+                    cal.push(cal.now() + dt, id as u64);
+                    heap.push(heap.now + dt, id as u64);
                 }
-                _ => {
-                    prop_assert_eq!(cal.pop(), heap.pop());
+                None => {
+                    drain_both(&mut cal, &mut heap, &mut batch, false);
                 }
             }
-            prop_assert_eq!(cal.peek_time(), heap.peek_time());
             prop_assert_eq!(cal.len(), heap.heap.len());
             prop_assert_eq!(cal.now(), heap.now);
         }
-        // Drain both completely; order must stay identical to the end.
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        drain_rest(&mut cal, &mut heap);
     }
 
-    /// Batch drains match the heap model too, under any mix with single
-    /// pops: drains into an empty batch (the buffer-swap path) and into a
-    /// non-empty one (the append path), drains of a bucket that `pop` has
-    /// started on, pushes at `now` after a partial pop, and one burst of
-    /// 1,600 same-cycle events (the engine's t=0 kick is 1,536).
+    /// Drains into an empty batch (the buffer-swap path) and into one still
+    /// holding a stale head (the append path), pushes at `now` right after a
+    /// drain, and one burst of 1,600 same-cycle events all match the heap
+    /// model.
     #[test]
-    fn calendar_queue_mixed_pop_and_drain_matches_binary_heap(
-        ops in proptest::collection::vec((0u64..7, 0u64..3_000), 1..400),
+    fn calendar_queue_batches_match_binary_heap(
+        ops in proptest::collection::vec((0u64..6, 0u64..3_000), 1..400),
         burst_at in 0usize..400,
     ) {
         let mut cal: EventQueue<u64> = EventQueue::new();
@@ -119,62 +158,74 @@ proptest! {
                 heap.push(t, id);
                 id += 1;
             }
-            match kind {
-                0..=2 => {}
-                3 => {
-                    prop_assert_eq!(cal.pop(), heap.pop());
-                }
-                _ => {
-                    // Kinds 4 and 5 drain into an empty batch, kind 6 into
-                    // one still holding a stale sentinel.
-                    batch.clear();
-                    if kind == 6 {
-                        batch.push(u64::MAX);
-                    }
-                    let start = batch.len();
-                    let n = cal.drain_bucket(&mut batch);
-                    prop_assert_eq!(batch.len(), start + n);
-                    for &got in &batch[start..] {
-                        prop_assert_eq!(heap.pop(), Some((cal.now(), got)));
-                    }
-                    prop_assert!(heap.peek_time() != Some(cal.now()),
-                        "drain_bucket left same-time events behind");
-                    if kind == 6 {
-                        prop_assert_eq!(batch[0], u64::MAX);
-                    }
-                }
+            if kind >= 3 {
+                // Kinds 3 and 4 drain into an empty batch, kind 5 into one
+                // still holding a stale head.
+                drain_both(&mut cal, &mut heap, &mut batch, kind == 5);
             }
-            prop_assert_eq!(cal.peek_time(), heap.peek_time());
             prop_assert_eq!(cal.len(), heap.heap.len());
             prop_assert_eq!(cal.now(), heap.now);
         }
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(cal.total_pushed(), cal.total_popped());
+        drain_rest(&mut cal, &mut heap);
+        prop_assert_eq!(cal.drain_check(), (id, id));
     }
 
-    /// Same-cycle events pop in insertion order even when the insertions are
-    /// split across ring residence and overflow migration.
+    /// The engine's shape: a 1,536-event kick (one event per CU), then every
+    /// delivered event spawns payload-keyed follow-ups, some at the current
+    /// cycle, while the consumer alternates between swap and append drains.
+    #[test]
+    fn calendar_queue_engine_shaped_run_matches_binary_heap(
+        modes in proptest::collection::vec(0u8..2, 1..64),
+        kick in 0u64..3,
+    ) {
+        let spawn = |t: Cycle, p: u64| -> Vec<(Cycle, u64)> {
+            if p >= 6_000 {
+                return Vec::new();
+            }
+            let h = p.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 7;
+            let mut out = vec![(t + h % 300, p * 2 + 1)];
+            if h.is_multiple_of(3) {
+                out.push((t, p * 2 + 2));
+            }
+            out
+        };
+        let mut cal: EventQueue<u64> = EventQueue::new();
+        let mut heap = HeapQueue::new();
+        for p in 0..1_536u64 {
+            cal.push(kick, p);
+            heap.push(kick, p);
+        }
+        let mut batch = Vec::new();
+        for step in 0.. {
+            let stale = modes[step % modes.len()] == 1;
+            let delivered = drain_both(&mut cal, &mut heap, &mut batch, stale);
+            if delivered.is_empty() {
+                break;
+            }
+            let t = cal.now();
+            for p in delivered {
+                for (ct, c) in spawn(t, p) {
+                    cal.push(ct, c);
+                    heap.push(ct, c);
+                }
+            }
+        }
+        prop_assert_eq!(cal.drain_check(), (heap.seq, heap.seq));
+    }
+
+    /// Same-cycle events are delivered in insertion order even when the
+    /// insertions are split across ring residence and overflow migration.
     #[test]
     fn calendar_queue_preserves_fifo_ties(
         times in proptest::collection::vec(0u64..12_288, 1..300)
     ) {
-        let mut cal: EventQueue<usize> = EventQueue::new();
+        let mut cal: EventQueue<u64> = EventQueue::new();
         let mut heap = HeapQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            cal.push(t, i);
+            cal.push(t, i as u64);
             heap.push(t, i as u64);
         }
-        while let Some((t, i)) = cal.pop() {
-            let (ht, hi) = heap.pop().expect("heap drained early");
-            prop_assert_eq!((t, i as u64), (ht, hi));
-        }
-        prop_assert_eq!(heap.pop(), None);
+        drain_rest(&mut cal, &mut heap);
     }
 
     /// `HashIndex` behaves exactly like a `BTreeMap<u64, u64>` under any

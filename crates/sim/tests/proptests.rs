@@ -2,33 +2,9 @@
 
 use proptest::prelude::*;
 use wsg_sim::stats::{geo_mean, Histogram, LogHistogram, Summary, TimeSeries};
-use wsg_sim::{EventQueue, ServerPool};
+use wsg_sim::ServerPool;
 
 proptest! {
-    /// Events pop in nondecreasing time order regardless of push order, and
-    /// nothing is lost.
-    #[test]
-    fn event_queue_is_a_stable_priority_queue(times in proptest::collection::vec(0u64..10_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(t, i);
-        }
-        let mut popped = Vec::new();
-        let mut last = 0u64;
-        while let Some((t, i)) = q.pop() {
-            prop_assert!(t >= last, "time went backwards");
-            last = t;
-            popped.push((t, i));
-        }
-        prop_assert_eq!(popped.len(), times.len());
-        // Ties preserve insertion order.
-        for w in popped.windows(2) {
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "FIFO tie-break violated");
-            }
-        }
-    }
-
     /// A k-server pool never runs more than k jobs concurrently and never
     /// starts a job before its arrival.
     #[test]

@@ -98,6 +98,14 @@ impl BenchmarkId {
         ]
     }
 
+    /// Looks a benchmark up by its Table II abbreviation (ASCII
+    /// case-insensitive), e.g. `"SPMV"`.
+    pub fn from_abbr(abbr: &str) -> Option<BenchmarkId> {
+        Self::all()
+            .into_iter()
+            .find(|b| b.info().abbr.eq_ignore_ascii_case(abbr))
+    }
+
     /// Table II metadata.
     pub fn info(self) -> BenchmarkInfo {
         match self {
@@ -255,6 +263,28 @@ impl BenchmarkId {
     }
 }
 
+impl Scale {
+    /// Every scale, smallest first.
+    const ALL: [Scale; 3] = [Scale::Unit, Scale::Bench, Scale::Full];
+
+    /// The scale's token: `unit`, `bench` or `full`. One spelling serves the
+    /// command line, the daemon's wire protocol and run fingerprints.
+    pub fn token(self) -> &'static str {
+        match self {
+            Scale::Unit => "unit",
+            Scale::Bench => "bench",
+            Scale::Full => "full",
+        }
+    }
+
+    /// Looks a scale up by its [`Scale::token`] (ASCII case-insensitive).
+    pub fn from_token(token: &str) -> Option<Scale> {
+        Self::ALL
+            .into_iter()
+            .find(|s| s.token().eq_ignore_ascii_case(token))
+    }
+}
+
 impl fmt::Display for BenchmarkId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.info().abbr)
@@ -320,6 +350,22 @@ mod tests {
         let mt = BenchmarkId::Mt.config(Scale::Bench).footprint_bytes;
         let pr = BenchmarkId::Pr.config(Scale::Bench).footprint_bytes;
         assert!(mt > 4 * pr, "MT must stay much larger than PR");
+    }
+
+    #[test]
+    fn tokens_round_trip() {
+        for id in BenchmarkId::all() {
+            assert_eq!(BenchmarkId::from_abbr(id.info().abbr), Some(id));
+        }
+        assert_eq!(BenchmarkId::from_abbr("spmv"), Some(BenchmarkId::Spmv));
+        assert_eq!(BenchmarkId::from_abbr("NOPE"), None);
+        let tokens: Vec<_> = Scale::ALL.iter().map(|s| s.token()).collect();
+        assert_eq!(tokens, ["unit", "bench", "full"]);
+        for scale in Scale::ALL {
+            assert_eq!(Scale::from_token(scale.token()), Some(scale));
+        }
+        assert_eq!(Scale::from_token("BENCH"), Some(Scale::Bench));
+        assert_eq!(Scale::from_token("huge"), None);
     }
 
     #[test]

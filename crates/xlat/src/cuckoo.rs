@@ -181,12 +181,6 @@ impl CuckooFilter {
     pub fn load(&self) -> f64 {
         self.len as f64 / self.capacity() as f64
     }
-
-    /// Cumulative number of displacement kicks performed (an indicator of
-    /// pressure).
-    pub fn total_kicks(&self) -> u64 {
-        self.kicks
-    }
 }
 
 #[cfg(test)]

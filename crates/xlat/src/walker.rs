@@ -163,17 +163,8 @@ impl<T> WalkerPool<T> {
 
     /// Removes every queued request matching `pred` — the PW-queue revisit:
     /// when a walker resolves VPN N it also completes all identical pending
-    /// requests without extra walks. Returns the removed requests in FIFO
-    /// order.
-    pub fn drain_matching(&mut self, pred: impl FnMut(&T) -> bool) -> Vec<T> {
-        let mut drained = Vec::new();
-        self.drain_matching_into(pred, &mut drained);
-        drained
-    }
-
-    /// [`WalkerPool::drain_matching`] into a caller-owned buffer: appends
-    /// the removed requests to `out` in FIFO order and returns the count.
-    /// Survivors shuffle through the pool's pre-sized `kept` ring, so the
+    /// requests without extra walks. Appends the removed requests to `out`
+    /// in FIFO order and returns the count. Survivors shuffle through the pool's pre-sized `kept` ring, so the
     /// revisit allocates nothing once `out` has warmed up.
     pub fn drain_matching_into(
         &mut self,
@@ -298,8 +289,9 @@ mod tests {
         for i in 1..=5 {
             p.submit((i, if i % 2 == 0 { 100 } else { 200 }));
         }
-        let same = p.drain_matching(|&(_, vpn)| vpn == 100);
-        assert_eq!(same.len(), 2);
+        let mut same = Vec::new();
+        assert_eq!(p.drain_matching_into(|&(_, vpn)| vpn == 100, &mut same), 2);
+        assert_eq!(same, vec![(2, 100), (4, 100)]);
         assert_eq!(p.queue_len(), 3);
         assert_eq!(p.coalesced(), 2);
         // FIFO order preserved for survivors.

@@ -12,13 +12,10 @@ use hdpat_wafer::prelude::*;
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "SPMV".into());
-    let benchmark = BenchmarkId::all()
-        .into_iter()
-        .find(|b| b.info().abbr.eq_ignore_ascii_case(&arg))
-        .unwrap_or_else(|| {
-            eprintln!("unknown benchmark `{arg}`; expected a Table II abbreviation");
-            std::process::exit(2);
-        });
+    let benchmark = BenchmarkId::from_abbr(&arg).unwrap_or_else(|| {
+        eprintln!("unknown benchmark `{arg}`; expected a Table II abbreviation");
+        std::process::exit(2);
+    });
 
     println!("== {benchmark}: baseline translation behaviour ==\n");
     let m = run(&RunConfig::new(benchmark, Scale::Bench, PolicyKind::Naive));

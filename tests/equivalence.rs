@@ -1,14 +1,10 @@
 //! Behavioral equivalence of the engine's hot structures against simple
 //! reference models. The struct-of-arrays `Tlb`, `Mshr` and walker pool
-//! must act exactly like array-of-structs / FIFO models, and the calendar
-//! `EventQueue`'s batched delivery must match per-pop delivery and a
-//! `BinaryHeap` model, for arbitrary operation sequences.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! must act exactly like array-of-structs / FIFO models for arbitrary
+//! operation sequences. (The calendar `EventQueue` has its own equivalence
+//! suite against a `BinaryHeap` model, in `crates/sim/tests/equivalence.rs`.)
 
 use hdpat_wafer::mem::{Mshr, MshrOutcome};
-use hdpat_wafer::sim::{Cycle, EventQueue};
 use hdpat_wafer::xlat::{Pfn, SubmitResult, Tlb, TlbConfig, Vpn, WalkerPool};
 use proptest::prelude::*;
 
@@ -315,142 +311,5 @@ proptest! {
             prop_assert_eq!(pool.busy(), model.busy);
             prop_assert_eq!(pool.queue_len(), model.queue.len());
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batched delivery equivalence (DESIGN.md §16): a drain-based consumer of
-// the queue must observe exactly the per-pop event stream, for arbitrary
-// push/pop interleavings — the contract the batched engine dispatch loop
-// rests on.
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// [`EventQueue::drain_bucket`] delivers the same `(time, payload)`
-    /// stream as repeated [`EventQueue::pop`], including pushes interleaved
-    /// between batches (same-time re-pushes land in the *next* batch, where
-    /// their sequence numbers place them).
-    #[test]
-    fn event_queue_batch_drain_matches_per_pop(
-        ops in proptest::collection::vec((0u8..3, 0u64..6_000), 1..200),
-    ) {
-        let mut batched: EventQueue<u64> = EventQueue::new();
-        let mut per_pop: EventQueue<u64> = EventQueue::new();
-        let mut payload = 0u64;
-        let mut bucket = Vec::new();
-        for (kind, dt) in ops {
-            if kind < 2 {
-                // Push strictly in the future of the batched queue's clock;
-                // both queues share it (asserted below), so the push is
-                // legal on both sides.
-                let t = batched.now() + dt;
-                batched.push(t, payload);
-                per_pop.push(t, payload);
-                payload += 1;
-            } else {
-                bucket.clear();
-                let n = batched.drain_bucket(&mut bucket);
-                for expected in bucket.iter().take(n) {
-                    let (t, got) = per_pop.pop().expect("pop stream ended early");
-                    prop_assert_eq!(t, batched.now());
-                    prop_assert_eq!(&got, expected);
-                }
-                prop_assert_eq!(per_pop.peek_time() != Some(batched.now()), true,
-                    "drain_bucket left same-time events behind");
-            }
-            prop_assert_eq!(batched.now(), per_pop.now());
-            prop_assert_eq!(batched.len(), per_pop.len());
-        }
-        // Drain the remainder: the tails agree too.
-        loop {
-            bucket.clear();
-            let n = batched.drain_bucket(&mut bucket);
-            if n == 0 {
-                prop_assert_eq!(per_pop.pop(), None);
-                break;
-            }
-            for expected in bucket.iter().take(n) {
-                let (t, got) = per_pop.pop().expect("pop stream ended early");
-                prop_assert_eq!(t, batched.now());
-                prop_assert_eq!(&got, expected);
-            }
-        }
-    }
-
-    /// One queue delivering through any mix of [`EventQueue::pop`] and
-    /// [`EventQueue::drain_bucket`] — into an empty batch (buffer swap) or
-    /// a non-empty one (append) — still yields the `(time, seq)` stream of a
-    /// `BinaryHeap` model. Every delivery spawns payload-keyed follow-ups,
-    /// some at the current cycle, so pushes at `now` land after a partial
-    /// pop of the same bucket; the run opens with a 1,536-event burst, the
-    /// engine's CU kick.
-    #[test]
-    fn event_queue_mixed_delivery_matches_per_pop(
-        modes in proptest::collection::vec(0u8..3, 1..64),
-        kick in 0u64..3,
-    ) {
-        let spawn = |t: Cycle, p: u64| -> Vec<(Cycle, u64)> {
-            if p >= 6_000 {
-                return Vec::new();
-            }
-            let h = p.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 7;
-            let mut out = vec![(t + h % 300, p * 2 + 1)];
-            if h.is_multiple_of(3) {
-                out.push((t, p * 2 + 2));
-            }
-            out
-        };
-        // Reference model: a min-heap keyed `(time, insertion seq)`.
-        let mut heap = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut mixed: EventQueue<u64> = EventQueue::new();
-        for p in 0..1_536u64 {
-            mixed.push(kick, p);
-            heap.push(Reverse((kick, seq, p)));
-            seq += 1;
-        }
-        let mut expected = Vec::new();
-        while let Some(Reverse((t, _, p))) = heap.pop() {
-            expected.push((t, p));
-            for (ct, c) in spawn(t, p) {
-                heap.push(Reverse((ct, seq, c)));
-                seq += 1;
-            }
-        }
-        let mut got = Vec::new();
-        let mut batch = Vec::new();
-        for step in 0.. {
-            let delivered: Vec<u64> = match modes[step % modes.len()] {
-                0 => match mixed.pop() {
-                    Some((_, p)) => vec![p],
-                    None => break,
-                },
-                mode => {
-                    // Mode 2 drains behind a stale head: the append path.
-                    batch.clear();
-                    if mode == 2 {
-                        batch.push(u64::MAX);
-                    }
-                    let start = batch.len();
-                    if mixed.drain_bucket(&mut batch) == 0 {
-                        break;
-                    }
-                    prop_assert!(mixed.peek_time() != Some(mixed.now()),
-                        "drain_bucket left same-time events behind");
-                    batch[start..].to_vec()
-                }
-            };
-            let t = mixed.now();
-            for p in delivered {
-                got.push((t, p));
-                for (ct, c) in spawn(t, p) {
-                    mixed.push(ct, c);
-                }
-            }
-        }
-        prop_assert_eq!(&got, &expected);
-        prop_assert_eq!(mixed.drain_check(), (seq, seq));
     }
 }

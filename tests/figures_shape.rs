@@ -14,7 +14,7 @@ use wsg_workloads::{BenchmarkId, Scale};
 /// instead of once per test.
 fn ctx() -> &'static SweepCtx {
     static CTX: OnceLock<SweepCtx> = OnceLock::new();
-    CTX.get_or_init(SweepCtx::auto)
+    CTX.get_or_init(|| SweepCtx::new(wsg_sim::pool::default_jobs()))
 }
 
 fn parse_ratio(cell: &str) -> f64 {

@@ -59,7 +59,7 @@ fn run_lines() -> Vec<String> {
         })
         .collect();
     let cfgs: Vec<RunConfig> = points.iter().map(|(_, c)| c.clone()).collect();
-    let results = SweepCtx::auto().sweep(&cfgs);
+    let results = SweepCtx::new(wsg_sim::pool::default_jobs()).sweep(&cfgs);
     points
         .iter()
         .zip(results)
@@ -69,7 +69,7 @@ fn run_lines() -> Vec<String> {
 
 /// One `table <name> <hash>` line per `figure all --scale unit` table.
 fn table_lines() -> Vec<String> {
-    let ctx = SweepCtx::auto();
+    let ctx = SweepCtx::new(wsg_sim::pool::default_jobs());
     wsg_bench::figures::all(&ctx, Scale::Unit)
         .into_iter()
         .map(|(name, table)| format!("table {name} {}", fnv128_hex(&render(name, "", &table()))))

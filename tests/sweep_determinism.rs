@@ -1,33 +1,32 @@
 //! Jobs-invariance of the sweep runner: the same figure regenerated with one
-//! worker, four workers, and with the run cache disabled must be
-//! byte-identical in every rendering, and the underlying metrics must agree
-//! down to the last byte of their deterministic serialization. This is the
-//! contract that makes `--jobs` a pure wall-clock knob (DESIGN.md §9).
+//! worker and with four must be byte-identical in every rendering, and every
+//! point a sweep returns — simulated or answered from the run cache — must
+//! agree with a plain [`run`] of its config down to the last byte of the
+//! deterministic serialization. This is the contract that makes `--jobs` and
+//! the run cache pure wall-clock knobs (DESIGN.md §9).
 
-use hdpat::experiments::{RunConfig, SweepCtx};
+use hdpat::experiments::{run, RunConfig, SweepCtx};
 use hdpat::policy::PolicyKind;
 use wsg_bench::figures;
 use wsg_workloads::{BenchmarkId, Scale};
 
-/// The three configurations that must be indistinguishable from the output:
-/// today's serial behavior, a parallel cached sweep, and a parallel sweep
-/// with deduplication disabled.
-fn contexts() -> [(&'static str, SweepCtx); 3] {
-    [
-        ("jobs=1 cached", SweepCtx::serial()),
-        ("jobs=4 cached", SweepCtx::new(4)),
-        ("jobs=4 uncached", SweepCtx::without_cache(4)),
-    ]
+/// The configurations that must be indistinguishable from the output:
+/// today's serial behavior and a parallel sweep.
+fn contexts() -> [(&'static str, SweepCtx); 2] {
+    [("jobs=1", SweepCtx::new(1)), ("jobs=4", SweepCtx::new(4))]
 }
 
 #[test]
 fn fig14_is_byte_identical_across_jobs_and_caching() {
-    let tables: Vec<(&str, _)> = contexts()
+    let runs: Vec<(&str, SweepCtx, _)> = contexts()
         .into_iter()
-        .map(|(name, ctx)| (name, figures::fig14_overall(&ctx, Scale::Unit)))
+        .map(|(name, ctx)| {
+            let table = figures::fig14_overall(&ctx, Scale::Unit);
+            (name, ctx, table)
+        })
         .collect();
-    let (ref_name, ref_table) = &tables[0];
-    for (name, table) in &tables[1..] {
+    let (ref_name, _, ref_table) = &runs[0];
+    for (name, _, table) in &runs[1..] {
         assert_eq!(
             ref_table.to_text(),
             table.to_text(),
@@ -44,12 +43,35 @@ fn fig14_is_byte_identical_across_jobs_and_caching() {
             "fig14 Markdown differs: {ref_name} vs {name}"
         );
     }
+
+    // Every fig14 point, answered from the parallel context's cache, equals
+    // a fresh serial simulation of the same config. The context executes
+    // nothing new, which proves these are exactly the figure's points.
+    let (_, ctx, _) = &runs[1];
+    let executed = ctx.cache_stats().1;
+    for b in BenchmarkId::all() {
+        for policy in [
+            PolicyKind::Naive,
+            PolicyKind::TransFw,
+            PolicyKind::Valkyrie,
+            PolicyKind::Barre,
+            PolicyKind::hdpat(),
+        ] {
+            let cfg = RunConfig::new(b, Scale::Unit, policy);
+            assert_eq!(
+                ctx.run(&cfg).to_deterministic_string(),
+                run(&cfg).to_deterministic_string(),
+                "fig14 point {b} {policy:?} differs from a plain run"
+            );
+        }
+    }
+    assert_eq!(ctx.cache_stats().1, executed, "a point fig14 never swept");
 }
 
 #[test]
 fn sweep_metrics_are_byte_identical_across_jobs_and_caching() {
-    // Duplicates included on purpose: the cached contexts dedup them, the
-    // uncached one re-simulates, and none of that may show in the results.
+    // Duplicates included on purpose: the sweep dedups them, and that must
+    // not show in the results.
     let points: Vec<RunConfig> = [
         BenchmarkId::Spmv,
         BenchmarkId::Fir,
@@ -65,22 +87,19 @@ fn sweep_metrics_are_byte_identical_across_jobs_and_caching() {
     })
     .collect();
 
-    let renderings: Vec<(&str, Vec<String>)> = contexts()
-        .into_iter()
-        .map(|(name, ctx)| {
-            let bytes = ctx
-                .sweep(&points)
-                .iter()
-                .map(|m| m.to_deterministic_string())
-                .collect();
-            (name, bytes)
-        })
+    let reference: Vec<String> = points
+        .iter()
+        .map(|cfg| run(cfg).to_deterministic_string())
         .collect();
-    let (ref_name, ref_bytes) = &renderings[0];
-    for (name, bytes) in &renderings[1..] {
+    for (name, ctx) in contexts() {
+        let bytes: Vec<String> = ctx
+            .sweep(&points)
+            .iter()
+            .map(|m| m.to_deterministic_string())
+            .collect();
         assert_eq!(
-            ref_bytes, bytes,
-            "sweep metrics differ: {ref_name} vs {name}"
+            reference, bytes,
+            "sweep metrics differ from plain runs: {name}"
         );
     }
 }
