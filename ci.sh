@@ -171,17 +171,19 @@ cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 echo "== perf-trajectory gate (fig14 vs pre-PR-4 golden, median of 3, -10% events/s floor)"
 for i in 1 2 3; do
-  ./target/release/hdpat-sim figure fig14 --scale bench \
+  ./target/release/hdpat-sim figure fig14 --scale bench --jobs 1 \
       --perf-out "target/ci/BENCH_PR9_serial_${i}.json" > "target/ci/fig14_${i}.txt"
   cmp tests/golden/fig14_bench.txt "target/ci/fig14_${i}.txt"
   grep -q '"schema": 2' "target/ci/BENCH_PR9_serial_${i}.json"
+  grep -q '"jobs": 1,' "target/ci/BENCH_PR9_serial_${i}.json"
 done
 cat target/ci/BENCH_PR9_serial_2.json
-# Regression gate: the median serial events/s of three fresh runs must stay
-# within 10% of the committed trajectory point (BENCH_PR9.json `serial`
-# block). One sample is not evidence — two back-to-back runs on one host
-# have differed by 17% — so the gate compares the median, which a single
-# slow run cannot drag under the floor.
+# Regression gate: the median serial (`--jobs 1`, one sweep worker)
+# events/s of three fresh runs must stay within 10% of the committed
+# trajectory point (BENCH_PR9.json `serial` block). One sample is not
+# evidence — two back-to-back runs on one host have differed by 17% — so
+# the gate compares the median, which a single slow run cannot drag under
+# the floor.
 fresh="$(for i in 1 2 3; do
   sed -n 's/.*"events_per_sec": \([0-9]*\).*/\1/p' "target/ci/BENCH_PR9_serial_${i}.json"
 done | sort -n | sed -n 2p)"

@@ -54,6 +54,77 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// A flag a command accepts, and whether a value follows it.
+type FlagSpec = (&'static str, bool);
+
+/// The flags `main` reads for every command.
+const COMMON_FLAGS: &[FlagSpec] = &[
+    ("--scale", true),
+    ("--seed", true),
+    ("--jobs", true),
+    ("--progress", false),
+    ("--cache-dir", true),
+    ("--cache-budget", true),
+];
+
+/// The flags of `cmd` beside [`COMMON_FLAGS`]; `None` for an unknown
+/// command.
+fn command_flags(cmd: &str) -> Option<&'static [FlagSpec]> {
+    Some(match cmd {
+        "list" | "run" | "compare" => &[],
+        "figure" => &[("--perf-out", true)],
+        "trace" => &[("--benchmark", true), ("--out", true), ("--policy", true)],
+        "timeline" => &[
+            ("--benchmark", true),
+            ("--policy", true),
+            ("--interval", true),
+            ("--out", true),
+            ("--format", true),
+        ],
+        "heatmap" => &[
+            ("--benchmark", true),
+            ("--policy", true),
+            ("--interval", true),
+            ("--out", true),
+        ],
+        "regen-experiments" | "regen-protocol" => &[("--check", false), ("--path", true)],
+        "serve" => &[
+            ("--socket", true),
+            ("--stdio", false),
+            ("--ops-log", true),
+            ("--metrics-out", true),
+            ("--metrics-interval", true),
+        ],
+        "replay" => &[
+            ("--socket", true),
+            ("--shutdown", false),
+            ("--out", true),
+            ("--stats-out", true),
+        ],
+        "emit-mix" => &[("--out", true)],
+        _ => return None,
+    })
+}
+
+/// Exits through [`usage`] unless `cmd` is known, every `--flag` in `args`
+/// is one it accepts, and each value-taking flag is followed by a value.
+fn check_flags(cmd: &str, args: &[String]) {
+    let Some(own) = command_flags(cmd) else {
+        usage()
+    };
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        match COMMON_FLAGS.iter().chain(own).find(|(name, _)| name == arg) {
+            Some((_, true)) if rest.next().is_none() => usage(),
+            Some(_) => {}
+            None => usage(),
+        }
+    }
+}
+
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
@@ -63,6 +134,7 @@ fn flag(args: &[String], name: &str) -> Option<String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
+    check_flags(cmd, &args[1..]);
     let scale = flag(&args, "--scale")
         .map(|s| Scale::from_token(&s).unwrap_or_else(|| usage()))
         .unwrap_or(Scale::Bench);
@@ -507,39 +579,55 @@ fn cmd_figure(ctx: &SweepCtx, name: &str, scale: Scale, perf_out: Option<&str>) 
 }
 
 fn cmd_regen_experiments(ctx: &SweepCtx, scale: Scale, path: &str, check: bool) {
+    regen_doc("regen-experiments", "measured tables", path, check, |doc| {
+        let fresh = regen::apply(doc, &regen::blocks(ctx, scale))?;
+        eprintln!("{}", sweep_summary(ctx));
+        Ok(fresh)
+    });
+}
+
+/// The drift-gate tail of `regen-experiments` and `regen-protocol`: reads
+/// the document at `path`, regenerates it with `regenerate`, then either
+/// checks it (`check`: exit 1 when stale) or rewrites it. `what` names the
+/// generated parts in the messages.
+fn regen_doc(
+    cmd: &str,
+    what: &str,
+    path: &str,
+    check: bool,
+    regenerate: impl FnOnce(&str) -> Result<String, String>,
+) {
     let doc = match std::fs::read_to_string(path) {
         Ok(doc) => doc,
         Err(e) => {
-            eprintln!("regen-experiments: cannot read {path}: {e}");
+            eprintln!("{cmd}: cannot read {path}: {e}");
             std::process::exit(2);
         }
     };
-    let blocks = regen::blocks(ctx, scale);
-    let fresh = match regen::apply(&doc, &blocks) {
+    let fresh = match regenerate(&doc) {
         Ok(fresh) => fresh,
         Err(e) => {
-            eprintln!("regen-experiments: {path}: {e}");
+            eprintln!("{cmd}: {path}: {e}");
             std::process::exit(2);
         }
     };
-    eprintln!("{}", sweep_summary(ctx));
     if check {
         if fresh == doc {
-            println!("regen-experiments --check: {path} is up to date");
+            println!("{cmd} --check: {path} is up to date");
         } else {
             eprintln!(
-                "regen-experiments --check: measured tables in {path} are stale; \
-                 run `hdpat-sim regen-experiments` and commit the result"
+                "{cmd} --check: {what} in {path} are stale; \
+                 run `hdpat-sim {cmd}` and commit the result"
             );
             std::process::exit(1);
         }
     } else if fresh == doc {
-        println!("regen-experiments: {path} already up to date");
+        println!("{cmd}: {path} already up to date");
     } else if let Err(e) = std::fs::write(path, &fresh) {
-        eprintln!("regen-experiments: cannot write {path}: {e}");
+        eprintln!("{cmd}: cannot write {path}: {e}");
         std::process::exit(2);
     } else {
-        println!("regen-experiments: rewrote measured tables in {path}");
+        println!("{cmd}: rewrote {what} in {path}");
     }
 }
 
@@ -685,37 +773,11 @@ fn cmd_emit_mix(name: &str, scale: Scale, seed: u64, out: Option<&str>) {
 /// documented lines can never drift from what the daemon emits. `--check`
 /// is the CI drift gate.
 fn cmd_regen_protocol(path: &str, check: bool) {
-    let doc = match std::fs::read_to_string(path) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("regen-protocol: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let body = hdpat::serve::proto::protocol_examples();
-    let fresh = match regen::splice(&doc, "protocol-examples", &body) {
-        Ok(fresh) => fresh,
-        Err(e) => {
-            eprintln!("regen-protocol: {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    if check {
-        if fresh == doc {
-            println!("regen-protocol --check: {path} is up to date");
-        } else {
-            eprintln!(
-                "regen-protocol --check: protocol examples in {path} are stale; \
-                 run `hdpat-sim regen-protocol` and commit the result"
-            );
-            std::process::exit(1);
-        }
-    } else if fresh == doc {
-        println!("regen-protocol: {path} already up to date");
-    } else if let Err(e) = std::fs::write(path, &fresh) {
-        eprintln!("regen-protocol: cannot write {path}: {e}");
-        std::process::exit(2);
-    } else {
-        println!("regen-protocol: rewrote protocol examples in {path}");
-    }
+    regen_doc("regen-protocol", "protocol examples", path, check, |doc| {
+        regen::splice(
+            doc,
+            "protocol-examples",
+            &hdpat::serve::proto::protocol_examples(),
+        )
+    });
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the serving CLI surface, driving the real
 //! `hdpat-sim` binary in separate processes: cross-process persistence of
-//! the run cache, the stdio daemon, the replay harness, and the PROTOCOL.md
-//! drift gate.
+//! the run cache, the stdio daemon, the replay harness, the PROTOCOL.md
+//! drift gate, and the rejection of flags a command does not take.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -161,4 +161,21 @@ fn protocol_doc_examples_are_current() {
     let out = run(&["regen-protocol", "--check", "--path", path]);
     let msg = String::from_utf8_lossy(&out.stdout);
     assert!(msg.contains("up to date"), "{msg}");
+}
+
+/// A flag the command does not declare, including the removed `--no-cache`,
+/// and a value-taking flag with no value, print the usage text and exit 2
+/// instead of being ignored.
+#[test]
+fn unknown_and_value_less_flags_exit_2() {
+    for extra in [&["--bogus-flag"][..], &["--no-cache"], &["--jobs"]] {
+        let mut args = vec!["figure", "tab1", "--scale", "unit"];
+        args.extend(extra);
+        let out = Command::new(BIN).args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "hdpat-sim {args:?}");
+        assert!(out.stdout.is_empty(), "hdpat-sim {args:?} printed a table");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("usage:"), "hdpat-sim {args:?}: {err}");
+    }
+    run(&["figure", "tab1", "--scale", "unit"]);
 }

@@ -4,11 +4,11 @@
 //! tests), send newline-delimited JSON requests ([`super::proto`]), and
 //! receive newline-delimited responses. The daemon:
 //!
-//! * schedules submits onto a [`wsg_sim::pool::TaskPool`] of simulation
-//!   workers with **per-client fairness and priorities** — among the
-//!   head-of-queue jobs of all clients, the highest priority runs first,
-//!   ties going to the least-recently-scheduled client (so one chatty
-//!   client cannot starve the others), FIFO within a client;
+//! * schedules submits onto `jobs` simulation worker threads with
+//!   **per-client fairness and priorities** — among the head-of-queue jobs
+//!   of all clients, the highest priority runs first, ties going to the
+//!   least-recently-scheduled client (so one chatty client cannot starve
+//!   the others), FIFO within a client;
 //! * answers from the [`RunCache`] (memory, then the persistent
 //!   [`DiskCache`]) before simulating — the same store and probe order as
 //!   the CLI's sweeps — attributing every result to its source (`memory` /
@@ -28,15 +28,31 @@
 //! `cache-stats`, `error`) and `progress` events are written immediately,
 //! so they may overtake pending results; every line is written atomically
 //! (never interleaved mid-line).
+//!
+//! # One writer per connection
+//!
+//! Each connection has one writer thread. It owns the connection's `Write`
+//! and writes, then flushes, every line sent on the connection's channel,
+//! in send order. Replies, errors and progress events are sent when they
+//! are produced; `result` and `cancelled` lines are sent by the scheduler,
+//! under its lock, at the moment the reorder buffer releases them, so the
+//! channel's FIFO order is the release order. A send never blocks, and no
+//! thread but the writer touches the socket. An orderly EOF waits until the
+//! client's last line is released, then removes the client and joins its
+//! writer; an abrupt disconnect removes the client at once, dropping its
+//! queued jobs, and a job of its that was already running finishes into the
+//! caches with no line written.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{BufRead, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
-use wsg_sim::pool::{Task, TaskPool};
+use wsg_sim::pool::spawn_detached;
 
 use super::json::Json;
 use super::proto::{self, codes, Request, Source, Submit};
@@ -88,11 +104,6 @@ pub struct DaemonConfig {
     pub metrics_interval: Option<u64>,
 }
 
-/// A writer shared between the connection thread (control responses,
-/// progress events) and the pool workers (ordered result flushes). The
-/// mutex makes every line write atomic.
-type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
-
 /// One queued submit.
 struct Job {
     /// Position in the client's submission order; the slot its response
@@ -109,7 +120,9 @@ struct Job {
 
 /// Per-connection state.
 struct Client {
-    writer: SharedWriter,
+    /// The connection's outgoing lines; its writer thread writes them in
+    /// send order.
+    tx: Sender<String>,
     /// Submits waiting for a worker, in submission order.
     queue: VecDeque<Job>,
     /// Scheduler tick at which this client last got a worker (fairness
@@ -117,35 +130,29 @@ struct Client {
     last_scheduled: u64,
     /// Next submission sequence number.
     next_seq: u64,
-    /// Next sequence number whose response may be written.
+    /// Next sequence number whose response may be sent.
     next_release: u64,
     /// Completed responses waiting for their turn (the reorder buffer).
     ready: BTreeMap<u64, String>,
-    /// In-order lines ready to write; drained by the single active flusher.
-    outbox: VecDeque<String>,
-    /// Whether some thread is currently draining `outbox` to the writer.
-    flushing: bool,
     /// Ids submitted but not yet answered (duplicate detection + cancel
     /// lookup).
     live: BTreeSet<String>,
-    /// The connection died abruptly (reader error, not an orderly EOF).
-    /// No response can ever be delivered again: queued jobs are dropped at
-    /// disconnect and the entry lingers only while `inflight > 0`, so
-    /// running jobs can account against it before it is reaped.
-    gone: bool,
-    /// Jobs picked by a pool worker and not yet finished.
-    inflight: u64,
 }
 
-/// Scheduler state under the daemon's one mutex.
+/// Scheduler state under the daemon's one mutex. Its methods are the
+/// scheduler's transitions: they touch no socket and start no thread, and
+/// the only I/O they do is a non-blocking send on a client's channel.
 struct SchedState {
+    /// Connected clients. A client is removed when its connection ends, at
+    /// once on an abrupt disconnect.
     clients: BTreeMap<u64, Client>,
     next_client: u64,
     /// Monotonic scheduling counter feeding `Client::last_scheduled`.
     tick: u64,
     /// Jobs currently executing on workers.
     running: u64,
-    /// Responses released since the daemon started (results + cancels).
+    /// Responses filed since the daemon started (results + cancels),
+    /// including those of clients that disconnected before their release.
     completed: u64,
     shutting_down: bool,
     /// Runs completed after the shutdown request — the `drained` count of
@@ -154,49 +161,154 @@ struct SchedState {
 }
 
 impl SchedState {
+    fn new() -> Self {
+        Self {
+            clients: BTreeMap::new(),
+            next_client: 0,
+            tick: 1,
+            running: 0,
+            completed: 0,
+            shutting_down: false,
+            drained_runs: 0,
+        }
+    }
+
+    /// Registers a connection whose lines go to `tx`; returns its id.
+    fn register(&mut self, tx: Sender<String>) -> u64 {
+        let cid = self.next_client;
+        self.next_client += 1;
+        self.clients.insert(
+            cid,
+            Client {
+                tx,
+                queue: VecDeque::new(),
+                last_scheduled: 0,
+                next_seq: 0,
+                next_release: 0,
+                ready: BTreeMap::new(),
+                live: BTreeSet::new(),
+            },
+        );
+        cid
+    }
+
+    /// The record of connected client `cid`. A connection's record exists
+    /// until its own thread removes it, so every request it handles finds
+    /// it.
+    fn client(&mut self, cid: u64) -> &mut Client {
+        match self.clients.get_mut(&cid) {
+            Some(c) => c,
+            None => unreachable!("client {cid} sent a request after its removal"),
+        }
+    }
+
     fn queued(&self) -> u64 {
         self.clients.values().map(|c| c.queue.len() as u64).sum()
     }
 
-    /// Picks the next job: highest priority among every client's queue
-    /// front, ties to the least-recently-scheduled client, then to the
-    /// lowest client id (BTreeMap order). FIFO within a client.
+    /// Whether nothing is queued or running.
+    fn idle(&self) -> bool {
+        self.queued() == 0 && self.running == 0
+    }
+
+    /// Sends `line` to client `cid` now, if it is still connected.
+    fn send(&self, cid: u64, line: String) {
+        if let Some(c) = self.clients.get(&cid) {
+            // Never blocks; a writer whose socket died discards the line.
+            let _ = c.tx.send(line);
+        }
+    }
+
+    /// Queues `submit` for client `cid`. Returns its sequence number, or
+    /// the error line that rejects it (the daemon is draining, or the id is
+    /// still in flight on this connection).
+    fn submit(&mut self, cid: u64, submit: Submit) -> Result<u64, String> {
+        if self.shutting_down {
+            return Err(proto::error_line(
+                Some(&submit.id),
+                codes::SHUTTING_DOWN,
+                "daemon is draining; resubmit to the next instance",
+            ));
+        }
+        let c = self.client(cid);
+        if !c.live.insert(submit.id.clone()) {
+            return Err(proto::error_line(
+                Some(&submit.id),
+                codes::DUPLICATE_ID,
+                &format!("id `{}` is still in flight on this connection", submit.id),
+            ));
+        }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "enqueue stamp for queue-wait latency; ops observability only, never reaches simulation state"
+        )]
+        let enqueued = Instant::now();
+        let seq = c.next_seq;
+        c.next_seq += 1;
+        c.queue.push_back(Job {
+            seq,
+            submit,
+            enqueued,
+            scheduled: None,
+        });
+        Ok(seq)
+    }
+
+    /// Cancels client `cid`'s queued submit `id`: its `cancelled` line
+    /// takes the submit's slot in the reorder buffer. Returns when the job
+    /// was enqueued, or the `not-found` error line.
+    fn cancel(&mut self, cid: u64, id: &str) -> Result<Instant, String> {
+        let c = self.client(cid);
+        let Some(pos) = c.queue.iter().position(|j| j.submit.id == id) else {
+            return Err(proto::error_line(
+                Some(id),
+                codes::NOT_FOUND,
+                &format!("id `{id}` is not queued here"),
+            ));
+        };
+        let job = match c.queue.remove(pos) {
+            Some(j) => j,
+            None => unreachable!("position() index out of queue range"),
+        };
+        self.finish(cid, job.seq, id, proto::cancelled_line(id));
+        Ok(job.enqueued)
+    }
+
+    /// Removes client `cid` and returns its queued jobs, which no worker
+    /// will run. A job of its still running finishes into the caches;
+    /// [`SchedState::finish`] then finds no client and sends nothing.
+    fn disconnect(&mut self, cid: u64) -> VecDeque<Job> {
+        self.clients
+            .remove(&cid)
+            .map(|c| c.queue)
+            .unwrap_or_default()
+    }
+
+    /// Picks the next job and counts it running: highest priority among
+    /// every client's queue front, ties to the least-recently-scheduled
+    /// client, then to the lowest client id (BTreeMap order). FIFO within a
+    /// client.
     fn pick(&mut self) -> Option<(u64, Job)> {
         let best = self
             .clients
             .iter()
             .filter_map(|(&cid, c)| {
-                // `abandon` clears a gone client's queue under this same
-                // lock, so the scheduler must never see one with work; the
-                // filter below is belt-and-braces for release builds.
-                debug_assert!(
-                    !c.gone || c.queue.is_empty(),
-                    "scheduler saw a disconnected client with queued jobs"
-                );
-                if c.gone {
-                    return None;
-                }
-                c.queue
-                    .front()
-                    .map(|job| {
-                        (
-                            job.submit.priority,
-                            std::cmp::Reverse(c.last_scheduled),
-                            std::cmp::Reverse(cid),
-                        )
-                    })
-                    .map(|rank| (rank, cid))
+                c.queue.front().map(|job| {
+                    let rank = (
+                        job.submit.priority,
+                        std::cmp::Reverse(c.last_scheduled),
+                        std::cmp::Reverse(cid),
+                    );
+                    (rank, cid)
+                })
             })
             .max()
             .map(|(_, cid)| cid)?;
         let tick = self.tick;
         self.tick += 1;
-        let client = match self.clients.get_mut(&best) {
-            Some(c) => c,
-            None => unreachable!("picked client vanished under the lock"),
-        };
+        self.running += 1;
+        let client = self.client(best);
         client.last_scheduled = tick;
-        client.inflight += 1;
         let mut job = match client.queue.pop_front() {
             Some(j) => j,
             None => unreachable!("picked client's queue emptied under the lock"),
@@ -210,66 +322,40 @@ impl SchedState {
         Some((best, job))
     }
 
+    /// A worker finished client `cid`'s job `seq` with response `line`.
+    fn complete(&mut self, cid: u64, seq: u64, id: &str, line: String) {
+        self.running -= 1;
+        if self.shutting_down {
+            self.drained_runs += 1;
+        }
+        self.finish(cid, seq, id, line);
+    }
+
     /// Files `line` as the response occupying `seq` of client `cid` and
-    /// moves every now-releasable response to the outbox. Returns whether
-    /// anything became flushable.
-    fn finish(&mut self, cid: u64, seq: u64, id: &str, line: String) -> bool {
+    /// sends every response the reorder buffer now releases, in submission
+    /// order. A client that disconnected is gone from the map: its line is
+    /// dropped, while the result itself is already in the caches.
+    fn finish(&mut self, cid: u64, seq: u64, id: &str, line: String) {
         self.completed += 1;
-        let Some(client) = self.clients.get_mut(&cid) else {
-            // The connection unregistered mid-run (reader thread died); the
-            // result is still in the caches, only the response is dropped.
-            return false;
+        let Some(c) = self.clients.get_mut(&cid) else {
+            return;
         };
-        client.live.remove(id);
-        if client.gone {
-            // Abrupt disconnect: the response has nowhere to go, and it
-            // must not sit in the reorder buffer forever (earlier seqs of
-            // a gone client will never release it). The result itself is
-            // already in the caches.
-            return false;
-        }
-        client.ready.insert(seq, line);
-        let mut moved = false;
-        while let Some(line) = client.ready.remove(&client.next_release) {
-            client.outbox.push_back(line);
-            client.next_release += 1;
-            moved = true;
-        }
-        moved
-    }
-
-    /// [`SchedState::finish`] for a pool-executed job: accounts the
-    /// in-flight slot taken in [`SchedState::pick`] and reaps the client if
-    /// the disconnect teardown was waiting on this job.
-    fn finish_run(&mut self, cid: u64, seq: u64, id: &str, line: String) -> bool {
-        if let Some(c) = self.clients.get_mut(&cid) {
-            debug_assert!(c.inflight > 0, "finish_run without a matching pick");
-            c.inflight = c.inflight.saturating_sub(1);
-        }
-        let moved = self.finish(cid, seq, id, line);
-        self.reap(cid);
-        moved
-    }
-
-    /// Removes a gone client once its last in-flight job has finished —
-    /// the deferred half of [`Shared::abandon`].
-    fn reap(&mut self, cid: u64) {
-        if self
-            .clients
-            .get(&cid)
-            .is_some_and(|c| c.gone && c.inflight == 0)
-        {
-            self.clients.remove(&cid);
+        c.live.remove(id);
+        c.ready.insert(seq, line);
+        while let Some(line) = c.ready.remove(&c.next_release) {
+            let _ = c.tx.send(line);
+            c.next_release += 1;
         }
     }
 }
 
-/// State shared between connection threads and pool workers.
+/// State shared between connection threads and simulation workers.
 struct Shared {
     state: Mutex<SchedState>,
     /// Wakes workers when jobs arrive or shutdown begins.
     work: Condvar,
-    /// Wakes drain waiters (EOF, shutdown) when responses complete/flush.
+    /// Wakes drain waiters (EOF, shutdown) when responses are released or
+    /// queued jobs vanish.
     drained: Condvar,
     /// The run store: memory in front of the optional disk cache.
     cache: RunCache,
@@ -277,7 +363,7 @@ struct Shared {
     ops: OpsRegistry,
     /// Structured JSONL ops log, when configured.
     ops_log: Option<OpsLog>,
-    /// Pool worker count (the `workers` gauge).
+    /// Simulation worker count (the `workers` gauge).
     workers: u64,
     /// Daemon start, for the uptime gauge.
     started: Instant,
@@ -295,9 +381,21 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     }
 }
 
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    match cv.wait(guard) {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
 impl Shared {
     fn is_shutting_down(&self) -> bool {
         lock(&self.state).shutting_down
+    }
+
+    /// Sends `line` to client `cid` now (replies, errors, progress events).
+    fn send(&self, cid: u64, line: String) {
+        lock(&self.state).send(cid, line);
     }
 
     /// Appends one ops-log event, when the log is configured.
@@ -412,62 +510,9 @@ impl Shared {
         let _ = std::fs::write(path, &text);
     }
 
-    /// Writes one line immediately (control responses, progress events).
-    fn write_now(writer: &SharedWriter, line: &str) {
-        let mut w = lock(writer);
-        // A failed write means the client is gone; its jobs still complete
-        // and populate the caches.
-        let _ = writeln!(w, "{line}");
-        let _ = w.flush();
-    }
-
-    fn writer_of(&self, cid: u64) -> Option<SharedWriter> {
-        lock(&self.state)
-            .clients
-            .get(&cid)
-            .map(|c| Arc::clone(&c.writer))
-    }
-
-    /// Drains `cid`'s outbox to its writer, preserving order. Only one
-    /// thread flushes a client at a time; concurrent completers hand their
-    /// lines to the active flusher via the outbox.
-    fn flush_client(&self, cid: u64) {
-        {
-            let mut st = lock(&self.state);
-            let Some(c) = st.clients.get_mut(&cid) else {
-                return;
-            };
-            if c.flushing {
-                return; // the active flusher will pick our lines up
-            }
-            c.flushing = true;
-        }
-        loop {
-            let (writer, batch) = {
-                let mut st = lock(&self.state);
-                let Some(c) = st.clients.get_mut(&cid) else {
-                    return;
-                };
-                if c.outbox.is_empty() {
-                    c.flushing = false;
-                    drop(st);
-                    // Drain waiters check "outbox empty and not flushing".
-                    self.drained.notify_all();
-                    return;
-                }
-                (Arc::clone(&c.writer), std::mem::take(&mut c.outbox))
-            };
-            let mut w = lock(&writer);
-            for line in batch {
-                let _ = writeln!(w, "{line}");
-            }
-            let _ = w.flush();
-        }
-    }
-
-    /// Executes one job on a pool worker: resolve from the caches or
-    /// simulate, then release the result through the reorder buffer.
-    fn execute(self: &Arc<Self>, cid: u64, job: Job) {
+    /// Executes one job on a worker: resolve from the caches or simulate,
+    /// then release the result through the reorder buffer.
+    fn execute(&self, cid: u64, job: Job) {
         let Job {
             seq,
             submit,
@@ -490,10 +535,9 @@ impl Shared {
         let outcome = match self.cache.lookup(&key) {
             Some(hit) => Ok(hit),
             None => {
-                let writer = submit.progress.then(|| self.writer_of(cid)).flatten();
                 let progress = |stage: &str| {
-                    if let Some(w) = &writer {
-                        Self::write_now(w, &proto::progress_line(&submit.id, stage));
+                    if submit.progress {
+                        self.send(cid, proto::progress_line(&submit.id, stage));
                     }
                 };
                 progress("started");
@@ -525,108 +569,47 @@ impl Shared {
             }
         };
         self.record_terminal("complete", tier, cid, &submit.id, enqueued, scheduled);
-        {
-            let mut st = lock(&self.state);
-            st.running -= 1;
-            if st.shutting_down {
-                st.drained_runs += 1;
-            }
-            st.finish_run(cid, seq, &submit.id, line);
-        }
+        lock(&self.state).complete(cid, seq, &submit.id, line);
         self.drained.notify_all();
-        self.flush_client(cid);
     }
 
-    /// The `TaskPool` fetch hook: blocks until a job is schedulable, or
-    /// returns `None` (retiring the worker) once the daemon is shutting
-    /// down and nothing is queued.
-    fn fetch(self: &Arc<Self>) -> Option<Task> {
+    /// A worker's next job: blocks until one is schedulable, or returns
+    /// `None` (retiring the worker) once the daemon is shutting down and
+    /// nothing is queued.
+    fn fetch(&self) -> Option<(u64, Job)> {
         let mut st = lock(&self.state);
         loop {
-            if let Some((cid, job)) = st.pick() {
-                st.running += 1;
-                let shared = Arc::clone(self);
-                return Some(Box::new(move || shared.execute(cid, job)));
+            if let Some(picked) = st.pick() {
+                return Some(picked);
             }
             if st.shutting_down {
                 return None;
             }
-            st = match self.work.wait(st) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            st = wait(&self.work, st);
         }
     }
 
-    fn register(&self, writer: Box<dyn Write + Send>) -> u64 {
-        let mut st = lock(&self.state);
-        let cid = st.next_client;
-        st.next_client += 1;
-        st.clients.insert(
-            cid,
-            Client {
-                writer: Arc::new(Mutex::new(writer)),
-                queue: VecDeque::new(),
-                last_scheduled: 0,
-                next_seq: 0,
-                next_release: 0,
-                ready: BTreeMap::new(),
-                outbox: VecDeque::new(),
-                flushing: false,
-                live: BTreeSet::new(),
-                gone: false,
-                inflight: 0,
-            },
-        );
-        cid
-    }
-
-    /// Blocks until every submit of `cid` has been answered and written.
+    /// Blocks until every submit of `cid` has been answered, or the client
+    /// is gone.
     fn drain_client(&self, cid: u64) {
         let mut st = lock(&self.state);
-        loop {
-            let Some(c) = st.clients.get(&cid) else {
-                return;
-            };
-            if c.next_release == c.next_seq && c.outbox.is_empty() && !c.flushing {
-                return;
-            }
-            st = match self.drained.wait(st) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+        while st
+            .clients
+            .get(&cid)
+            .is_some_and(|c| c.next_release != c.next_seq)
+        {
+            st = wait(&self.drained, st);
         }
     }
 
-    fn unregister(&self, cid: u64) {
-        lock(&self.state).clients.remove(&cid);
-    }
-
-    /// Tears down client `cid` after an abrupt connection error (the
-    /// counterpart of the orderly `drain_client` + `unregister` path).
-    /// Queued jobs are dropped before any worker wastes a slot on them,
-    /// buffered responses are discarded (the socket is dead), and the
-    /// entry itself is reaped — immediately if idle, otherwise by
-    /// [`SchedState::finish_run`] when the last in-flight job completes.
-    fn abandon(&self, cid: u64) {
-        let dropped = {
-            let mut st = lock(&self.state);
-            let Some(c) = st.clients.get_mut(&cid) else {
-                return;
-            };
-            c.gone = true;
-            let dropped = std::mem::take(&mut c.queue);
-            c.ready.clear();
-            c.outbox.clear();
-            c.live.clear();
-            st.reap(cid);
-            dropped
-        };
-        // A shutdown drain may be blocked on this client's queued jobs or
-        // unflushed outbox, both of which just vanished.
+    /// Removes client `cid`. Its queued jobs — there are some only after an
+    /// abrupt disconnect — are dropped and terminate in the `client-gone`
+    /// tier; in-flight ones still finish and count under their real source.
+    fn disconnect(&self, cid: u64) {
+        let dropped = lock(&self.state).disconnect(cid);
+        // A shutdown drain may be blocked on the queued jobs that just
+        // vanished.
         self.drained.notify_all();
-        // Dropped-at-disconnect jobs terminate in the client-gone tier
-        // (in-flight ones still finish and count under their real source).
         for job in dropped {
             self.record_terminal(
                 "client-gone",
@@ -644,92 +627,32 @@ impl Shared {
         let request = match Request::parse(line) {
             Ok(r) => r,
             Err(e) => {
-                if let Some(w) = self.writer_of(cid) {
-                    Self::write_now(&w, &e.to_line());
-                }
+                self.send(cid, e.to_line());
                 return Flow::Continue;
             }
         };
         match request {
             Request::Submit(submit) => self.handle_submit(cid, submit),
-            Request::Status => {
-                let line = proto::status_line(&self.gauge_sample());
-                if let Some(w) = self.writer_of(cid) {
-                    Self::write_now(&w, &line);
-                }
-                Flow::Continue
-            }
-            Request::CacheStats => {
-                let line = proto::cache_stats_line(&self.gauge_sample());
-                if let Some(w) = self.writer_of(cid) {
-                    Self::write_now(&w, &line);
-                }
-                Flow::Continue
-            }
+            Request::Status => self.send(cid, proto::status_line(&self.gauge_sample())),
+            Request::CacheStats => self.send(cid, proto::cache_stats_line(&self.gauge_sample())),
             Request::Metrics => {
-                let line = self.ops.snapshot_json(&self.gauge_sample()).to_line();
-                if let Some(w) = self.writer_of(cid) {
-                    Self::write_now(&w, &line);
-                }
-                Flow::Continue
+                self.send(cid, self.ops.snapshot_json(&self.gauge_sample()).to_line())
             }
-            Request::Cancel { id } => {
-                self.handle_cancel(cid, &id);
-                Flow::Continue
-            }
+            Request::Cancel { id } => self.handle_cancel(cid, &id),
             Request::Shutdown => {
                 self.handle_shutdown(cid);
-                Flow::Stop
+                return Flow::Stop;
             }
         }
+        Flow::Continue
     }
 
-    fn handle_submit(&self, cid: u64, submit: Submit) -> Flow {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "enqueue stamp for queue-wait latency; ops observability only, never reaches simulation state"
-        )]
-        let enqueued = Instant::now();
-        let accepted = {
-            let mut st = lock(&self.state);
-            if st.shutting_down {
-                Err(proto::error_line(
-                    Some(&submit.id),
-                    codes::SHUTTING_DOWN,
-                    "daemon is draining; resubmit to the next instance",
-                ))
-            } else {
-                let Some(c) = st.clients.get_mut(&cid) else {
-                    return Flow::Stop;
-                };
-                if c.live.contains(&submit.id) {
-                    Err(proto::error_line(
-                        Some(&submit.id),
-                        codes::DUPLICATE_ID,
-                        &format!("id `{}` is still in flight on this connection", submit.id),
-                    ))
-                } else {
-                    c.live.insert(submit.id.clone());
-                    let seq = c.next_seq;
-                    c.next_seq += 1;
-                    let id = submit.id.clone();
-                    c.queue.push_back(Job {
-                        seq,
-                        submit,
-                        enqueued,
-                        scheduled: None,
-                    });
-                    Ok((seq, id))
-                }
-            }
-        };
-        match accepted {
-            Err(line) => {
-                if let Some(w) = self.writer_of(cid) {
-                    Self::write_now(&w, &line);
-                }
-            }
-            Ok((seq, id)) => {
+    fn handle_submit(&self, cid: u64, submit: Submit) {
+        let id = submit.id.clone();
+        let queued = lock(&self.state).submit(cid, submit);
+        match queued {
+            Err(line) => self.send(cid, line),
+            Ok(seq) => {
                 self.ops.record_submit();
                 self.log_event(
                     "enqueue",
@@ -742,76 +665,36 @@ impl Shared {
                 self.work.notify_all();
             }
         }
-        Flow::Continue
     }
 
     fn handle_cancel(&self, cid: u64, id: &str) {
-        let outcome = {
-            let mut st = lock(&self.state);
-            let Some(c) = st.clients.get_mut(&cid) else {
-                return;
-            };
-            match c.queue.iter().position(|j| j.submit.id == id) {
-                Some(pos) => {
-                    let job = match c.queue.remove(pos) {
-                        Some(j) => j,
-                        None => unreachable!("position() index out of queue range"),
-                    };
-                    let enqueued = job.enqueued;
-                    st.finish(cid, job.seq, id, proto::cancelled_line(id));
-                    Ok(enqueued)
-                }
-                None => Err(proto::error_line(
-                    Some(id),
-                    codes::NOT_FOUND,
-                    &format!("id `{id}` is not queued here"),
-                )),
-            }
-        };
-        match outcome {
-            Err(line) => {
-                if let Some(w) = self.writer_of(cid) {
-                    Self::write_now(&w, &line);
-                }
-            }
+        let cancelled = lock(&self.state).cancel(cid, id);
+        match cancelled {
+            Err(line) => self.send(cid, line),
             Ok(enqueued) => {
                 self.record_terminal("cancel", Tier::Cancelled, cid, id, enqueued, None);
-                self.flush_client(cid);
+                // A shutdown drain may be blocked on the cancelled job.
+                self.drained.notify_all();
             }
         }
     }
 
     /// Shutdown: stop intake, wake the workers so they drain and retire,
-    /// wait until everything queued/running is answered *and written*, then
-    /// acknowledge.
+    /// wait until nothing is queued or running, then acknowledge. Every
+    /// result line of this client was sent before the ack, so the ack is
+    /// its last line.
     fn handle_shutdown(&self, cid: u64) {
-        {
-            let mut st = lock(&self.state);
-            st.shutting_down = true;
-        }
-        self.work.notify_all();
         let drained = {
             let mut st = lock(&self.state);
-            loop {
-                let busy = st.queued() > 0
-                    || st.running > 0
-                    || st
-                        .clients
-                        .get(&cid)
-                        .is_some_and(|c| c.flushing || !c.outbox.is_empty());
-                if !busy {
-                    break st.drained_runs;
-                }
-                st = match self.drained.wait(st) {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+            st.shutting_down = true;
+            self.work.notify_all();
+            while !st.idle() {
+                st = wait(&self.drained, st);
             }
+            st.drained_runs
         };
         self.log_event("shutdown", &[("drained", Json::U64(drained))]);
-        if let Some(w) = self.writer_of(cid) {
-            Self::write_now(&w, &proto::shutdown_ack_line(drained));
-        }
+        self.send(cid, proto::shutdown_ack_line(drained));
     }
 
     /// Answers one raw request line. Blank lines are not requests and get
@@ -832,22 +715,26 @@ impl Shared {
     }
 
     fn reply_error(&self, cid: u64, code: &str, message: &str) {
-        if let Some(w) = self.writer_of(cid) {
-            Self::write_now(&w, &proto::error_line(None, code, message));
-        }
+        self.send(cid, proto::error_line(None, code, message));
     }
 
-    /// Reads requests from `reader` until EOF, a `shutdown`, or (for
-    /// sockets with a read timeout) the daemon shutting down underneath an
-    /// idle connection; then waits for this client's results to drain and
-    /// unregisters it. Every non-blank line gets exactly one reply, and no
-    /// more than [`proto::MAX_LINE_BYTES`] of a line is ever buffered.
-    fn serve_connection<R: BufRead>(
-        self: &Arc<Self>,
-        mut reader: R,
-        writer: Box<dyn Write + Send>,
-    ) {
-        let cid = self.register(writer);
+    /// Reads requests from `reader` until EOF, a `shutdown`, an abrupt
+    /// error, or (for sockets with a read timeout) the daemon shutting down
+    /// underneath an idle connection; then waits for this client's results
+    /// to drain, removes it and joins its writer. Every non-blank line gets
+    /// exactly one reply, and no more than [`proto::MAX_LINE_BYTES`] of a
+    /// line is ever buffered.
+    fn serve_connection<R: BufRead>(&self, mut reader: R, mut writer: Box<dyn Write + Send>) {
+        let (tx, rx) = mpsc::channel::<String>();
+        let lines_out = spawn_detached("hdpat-serve-writer", move || {
+            for line in rx {
+                // A failed write means the client is gone; its jobs still
+                // complete and populate the caches.
+                let _ = writeln!(writer, "{line}");
+                let _ = writer.flush();
+            }
+        });
+        let cid = lock(&self.state).register(tx);
         let mut acc: Vec<u8> = Vec::new();
         // The current line outgrew the cap: it has been answered with
         // `line-too-long`, and its bytes are dropped up to its newline.
@@ -902,16 +789,20 @@ impl Shared {
                     }
                 }
                 Err(_) => {
-                    // Abrupt disconnect (reset, broken pipe, ...): unlike
-                    // the orderly EOF path below, nothing can be written
-                    // back, so don't wait for queued work — drop it.
-                    self.abandon(cid);
-                    return;
+                    // Abrupt disconnect (reset, broken pipe, ...): nothing
+                    // can be written back, so don't wait for queued work —
+                    // drop it now; `drain_client` below then finds no
+                    // client and returns at once.
+                    self.disconnect(cid);
+                    break;
                 }
             }
         }
         self.drain_client(cid);
-        self.unregister(cid);
+        // The connection's one sender goes with its record, so the writer
+        // ends once it has written every line.
+        self.disconnect(cid);
+        let _ = lines_out.join();
     }
 }
 
@@ -929,18 +820,20 @@ enum Flow {
 /// [`Daemon::join`].
 pub struct Daemon {
     shared: Arc<Shared>,
-    pool: Option<TaskPool>,
+    /// The simulation workers; each exits once a shutdown has drained the
+    /// queues.
+    workers: Vec<JoinHandle<()>>,
     /// Periodic metrics dump destination, re-written one final time at
     /// [`Daemon::join`] so the file always ends on post-drain totals.
     metrics_out: Option<PathBuf>,
     /// The periodic `--metrics-interval` dump thread, if configured.
-    dump: Option<std::thread::JoinHandle<()>>,
+    dump: Option<JoinHandle<()>>,
 }
 
 impl Daemon {
     /// Builds the daemon: opens the disk cache (when configured), opens the
-    /// ops log / metrics dump (when configured), and spawns the simulation
-    /// worker pool.
+    /// ops log / metrics dump (when configured), and starts the simulation
+    /// workers.
     pub fn new(config: DaemonConfig) -> std::io::Result<Self> {
         let cache = match &config.cache_dir {
             Some(dir) => RunCache::new().with_disk(DiskCache::open(dir, config.cache_budget)?),
@@ -956,15 +849,7 @@ impl Daemon {
             None => None,
         };
         let shared = Arc::new(Shared {
-            state: Mutex::new(SchedState {
-                clients: BTreeMap::new(),
-                next_client: 0,
-                tick: 1,
-                running: 0,
-                completed: 0,
-                shutting_down: false,
-                drained_runs: 0,
-            }),
+            state: Mutex::new(SchedState::new()),
             work: Condvar::new(),
             drained: Condvar::new(),
             cache,
@@ -990,13 +875,24 @@ impl Daemon {
                 ),
             ],
         );
-        let for_pool = Arc::clone(&shared);
-        let pool = TaskPool::new(jobs, move || for_pool.fetch());
+        let workers = (0..jobs)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                spawn_detached("hdpat-serve-worker", move || {
+                    while let Some((cid, job)) = shared.fetch() {
+                        // `execute` answers a panicking simulation itself;
+                        // this keeps the worker serving through any other
+                        // panic (the default hook has already printed it).
+                        let _ = catch_unwind(AssertUnwindSafe(|| shared.execute(cid, job)));
+                    }
+                })
+            })
+            .collect();
         let dump = match (&config.metrics_out, config.metrics_interval) {
             (Some(path), Some(secs)) => {
                 let path = path.clone();
                 let shared = Arc::clone(&shared);
-                Some(wsg_sim::pool::spawn_detached("hdpat-metrics-dump", {
+                Some(spawn_detached("hdpat-metrics-dump", {
                     move || {
                         let period = std::time::Duration::from_secs(secs.max(1));
                         'dump: loop {
@@ -1020,7 +916,7 @@ impl Daemon {
         };
         Ok(Self {
             shared,
-            pool: Some(pool),
+            workers,
             metrics_out: config.metrics_out.clone(),
             dump,
         })
@@ -1028,7 +924,7 @@ impl Daemon {
 
     /// Simulation worker count.
     pub fn jobs(&self) -> usize {
-        self.pool.as_ref().map_or(0, TaskPool::workers)
+        self.workers.len()
     }
 
     /// Whether a shutdown request has been accepted.
@@ -1067,12 +963,9 @@ impl Daemon {
                     stream.set_read_timeout(Some(std::time::Duration::from_millis(50)))?;
                     let reader = std::io::BufReader::new(stream.try_clone()?);
                     let shared = Arc::clone(&self.shared);
-                    handlers.push(wsg_sim::pool::spawn_detached(
-                        "hdpat-serve-conn",
-                        move || {
-                            shared.serve_connection(reader, Box::new(stream));
-                        },
-                    ));
+                    handlers.push(spawn_detached("hdpat-serve-conn", move || {
+                        shared.serve_connection(reader, Box::new(stream));
+                    }));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(std::time::Duration::from_millis(20));
@@ -1103,21 +996,18 @@ impl Daemon {
     }
 
     /// Retires the daemon: initiates shutdown (if no client did) and joins
-    /// the worker pool, so every in-flight run finishes first.
-    pub fn join(mut self) {
-        {
-            let mut st = lock(&self.shared.state);
-            st.shutting_down = true;
-        }
+    /// the workers, so every in-flight run finishes first.
+    pub fn join(self) {
+        lock(&self.shared.state).shutting_down = true;
         self.shared.work.notify_all();
-        if let Some(pool) = self.pool.take() {
-            pool.join();
+        for worker in self.workers {
+            let _ = worker.join();
         }
-        if let Some(dump) = self.dump.take() {
+        if let Some(dump) = self.dump {
             let _ = dump.join();
         }
-        // Final dump after the pool drained, so the file on disk always ends
-        // on totals that include every completed request.
+        // Final dump after the workers drained, so the file on disk always
+        // ends on totals that include every completed request.
         if let Some(path) = &self.metrics_out {
             self.shared.write_metrics_out(path);
         }
@@ -1310,10 +1200,14 @@ mod tests {
         });
         // Must return promptly (abandon), not after simulating all three.
         d.serve_connection(reader, out.clone());
-        // The client record disappears as soon as its in-flight job (if
-        // any) completes; bounded poll so a regression fails, not hangs.
+        // The client record goes at once; its in-flight job (if any) still
+        // finishes, into the caches only. Bounded poll so a regression
+        // fails, not hangs.
         let mut tries = 0;
-        while !lock(&d.shared.state).clients.is_empty() {
+        while {
+            let st = lock(&d.shared.state);
+            !st.clients.is_empty() || st.running != 0
+        } {
             tries += 1;
             assert!(tries < 2000, "disconnected client was never reaped");
             std::thread::sleep(std::time::Duration::from_millis(5));
@@ -1827,6 +1721,180 @@ mod tests {
                 member(replies.last().expect("at least one reply"), "type"),
                 Json::Str("status".into())
             );
+        }
+    }
+
+    /// A unit-scale submit, parsed from its wire form like a client's.
+    fn bare_submit(id: &str, priority: u64) -> Submit {
+        let line = format!(
+            r#"{{"op":"submit","id":"{id}","benchmark":"RELU","policy":"naive","scale":"unit","priority":{priority}}}"#
+        );
+        match Request::parse(&line) {
+            Ok(Request::Submit(s)) => s,
+            other => panic!("`{line}` is not a submit: {other:?}"),
+        }
+    }
+
+    /// One client of the scheduler model: its channel and what it has seen.
+    struct ModelClient {
+        cid: u64,
+        rx: mpsc::Receiver<String>,
+        connected: bool,
+        /// Ids of accepted submits, in submission order.
+        accepted: Vec<String>,
+        /// Ids submitted and not yet cancelled or completed.
+        live: BTreeSet<String>,
+        /// Cancels and completions filed while connected.
+        finished: usize,
+        /// Lines received on the channel.
+        received: Vec<String>,
+    }
+
+    impl ModelClient {
+        /// Takes every line sent so far and checks that the lines are the
+        /// final answers of the accepted submits, one each, in submission
+        /// order.
+        fn receive(&mut self) {
+            self.received.extend(self.rx.try_iter());
+            assert!(
+                self.received.len() <= self.accepted.len(),
+                "{:?}",
+                self.received
+            );
+            for (line, id) in self.received.iter().zip(&self.accepted) {
+                assert!(
+                    *line == format!("result {id}") || *line == proto::cancelled_line(id),
+                    "line `{line}` where the answer to `{id}` belongs: {:?} for {:?}",
+                    self.received,
+                    self.accepted
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Drives `SchedState` alone, single-threaded, through random
+        /// submits, cancels, picks, completions, abrupt disconnects and a
+        /// shutdown over 1–3 clients, then runs every remaining job.
+        #[test]
+        fn scheduler_answers_every_submit_once_in_order(
+            clients in 1usize..4,
+            ops in proptest::collection::vec((0u8..11, 0usize..3, 0u64..4), 1..80),
+        ) {
+            let mut st = SchedState::new();
+            let mut model: Vec<ModelClient> = (0..clients)
+                .map(|_| {
+                    let (tx, rx) = mpsc::channel();
+                    ModelClient {
+                        cid: st.register(tx),
+                        rx,
+                        connected: true,
+                        accepted: Vec::new(),
+                        live: BTreeSet::new(),
+                        finished: 0,
+                        received: Vec::new(),
+                    }
+                })
+                .collect();
+            // Picked and not yet completed: (client index, seq, id).
+            let mut inflight: Vec<(usize, u64, String)> = Vec::new();
+            // Results filed after their client disconnected, and results
+            // still in the reorder buffer when it did.
+            let (mut dropped_inflight, mut dropped_buffered) = (0usize, 0usize);
+            let complete = |st: &mut SchedState, model: &mut [ModelClient], (i, seq, id): (usize, u64, String), dropped: &mut usize| {
+                st.complete(model[i].cid, seq, &id, format!("result {id}"));
+                let m = &mut model[i];
+                if m.connected {
+                    m.live.remove(&id);
+                    m.finished += 1;
+                } else {
+                    *dropped += 1;
+                }
+            };
+            for (kind, who, arg) in ops {
+                let i = who % clients;
+                let id = format!("j{arg}");
+                match kind {
+                    0..=3 if model[i].connected => {
+                        let rejected = st.shutting_down || model[i].live.contains(&id);
+                        let outcome = st.submit(model[i].cid, bare_submit(&id, arg));
+                        proptest::prop_assert_eq!(outcome.is_err(), rejected);
+                        if outcome.is_ok() {
+                            model[i].accepted.push(id.clone());
+                            model[i].live.insert(id);
+                        }
+                    }
+                    4 if model[i].connected => {
+                        let queued = model[i].live.contains(&id)
+                            && !inflight.iter().any(|(j, _, f)| *j == i && *f == id);
+                        let outcome = st.cancel(model[i].cid, &id);
+                        proptest::prop_assert_eq!(outcome.is_ok(), queued);
+                        if queued {
+                            model[i].live.remove(&id);
+                            model[i].finished += 1;
+                        }
+                    }
+                    5 | 6 => {
+                        if let Some((cid, job)) = st.pick() {
+                            let j = model.iter().position(|m| m.cid == cid).expect("picked a registered client");
+                            proptest::prop_assert!(model[j].connected, "picked a job of a disconnected client");
+                            inflight.push((j, job.seq, job.submit.id));
+                        }
+                    }
+                    7 | 8 if !inflight.is_empty() => {
+                        let job = inflight.remove(arg as usize % inflight.len());
+                        complete(&mut st, &mut model, job, &mut dropped_inflight);
+                    }
+                    9 if model[i].connected => {
+                        model[i].receive();
+                        let dropped = st.disconnect(model[i].cid);
+                        let mut dropped: Vec<String> = dropped.into_iter().map(|j| j.submit.id).collect();
+                        dropped.sort();
+                        let mut queued: Vec<String> = model[i]
+                            .live
+                            .iter()
+                            .filter(|id| !inflight.iter().any(|(j, _, f)| *j == i && f == *id))
+                            .cloned()
+                            .collect();
+                        queued.sort();
+                        proptest::prop_assert_eq!(dropped, queued);
+                        dropped_buffered += model[i].finished - model[i].received.len();
+                        model[i].connected = false;
+                    }
+                    10 => st.shutting_down = true,
+                    _ => {}
+                }
+                for m in model.iter_mut().filter(|m| m.connected) {
+                    m.receive();
+                }
+            }
+            // Shutdown's drain: run everything still queued, completing each
+            // round's jobs newest first so the reorder buffer has work.
+            loop {
+                while let Some((cid, job)) = st.pick() {
+                    let j = model.iter().position(|m| m.cid == cid).expect("picked a registered client");
+                    inflight.push((j, job.seq, job.submit.id));
+                }
+                let Some(job) = inflight.pop() else { break };
+                complete(&mut st, &mut model, job, &mut dropped_inflight);
+            }
+            proptest::prop_assert!(st.idle());
+            let mut lines = 0;
+            for m in &mut model {
+                if m.connected {
+                    m.receive();
+                    proptest::prop_assert_eq!(m.received.len(), m.accepted.len());
+                } else {
+                    proptest::prop_assert!(
+                        matches!(m.rx.try_recv(), Err(mpsc::TryRecvError::Disconnected)),
+                        "a disconnected client's channel got a line or kept its sender"
+                    );
+                }
+                lines += m.received.len();
+            }
+            proptest::prop_assert_eq!(st.completed as usize, lines + dropped_inflight + dropped_buffered);
         }
     }
 }

@@ -2,9 +2,10 @@
 //! newline-delimited JSON protocol.
 //!
 //! * [`daemon`] — the long-running service: per-client-fair priority
-//!   scheduling onto a [`wsg_sim::pool::TaskPool`], answers from the
-//!   in-memory and persistent run caches with source attribution, ordered
-//!   response delivery, progress streaming, graceful drain on shutdown.
+//!   scheduling onto `jobs` simulation workers, answers from the in-memory
+//!   and persistent run caches with source attribution, ordered response
+//!   delivery through one writer thread per connection, progress
+//!   streaming, graceful drain on shutdown.
 //! * [`proto`] — the wire format: request parsing/validation, response
 //!   builders, stable error codes, and the generated PROTOCOL.md examples.
 //! * [`json`] — the minimal hand-rolled JSON value type underneath (this

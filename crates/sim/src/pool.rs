@@ -10,6 +10,11 @@
 //! value** — OS scheduling decides only *when* a job runs, never what it
 //! computes or where its result lands.
 //!
+//! Service threads that are not a fixed batch — the `hdpat-sim serve`
+//! daemon's simulation workers, connection readers and per-connection
+//! writers — are started one by one with [`spawn_detached`]; the daemon
+//! owns their scheduling.
+//!
 //! This file is the one sanctioned thread-spawning site in the workspace:
 //! clippy's `disallowed_methods` (rule d2, DESIGN.md §8.1) flags
 //! `thread::spawn` / `thread::scope` / `available_parallelism` everywhere
@@ -149,109 +154,12 @@ where
     pairs.into_iter().map(|(_, r)| r).collect()
 }
 
-/// A boxed unit of work for a [`TaskPool`] worker.
-pub type Task = Box<dyn FnOnce() + Send>;
-
-/// A long-lived service worker pool: `jobs` threads repeatedly ask a
-/// caller-supplied `fetch` closure for the next task and run it.
-///
-/// Where [`run_indexed_with`] fans a *fixed batch* of independent jobs out and
-/// joins, `TaskPool` serves an *open-ended stream* — the request scheduler of
-/// the `hdpat-sim serve` daemon feeds it submissions as clients produce
-/// them. Scheduling policy lives entirely in `fetch` (the pool imposes no
-/// queue of its own), so fairness and priority decisions stay with the
-/// caller; the pool only owns the threads. `fetch` may block (e.g. on a
-/// condvar) until work is available and returns `None` to tell the calling
-/// worker to exit — once every worker has seen `None`, [`TaskPool::join`]
-/// returns.
-///
-/// Like the batch pool, this type never touches model state: tasks are
-/// host-side harness work, and determinism of simulation outputs is owned by
-/// the tasks themselves (each simulation is a pure function of its config).
-///
-/// # Example
-///
-/// ```
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-/// use std::sync::{Arc, Mutex};
-/// use wsg_sim::pool::{Task, TaskPool};
-///
-/// let done = Arc::new(AtomicUsize::new(0));
-/// let queue = Arc::new(Mutex::new(vec![1u32, 2, 3]));
-/// let pool = TaskPool::new(2, {
-///     let (queue, done) = (queue.clone(), done.clone());
-///     move || -> Option<Task> {
-///         let item = queue.lock().ok()?.pop()?;
-///         let done = done.clone();
-///         Some(Box::new(move || {
-///             done.fetch_add(item as usize, Ordering::Relaxed);
-///         }))
-///     }
-/// });
-/// pool.join();
-/// assert_eq!(done.load(Ordering::Relaxed), 6);
-/// ```
-#[derive(Debug)]
-pub struct TaskPool {
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl TaskPool {
-    /// Spawns `jobs` worker threads (at least one), each looping
-    /// `while let Some(task) = fetch() { task() }`.
-    ///
-    /// A panicking task takes its worker down but leaves the others running;
-    /// [`TaskPool::join`] reports how many workers died that way.
-    pub fn new<F>(jobs: usize, fetch: F) -> Self
-    where
-        F: Fn() -> Option<Task> + Send + Sync + 'static,
-    {
-        let fetch = std::sync::Arc::new(fetch);
-        let workers = (0..jobs.max(1))
-            .map(|i| {
-                let fetch = fetch.clone();
-                std::thread::Builder::new()
-                    .name(format!("wsg-task-{i}"))
-                    .spawn(move || {
-                        while let Some(task) = fetch() {
-                            // Isolate task panics so one bad request cannot
-                            // silently wedge the scheduler: the worker keeps
-                            // serving, the panic is reported on join.
-                            if catch_unwind(AssertUnwindSafe(task)).is_err() {
-                                // Payload already printed by the default
-                                // panic hook; nothing model-visible here.
-                            }
-                        }
-                    })
-                    .unwrap_or_else(|e| panic!("cannot spawn task-pool worker: {e}"))
-            })
-            .collect();
-        Self { workers }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Waits for every worker to exit (i.e. for `fetch` to have returned
-    /// `None` to each of them). The caller is responsible for making `fetch`
-    /// terminate — typically by flipping a shutdown flag and notifying the
-    /// condvar `fetch` blocks on.
-    pub fn join(self) {
-        for w in self.workers {
-            // Worker bodies catch task panics, so join errors are
-            // unreachable in practice; swallow defensively.
-            let _ = w.join();
-        }
-    }
-}
-
 /// Spawns one named detached harness thread. This is the sanctioned wrapper
-/// for service-side threads that do not fit the indexed-batch model — e.g.
-/// the per-connection reader loops of the `hdpat-sim serve` daemon. The
-/// handle may be joined or dropped; the thread must never touch simulator
-/// model state (the same contract as the worker pools in this module).
+/// for service-side threads that do not fit the indexed-batch model — the
+/// simulation workers, connection readers and per-connection writers of the
+/// `hdpat-sim serve` daemon. The handle may be joined or dropped; the thread
+/// must never touch simulator model state (the same contract as
+/// [`run_indexed_with`]).
 pub fn spawn_detached<F>(name: &str, f: F) -> std::thread::JoinHandle<()>
 where
     F: FnOnce() + Send + 'static,
@@ -368,49 +276,6 @@ mod tests {
             assert_eq!(out.len(), 50);
             assert_eq!(done.load(Ordering::Relaxed), 50);
         }
-    }
-
-    #[test]
-    fn task_pool_drains_queue_and_joins() {
-        use std::sync::Arc;
-        for jobs in [1, 3] {
-            let queue = Arc::new(Mutex::new((0u32..40).collect::<Vec<_>>()));
-            let sum = Arc::new(AtomicUsize::new(0));
-            let pool = TaskPool::new(jobs, {
-                let (queue, sum) = (queue.clone(), sum.clone());
-                move || -> Option<Task> {
-                    let item = queue.lock().ok()?.pop()?;
-                    let sum = sum.clone();
-                    Some(Box::new(move || {
-                        sum.fetch_add(item as usize, Ordering::Relaxed);
-                    }))
-                }
-            });
-            assert_eq!(pool.workers(), jobs.max(1));
-            pool.join();
-            assert_eq!(sum.load(Ordering::Relaxed), (0..40).sum::<usize>());
-        }
-    }
-
-    #[test]
-    fn task_pool_survives_panicking_task() {
-        use std::sync::Arc;
-        // One of four tasks panics; the worker must keep serving the rest.
-        let queue = Arc::new(Mutex::new(vec![0u32, 1, 2, 3]));
-        let ok = Arc::new(AtomicUsize::new(0));
-        let pool = TaskPool::new(1, {
-            let (queue, ok) = (queue.clone(), ok.clone());
-            move || -> Option<Task> {
-                let item = queue.lock().ok()?.pop()?;
-                let ok = ok.clone();
-                Some(Box::new(move || {
-                    assert_ne!(item, 2, "injected task failure");
-                    ok.fetch_add(1, Ordering::Relaxed);
-                }))
-            }
-        });
-        pool.join();
-        assert_eq!(ok.load(Ordering::Relaxed), 3);
     }
 
     #[test]
